@@ -7,24 +7,22 @@ by an exhaustive scan over the source's support, and a weighting rule
 into a vote; points with an empty neighborhood keep abstaining.  Newly
 labeled points never seed further extension.
 
-The scan is exact in float64.  Internally a float32 score pass prunes
-candidates and every decision near a threshold or a tie is re-evaluated
-in float64, so results are identical to a pure float64 scan.  When
-several dense sources are extended at once the scan switches to a shared
-blocked Gram traversal that computes each unordered block pair of points
-once and reuses it for every source.
+The scan is exact in float64.  Each source's abstainers are cut into
+query chunks; a chunk is scored against the whole support in one float32
+GEMM block and folded into per-query results, and every decision near a
+threshold or a tie is re-evaluated in float64, so results are identical
+to a pure float64 scan whatever the chunking or thread count.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from . import _nnkernel
 from .core import (
     EmbeddingSet,
     Metric,
@@ -45,8 +43,8 @@ __all__ = [
     "min_overlap",
 ]
 
-_BLOCK = 4096
-_CHUNK_ELEMS = 32 * 1024 * 1024  # float32 score elements per per-source chunk
+_CHUNK_ELEMS = 32 * 1024 * 1024  # score cells per query chunk
+_MIN_CHUNK = 64  # query rows per chunk, whatever the support size
 
 
 @dataclass(frozen=True)
@@ -128,12 +126,26 @@ def neighbors_in_support(
 # Bulk scan machinery
 
 
+def _cosine_error_bound(d: int) -> float:
+    """Worst case of |float32 score - float64 score| for unit rows in ``d`` dims.
+
+    Rounding both rows to float32 and a d-term float32 dot product (any
+    summation order, with or without FMA) put at most ``d + 2`` relative
+    roundings on each product term, so the error is at most
+    ``gamma(d + 2) * sum_k |a_k b_k| <= gamma(d + 2)`` with
+    ``gamma(k) = k*u / (1 - k*u)`` and ``u = 2**-24``.  The float64
+    reference adds the same term with ``u = 2**-53``.
+    """
+    k = d + 2
+    return sum(k * u / (1.0 - k * u) for u in (2.0**-24, 2.0**-53))
+
+
 class _ScoreSpace:
     """Score = monotone proxy for closeness (cosine similarity or -dist^2).
 
-    ``tau`` bounds |float32 score - float64 score|, so any comparison
-    within ``tau`` of a threshold or a running maximum is re-decided in
-    float64.
+    ``tau`` bounds the float32 error of a score against a threshold, and
+    of the gap between two scores, so any comparison within ``tau`` of a
+    threshold or of a query's best score is re-decided in float64.
     """
 
     def __init__(self, emb: EmbeddingSet, metric: Metric):
@@ -141,7 +153,9 @@ class _ScoreSpace:
         self.metric = Metric(metric)
         if self.metric is Metric.COSINE:
             self.use32 = True
-            self.tau = 1e-4  # >> d * eps_f32 for unit rows
+            # a 1nn comparison takes the difference of two scores, hence
+            # twice the bound; 1e-4 covers that up to d = 836
+            self.tau = max(1e-4, 2.0 * _cosine_error_bound(emb.d))
         else:
             mx = float(emb.sq_norms.max())
             self.use32 = 0.0 < mx < 1e30
@@ -151,21 +165,35 @@ class _ScoreSpace:
         if self.metric is Metric.EUCLIDEAN and self.use32:
             self._sq32 = emb.sq_norms.astype(np.float32)
 
-    def block(self, lo_r, hi_r, lo_c, hi_c) -> np.ndarray:
+    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Scores of every (row, col) pair of point indices."""
         if self.metric is Metric.COSINE:
             u = self.emb.unit32 if self.use32 else self.emb.unit
-            return u[lo_r:hi_r] @ u[lo_c:hi_c].T
+            return u[rows] @ u[cols].T
         if self.use32:
             x, sq = self.emb.data32, self._sq32
         else:
             x, sq = self.emb.data, self.emb.sq_norms
-        dot = x[lo_r:hi_r] @ x[lo_c:hi_c].T
-        return 2.0 * dot - sq[lo_r:hi_r][:, None] - sq[lo_c:hi_c][None, :]
+        dot = x[rows] @ x[cols].T
+        return 2.0 * dot - sq[rows][:, None] - sq[cols][None, :]
 
     def score_at_radius(self, r: float) -> float:
         if self.metric is Metric.COSINE:
             return 1.0 - r
         return -(r * r)
+
+    def band(self, r: float, dtype) -> tuple:
+        """Scores ``lo <= hi`` of ``dtype`` enclosing ``score_at_radius(r) -/+ tau``.
+
+        A block score above ``hi`` is inside radius ``r``, one below
+        ``lo`` is outside, and one in ``[lo, hi]`` needs a float64 check.
+        Each bound is rounded one ulp outward, so the band is never
+        narrower than ``tau`` on either side.
+        """
+        sthr, t = self.score_at_radius(r), dtype.type
+        lo = np.nextafter(t(sthr - self.tau), t(-np.inf))
+        hi = np.nextafter(t(sthr + self.tau), t(np.inf))
+        return lo, hi
 
 
 @dataclass
@@ -174,39 +202,25 @@ class _SourceState:
     queries: np.ndarray  # abstaining rows, ascending
     support: np.ndarray  # voting rows, ascending
     radius: float
-    # position of each point in `queries`, -1 elsewhere
-    qpos: np.ndarray = field(default=None, repr=False)
-    # 1nn accumulators (indexed by position in `queries`)
+    # 1nn results (indexed by position in `queries`)
     best_dist: np.ndarray | None = None
     best_col: np.ndarray | None = None
-    # wsum accumulators
+    # wsum results
     in_count: np.ndarray | None = None
     vote_sum: np.ndarray | None = None
 
 
 def _new_state(votes, source, radius, weighting) -> _SourceState:
     col = votes.votes[:, source]
-    q = np.flatnonzero(col == 0)
-    s = np.flatnonzero(col != 0)
-    qpos = np.full(votes.n, -1, dtype=np.int64)
-    qpos[q] = np.arange(q.size)
-    st = _SourceState(source, q, s, float(radius), qpos)
+    st = _SourceState(source, np.flatnonzero(col == 0), np.flatnonzero(col != 0), float(radius))
+    q = st.queries.size
     if weighting is Weighting.ONE_NEAREST_NEIGHBOR:
-        st.best_dist = np.full(q.size, np.inf)
-        st.best_col = np.full(q.size, votes.n, dtype=np.int64)
+        st.best_dist = np.full(q, np.inf)
+        st.best_col = np.full(q, votes.n, dtype=np.int64)
     else:
-        st.in_count = np.zeros(q.size, dtype=np.int64)
-        st.vote_sum = np.zeros(q.size, dtype=np.int64)
+        st.in_count = np.zeros(q, dtype=np.int64)
+        st.vote_sum = np.zeros(q, dtype=np.int64)
     return st
-
-
-def _merge_nearest(st, pos, dist, col, lock):
-    with lock:
-        cur_d, cur_c = st.best_dist[pos], st.best_col[pos]
-        better = (dist < cur_d) | ((dist == cur_d) & (col < cur_c))
-        upd = pos[better]
-        st.best_dist[upd] = dist[better]
-        st.best_col[upd] = col[better]
 
 
 def _refine_first_per_group(emb, metric, groups, qids, cids):
@@ -225,69 +239,42 @@ def _refine_first_per_group(emb, metric, groups, qids, cids):
     return groups[pick], dist[pick], cids[pick]
 
 
-def _reduce_query_rows(sub, qpos, qids, cols, st, space, votes, lock, weighting):
-    """Fold a (queries x support) score block into the accumulators."""
-    if sub.size == 0:
-        return
-    emb, metric, tau = space.emb, space.metric, space.tau
+def _scan_chunk(space, votes, st, lo, hi, weighting):
+    """Score queries ``lo:hi`` of ``st`` against its whole support and fold.
+
+    Chunks of one source cover disjoint query positions, so each writes
+    its own slice of the results without locking.
+    """
+    qids, cols = st.queries[lo:hi], st.support
+    sub = space.block(qids, cols)
+    emb, metric = space.emb, space.metric
     if weighting is Weighting.ONE_NEAREST_NEIGHBOR:
         am = sub.argmax(axis=1)
         mx = sub[np.arange(sub.shape[0]), am]
-        rr, cc = np.nonzero(sub >= (mx[:, None] - tau))
+        rr, cc = np.nonzero(sub >= (mx[:, None] - space.tau))
         grp, dist, cid = _refine_first_per_group(emb, metric, rr, qids[rr], cols[cc])
-        _merge_nearest(st, qpos[grp], dist, cid, lock)
+        st.best_dist[lo + grp] = dist
+        st.best_col[lo + grp] = cid
         return
-    sthr = space.score_at_radius(st.radius)
-    vcol = votes.votes[cols, st.source].astype(np.float64)
-    definite = sub > (sthr + tau)
-    counts = definite.sum(axis=1).astype(np.int64)
-    sums = np.rint(definite.astype(np.float64) @ vcol).astype(np.int64)
-    rr, cc = np.nonzero(np.abs(sub - np.float64(sthr)) <= tau)
+    # only boolean masks the size of `sub` are made; voters are counted
+    lo_s, hi_s = space.band(st.radius, sub.dtype)
+    vcol = votes.votes[cols, st.source]
+    positive = vcol > 0
+    inside = sub > hi_s
+    counts = np.count_nonzero(inside, axis=1)
+    sums = 2 * np.count_nonzero(inside & positive, axis=1) - counts
+    near = sub >= lo_s
+    near ^= inside
+    del inside
+    rr, cc = np.nonzero(near)
+    del near
     if rr.size:
-        dist = paired_distances(emb, qids[rr], cols[cc], metric)
-        inside = dist <= st.radius
-        rr, cc = rr[inside], cc[inside]
+        keep = paired_distances(emb, qids[rr], cols[cc], metric) <= st.radius
+        rr, cc = rr[keep], cc[keep]
         np.add.at(counts, rr, 1)
-        np.add.at(sums, rr, vcol[cc].astype(np.int64))
-    with lock:
-        st.in_count[qpos] += counts
-        st.vote_sum[qpos] += sums
-
-
-def _reduce_support_rows_wsum(mat, supp_local, supp_ids, col_base, st, space, votes, lock):
-    """Fold a (support x block-column) score block into wsum accumulators.
-
-    ``mat`` holds scores for a contiguous column block of points; rows of
-    interest are the source's support inside the row block.  Columns that
-    are not queries of the source are dropped from the sparse candidate
-    lists instead of being sliced out up front.
-    """
-    if supp_local.size == 0:
-        return
-    ncols = mat.shape[1]
-    qp_cols = st.qpos[col_base : col_base + ncols]
-    if not (qp_cols >= 0).any():
-        return
-    emb, metric, tau = space.emb, space.metric, space.tau
-    sub = mat[supp_local]
-    sthr = space.score_at_radius(st.radius)
-    vrow = votes.votes[supp_ids, st.source].astype(np.float64)
-    definite = sub > (sthr + tau)
-    counts = definite.sum(axis=0).astype(np.int64)
-    sums = np.rint(vrow @ definite.astype(np.float64)).astype(np.int64)
-    rr, cc = np.nonzero(np.abs(sub - np.float64(sthr)) <= tau)
-    keep = qp_cols[cc] >= 0
-    rr, cc = rr[keep], cc[keep]
-    if rr.size:
-        dist = paired_distances(emb, np.int64(col_base) + cc, supp_ids[rr], metric)
-        inside = dist <= st.radius
-        rr, cc = rr[inside], cc[inside]
-        np.add.at(counts, cc, 1)
-        np.add.at(sums, cc, vrow[rr].astype(np.int64))
-    valid = qp_cols >= 0
-    with lock:
-        st.in_count[qp_cols[valid]] += counts[valid]
-        st.vote_sum[qp_cols[valid]] += sums[valid]
+        np.add.at(sums, rr, vcol[cc])
+    st.in_count[lo:hi] = counts
+    st.vote_sum[lo:hi] = sums
 
 
 def _run_tasks(tasks, threads):
@@ -301,179 +288,25 @@ def _run_tasks(tasks, threads):
 
 
 def _scan_sources(emb, votes, states, weighting, metric, threads):
-    """Fill the accumulators of every state by exhaustive support scans."""
+    """Fill the results of every state by exhaustive support scans.
+
+    Each source's queries are cut into chunks of about ``_CHUNK_ELEMS``
+    score cells (at least ``_MIN_CHUNK`` rows); every chunk is one score
+    block and one fold, run on a pool of ``threads`` workers.
+    """
     states = [st for st in states if st.queries.size and st.support.size]
     if not states:
         return
     space = _ScoreSpace(emb, metric)
-    lock = threading.Lock()
-    n = votes.n
-
-    per_source_cells = sum(st.queries.size * st.support.size for st in states)
-    shared_cells = n * n // 2 + n * _BLOCK // 2
-    use_shared = len(states) >= 2 and shared_cells < per_source_cells and space.use32
-    if use_shared and weighting is Weighting.ONE_NEAREST_NEIGHBOR and _nnkernel.AVAILABLE:
-        _scan_shared_nearest(emb, votes, states, space, threads)
-        return
-
     tasks = []
-    if use_shared and weighting is Weighting.THRESHOLDED_WEIGHTED_SUM:
-        bounds = list(range(0, n, _BLOCK)) + [n]
-        nblk = len(bounds) - 1
-        scut = [np.searchsorted(st.support, bounds) for st in states]
-
-        def make_pair(bi, bj):
-            lo_i, hi_i = bounds[bi], bounds[bi + 1]
-            lo_j, hi_j = bounds[bj], bounds[bj + 1]
-
-            def task():
-                mat = space.block(lo_i, hi_i, lo_j, hi_j)
-                # queries in the J columns, support rows inside block I
-                for k, st in enumerate(states):
-                    sl = st.support[scut[k][bi] : scut[k][bi + 1]]
-                    _reduce_support_rows_wsum(mat, sl - lo_i, sl, lo_j, st, space, votes, lock)
-                if bi != bj:
-                    tmat = np.ascontiguousarray(mat.T)
-                    for k, st in enumerate(states):
-                        sl = st.support[scut[k][bj] : scut[k][bj + 1]]
-                        _reduce_support_rows_wsum(tmat, sl - lo_j, sl, lo_i, st, space, votes, lock)
-
-            return task
-
-        for bi in range(nblk):
-            for bj in range(bi, nblk):
-                tasks.append(make_pair(bi, bj))
-    else:
-        for st in states:
-            chunk = max(64, _CHUNK_ELEMS // st.support.size)
-
-            def make_chunk(st, lo, hi, scols):
-                def task():
-                    qg = st.queries[lo:hi]
-                    sub = _rect_block(space, qg, scols)
-                    _reduce_query_rows(sub, np.arange(lo, hi), qg, scols, st, space, votes, lock, weighting)
-
-                return task
-
-            for lo in range(0, st.queries.size, chunk):
-                tasks.append(make_chunk(st, lo, min(lo + chunk, st.queries.size), st.support))
+    for st in states:
+        nq, ns = st.queries.size, st.support.size
+        step = max(_MIN_CHUNK, _CHUNK_ELEMS // ns)
+        tasks += [
+            partial(_scan_chunk, space, votes, st, lo, min(lo + step, nq), weighting)
+            for lo in range(0, nq, step)
+        ]
     _run_tasks(tasks, threads)
-
-
-def _scan_shared_nearest(emb, votes, states, space, threads):
-    """Blocked Gram traversal folding all sources' 1nn scans at once.
-
-    Every unordered block pair is scored once; numba kernels maintain
-    per-(source, point) top-2 float32 scores.  A query whose top-2 gap
-    exceeds the float32 error band has a provably unique float64 winner;
-    the rest are resolved by an exact rescan.
-    """
-    if votes.n >= 2**31:
-        raise ValueError("shared scan supports at most 2^31 - 1 points")
-    _nnkernel.set_threads(threads)
-    n = votes.n
-    bounds = list(range(0, n, _BLOCK)) + [n]
-    nblk = len(bounds) - 1
-    groups = [
-        states[g : g + _nnkernel.MAX_SOURCES_PER_GROUP]
-        for g in range(0, len(states), _nnkernel.MAX_SOURCES_PER_GROUP)
-    ]
-    accs = []
-    qbits_all = []
-    scuts = []
-    for grp in groups:
-        mg = len(grp)
-        qbits = np.zeros(n, np.uint32)
-        for k, st in enumerate(grp):
-            qbits[st.queries] |= np.uint32(1 << k)
-        qbits_all.append(qbits)
-        scuts.append([np.searchsorted(st.support, bounds) for st in grp])
-        accs.append(
-            (
-                np.full((mg, n), -np.inf, np.float32),
-                np.full((mg, n), -np.inf, np.float32),
-                np.full((mg, n), -1, np.int32),
-            )
-        )
-
-    pairs = [(bi, bj) for bi in range(nblk) for bj in range(bi, nblk)]
-
-    def score_pair(idx):
-        bi, bj = pairs[idx]
-        return space.block(bounds[bi], bounds[bi + 1], bounds[bj], bounds[bj + 1])
-
-    # pipeline: score the next block pair (BLAS) while kernels fold this one
-    prefetch = ThreadPoolExecutor(max_workers=1) if threads > 1 and len(pairs) > 1 else None
-    pending = prefetch.submit(score_pair, 0) if prefetch else None
-    try:
-        for idx, (bi, bj) in enumerate(pairs):
-            mat = pending.result() if pending is not None else score_pair(idx)
-            if prefetch and idx + 1 < len(pairs):
-                pending = prefetch.submit(score_pair, idx + 1)
-            else:
-                pending = None
-            lo_i, lo_j = bounds[bi], bounds[bj]
-            for grp, qbits, scut, (am, ar, aa) in zip(groups, qbits_all, scuts, accs):
-                # support rows in block I vote on every column point of block J
-                rows = [st.support[scut[k][bi] : scut[k][bi + 1]] - lo_i for k, st in enumerate(grp)]
-                srcs = [np.full(r.size, k, np.int64) for k, r in enumerate(rows)]
-                _nnkernel.fold_support_rows(
-                    mat, np.concatenate(rows), np.concatenate(srcs), am, ar, aa, lo_i, lo_j
-                )
-                if bi != bj:
-                    # query rows in block I scan support columns in block J
-                    cols = [st.support[scut[k][bj] : scut[k][bj + 1]] - lo_j for k, st in enumerate(grp)]
-                    cstarts = np.cumsum([0] + [c.size for c in cols]).astype(np.int64)
-                    _nnkernel.fold_support_cols(
-                        mat, qbits, np.concatenate(cols), cstarts, am, ar, aa, lo_i, lo_j,
-                    )
-    finally:
-        if prefetch:
-            prefetch.shutdown(wait=False, cancel_futures=True)
-
-    tau = space.tau
-    for grp, (am, ar, aa) in zip(groups, accs):
-        for k, st in enumerate(grp):
-            mx = am[k, st.queries].astype(np.float64)
-            rn = ar[k, st.queries].astype(np.float64)
-            arg = aa[k, st.queries]
-            found = np.isfinite(mx)
-            sure = found & ((mx - rn) > tau)
-            idx = np.flatnonzero(sure)
-            if idx.size:
-                st.best_dist[idx] = paired_distances(emb, st.queries[idx], arg[idx], space.metric)
-                st.best_col[idx] = arg[idx]
-            fb = np.flatnonzero(found & ~sure)
-            if fb.size:
-                d, c = _exact_nearest(emb, st.queries[fb], st.support, space.metric)
-                st.best_dist[fb] = d
-                st.best_col[fb] = c
-
-
-def _exact_nearest(emb, queries, support, metric):
-    """Exact float64 nearest support point per query; ties to lowest index."""
-    best_d = np.empty(queries.size)
-    best_c = np.empty(queries.size, np.int64)
-    chunk = max(16, 4 * 1024 * 1024 // max(support.size, 1))
-    for lo in range(0, queries.size, chunk):
-        dist = pairwise_distances(emb, queries[lo : lo + chunk], support, metric)
-        am = dist.argmin(axis=1)
-        rows = np.arange(dist.shape[0])
-        best_d[lo : lo + chunk] = dist[rows, am]
-        best_c[lo : lo + chunk] = support[am]
-    return best_d, best_c
-
-
-def _rect_block(space, rows, cols) -> np.ndarray:
-    if space.metric is Metric.COSINE:
-        u = space.emb.unit32 if space.use32 else space.emb.unit
-        return u[rows] @ u[cols].T
-    if space.use32:
-        x, sq = space.emb.data32, space._sq32
-    else:
-        x, sq = space.emb.data, space.emb.sq_norms
-    dot = x[rows] @ x[cols].T
-    return 2.0 * dot - sq[rows][:, None] - sq[cols][None, :]
 
 
 def _default_threads(threads):

@@ -347,8 +347,8 @@ def _timed_pipeline(emb, votes):
 def test_c7_runtime():
     with criterion(7, "extend+fit+predict: n=10k,d=128,m=5 in <1 s; n=64k in <30 s"):
         rng = np.random.default_rng(107)
-        # one-time JIT compilation and BLAS initialization happen outside
-        # the timed region (steady-state cost is what the criterion measures)
+        # one-time BLAS initialization happens outside the timed region
+        # (steady-state cost is what the criterion measures)
         warm_e, warm_v = _runtime_instance(rng, 2000)
         _timed_pipeline(warm_e, warm_v)
 

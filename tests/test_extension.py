@@ -1,8 +1,13 @@
 """Vote extension semantics against brute-force oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+from weakext import extension
 from weakext.core import (
     EmbeddingSet,
     Metric,
@@ -20,14 +25,18 @@ from weakext.extension import (
 )
 
 
+def brute_force_distances(x, metric="cosine"):
+    """All pairwise float64 distances."""
+    if metric == "cosine":
+        u = x / np.linalg.norm(x, axis=1, keepdims=True)
+        return np.clip(1.0 - u @ u.T, 0.0, 2.0)
+    return np.linalg.norm(x[:, None, :] - x[None, :, :], axis=2)
+
+
 def brute_force_extend(x, votes, radii, weighting, metric="cosine"):
     """Independent O(n^2) reference: per-pair distances, explicit loops."""
     n, m = votes.shape
-    if metric == "cosine":
-        u = x / np.linalg.norm(x, axis=1, keepdims=True)
-        dist = np.clip(1.0 - u @ u.T, 0.0, 2.0)
-    else:
-        dist = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=2)
+    dist = brute_force_distances(x, metric)
     out = votes.copy()
     for j in range(m):
         if radii[j] <= 0:
@@ -49,6 +58,18 @@ def brute_force_extend(x, votes, radii, weighting, metric="cosine"):
             else:
                 out[i, j] = np.sign(votes[supp[inside], j].sum())
     return out
+
+
+def brute_force_nearest(x, votes, source, metric="cosine"):
+    """Reference for ``nearest_in_support``: first minimum over the support."""
+    n = votes.shape[0]
+    dist = brute_force_distances(x, metric)
+    queries = np.flatnonzero(votes[:, source] == 0)
+    supp = np.flatnonzero(votes[:, source] != 0)
+    if supp.size == 0:
+        return queries, np.full(queries.size, np.inf), np.full(queries.size, n)
+    k = dist[np.ix_(queries, supp)].argmin(axis=1)
+    return queries, dist[queries, supp[k]], supp[k]
 
 
 def random_instance(rng, n_max=150):
@@ -211,9 +232,10 @@ class TestExtendVotes:
             ext, _ = extend_votes(emb, vm, cfg, threads=t)
             assert np.array_equal(ref.votes, ext.votes)
 
-    def test_shared_and_per_source_drivers_agree(self):
-        # dense many-source instance routes to the shared blocked scan;
-        # per-column extension forces the rectangular driver
+    @pytest.mark.parametrize("weighting", list(Weighting), ids=lambda w: w.value)
+    def test_all_sources_at_once_equals_one_at_a_time(self, weighting):
+        # a dense many-source instance extended in one call must equal
+        # extending each source on its own
         rng = np.random.default_rng(8)
         n, m = 5000, 4
         x = rng.standard_normal((n, 12))
@@ -222,12 +244,12 @@ class TestExtendVotes:
             idx = rng.choice(n, int(0.4 * n), replace=False)
             votes[idx, j] = rng.choice([-1, 1], idx.size)
         emb, vm = EmbeddingSet(x), VoteMatrix(votes)
-        shared, _ = extend_votes(emb, vm, RadiusConfig([0.5] * m), threads=2)
+        together, _ = extend_votes(emb, vm, RadiusConfig([0.5] * m, weighting), threads=2)
         for j in range(m):
             radii = np.zeros(m)
             radii[j] = 0.5
-            single, _ = extend_votes(emb, vm, RadiusConfig(radii), threads=1)
-            assert np.array_equal(shared.votes[:, j], single.votes[:, j])
+            single, _ = extend_votes(emb, vm, RadiusConfig(radii, weighting), threads=1)
+            assert np.array_equal(together.votes[:, j], single.votes[:, j])
 
 
 class TestNearestInSupport:
@@ -289,3 +311,131 @@ class TestNewlyLabeledRegionBound:
             lhs = rep.newly_labeled_fraction[0]
             rhs = profile.support_disagreement[0, k] * profile.pair_fraction[k] * p[0]
             assert lhs >= rhs - 0.05
+
+
+@hst.composite
+def exact_instances(draw):
+    """Instances whose distances are exact in float32 and float64 alike.
+
+    Euclidean points sit on a small integer lattice (optionally shifted
+    by 1024); cosine points have 1, 4 or 16 entries of +-1 in 16 dims, so
+    unit rows and their dot products are dyadic.  Duplicated rows, all-tie
+    neighbourhoods (every row from a pool of two or three points) and radii
+    equal to an occurring distance make ties and on-radius pairs exact.
+    """
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    metric = draw(hst.sampled_from(["cosine", "euclidean"]))
+    n = draw(hst.integers(150, 260))
+    m = draw(hst.integers(1, 3))
+    pool = draw(hst.sampled_from([None, 2, 3]))
+    n_distinct = pool or n
+    if metric == "euclidean":
+        d = draw(hst.integers(1, 4))
+        x = rng.integers(0, draw(hst.integers(1, 4)) + 1, (n_distinct, d)).astype(np.float64)
+        x += draw(hst.sampled_from([0.0, 1024.0]))
+        x[(x == 0).all(axis=1), 0] = 1.0  # all-zero rows are invalid input
+    else:
+        x = np.zeros((n_distinct, 16))
+        for row in x:
+            nnz = rng.choice([1, 4, 16])
+            row[rng.choice(16, nnz, replace=False)] = rng.choice([-1.0, 1.0], nnz)
+        x *= 2.0 ** rng.integers(-2, 3, (n_distinct, 1))  # scaled duplicates in cosine
+    if pool is not None:
+        x = x[rng.integers(0, pool, n)]
+    else:
+        dup = rng.random(n) < draw(hst.sampled_from([0.0, 0.3, 0.7]))
+        dup[0] = False
+        for i in np.flatnonzero(dup):
+            x[i] = x[rng.integers(0, i)]
+    p_vote = draw(hst.floats(0.1, 0.9))
+    votes = rng.choice([-1, 0, 1], size=(n, m), p=[p_vote / 2, 1 - p_vote, p_vote / 2])
+    radii = rng.choice(np.unique(brute_force_distances(x, metric)), m)
+    radii[rng.random(m) < 0.15] = 0.0
+    chunk_elems = draw(hst.integers(1, 4000))
+    return x, votes, radii, metric, chunk_elems
+
+
+@hst.composite
+def radius_shells(draw):
+    """Support points on shells at distance ``r * (1 +- eps)`` around centers.
+
+    ``eps`` in [1e-10, 1e-8] is far above float64 rounding but far below
+    the float32 score error, so only the float64 re-check of the band
+    sorts the shell into inside and outside, and nearest points differ
+    by less than float32 can resolve.
+    """
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    metric = draw(hst.sampled_from(["cosine", "euclidean"]))
+    d = draw(hst.integers(2, 16))
+    r = draw(hst.sampled_from([0.05, 0.3, 0.7]))
+    rows = []
+    for c in rng.standard_normal((draw(hst.integers(1, 4)), d)):
+        rows.append(c)
+        k = draw(hst.integers(10, 60))
+        s = r * (1.0 + rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-10, -8, k))
+        v = rng.standard_normal((k, d))
+        if metric == "euclidean":
+            v /= np.linalg.norm(v, axis=1, keepdims=True)
+            rows.append(c + s[:, None] * v)
+        else:
+            cu = c / np.linalg.norm(c)
+            v -= (v @ cu)[:, None] * cu
+            v /= np.linalg.norm(v, axis=1, keepdims=True)
+            rows.append((1.0 - s)[:, None] * cu + np.sqrt(s * (2.0 - s))[:, None] * v)
+    x = np.vstack(rows)
+    n, m = x.shape[0], draw(hst.integers(1, 3))
+    votes = rng.choice([-1, 1], size=(n, m))
+    votes[rng.random((n, m)) < draw(hst.floats(0.1, 0.5))] = 0
+    radii = np.full(m, r)
+    return x, votes, radii, metric, draw(hst.integers(1, 4000))
+
+
+def _check_against_oracles(x, votes, radii, metric, chunk_elems):
+    emb, vm = EmbeddingSet(x), VoteMatrix(votes)
+    # tiny chunks: every source splits into many query chunks at n ~ 200
+    with mock.patch.multiple(extension, _CHUNK_ELEMS=chunk_elems, _MIN_CHUNK=1):
+        for w in Weighting:
+            expected = brute_force_extend(x, votes, radii, w.value, metric=metric)
+            for threads in (1, 2, 4):
+                ext, _ = extend_votes(emb, vm, RadiusConfig(radii, w), metric=Metric(metric), threads=threads)
+                assert np.array_equal(ext.votes, expected), (w, threads)
+        for j in range(votes.shape[1]):
+            want = brute_force_nearest(x, votes, j, metric)
+            for threads in (1, 2, 4):
+                queries, dist, nearest = nearest_in_support(emb, vm, j, metric=Metric(metric), threads=threads)
+                assert np.array_equal(queries, want[0]) and np.array_equal(nearest, want[2]), threads
+                # the oracle's matmul and the scan's pairwise dot differ in the last bits
+                np.testing.assert_allclose(dist, want[1], rtol=1e-14, atol=1e-15)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(exact_instances())
+def test_chunked_scan_matches_oracles_on_exact_ties(instance):
+    _check_against_oracles(*instance)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(radius_shells())
+def test_chunked_scan_matches_oracles_inside_float32_band(instance):
+    _check_against_oracles(*instance)
+
+
+@pytest.mark.parametrize("weighting", list(Weighting), ids=lambda w: w.value)
+def test_high_dimensional_cosine_agrees_with_brute_force(weighting):
+    # d=4096 is past the dimension where the float32 error bound, not the
+    # 1e-4 floor, sets the re-check band
+    rng = np.random.default_rng(10)
+    n, d, m = 300, 4096, 3
+    centers = rng.standard_normal((6, d))
+    x = centers[rng.integers(0, 6, n)] + 0.6 * rng.standard_normal((n, d))
+    votes = rng.choice([-1, 0, 1], size=(n, m), p=[0.2, 0.5, 0.3])
+    values = np.unique(brute_force_distances(x))
+    # radii halfway between neighbouring distances near chosen quantiles:
+    # dense pairs lie within the band, none on the radius itself
+    k = (np.array([0.02, 0.1, 0.3]) * values.size).astype(int)
+    radii = (values[k] + values[k + 1]) / 2
+    tau = extension._ScoreSpace(EmbeddingSet(x), Metric.COSINE).tau
+    assert tau > 1e-4
+    assert all((np.abs(values - r) <= tau).sum() > 10 for r in radii)
+    ext, _ = extend_votes(EmbeddingSet(x), VoteMatrix(votes), RadiusConfig(radii, weighting))
+    assert np.array_equal(ext.votes, brute_force_extend(x, votes, radii, weighting.value))
