@@ -33,6 +33,7 @@ from .core import (
 )
 from .diagnostics import DEFAULT_PAIR_BUDGET, default_radius_grid, diagnose
 from .experiments import (
+    _resolve_metric_name,
     evaluate,
     generate_checkerboard,
     refine_radii,
@@ -97,19 +98,14 @@ def _resolve_radii(args, m: int) -> RadiusConfig:
                 f"{args.radius_config}: has {config.radii.shape[0]} radii for {m} sources"
             )
         return config
-    if has_r:
-        vals = _parse_float_list(args.radii, "--radii")
-        if len(vals) == 1:
-            vals = vals * m
-        if len(vals) != m:
-            raise UsageError(f"--radii needs 1 or {m} values, got {len(vals)}")
-        return RadiusConfig(np.asarray(vals), weighting)
-    vals = _parse_float_list(args.similarity_thresholds, "--similarity-thresholds")
+    flag = "--radii" if has_r else "--similarity-thresholds"
+    vals = _parse_float_list(args.radii if has_r else args.similarity_thresholds, flag)
     if len(vals) == 1:
         vals = vals * m
     if len(vals) != m:
-        raise UsageError(f"--similarity-thresholds needs 1 or {m} values, got {len(vals)}")
-    return RadiusConfig.from_similarities(np.asarray(vals), weighting)
+        raise UsageError(f"{flag} needs 1 or {m} values, got {len(vals)}")
+    make = RadiusConfig if has_r else RadiusConfig.from_similarities
+    return make(np.asarray(vals), weighting)
 
 
 def _resolve_prior(args, dev: LabelVector | None) -> float:
@@ -464,10 +460,7 @@ def cmd_pipeline(args) -> int:
     else:
         rep = None
     if rep is not None:
-        name = args.metric
-        if name == "auto":
-            base = gold if gold is not None else dev
-            name = "f1" if float((base.labels == 1).mean()) < 0.35 else "accuracy"
+        name = _resolve_metric_name(args.metric, gold if gold is not None else dev)
         payload = rep.to_dict()
         payload["metric_name"] = name
         payload["metric_value"] = payload[name]

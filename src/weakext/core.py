@@ -283,16 +283,21 @@ def pairwise_distances(emb: EmbeddingSet, rows, cols, metric: Metric = Metric.CO
     """Exact float64 distance block ``len(rows) x len(cols)``.
 
     Euclidean distances come from direct coordinate differences (no
-    norm-expansion cancellation near duplicates); computed in column
-    chunks to bound memory.
+    norm-expansion cancellation near duplicates); cosine distances take
+    the row-wise products of ``paired_distances``, so both functions
+    agree to the bit.  Computed in chunks to bound memory.
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     metric = Metric(metric)
-    if metric is Metric.COSINE:
-        sim = emb.unit[rows] @ emb.unit[cols].T
-        return np.clip(1.0 - sim, 0.0, 2.0)
     out = np.empty((rows.size, cols.size))
+    if metric is Metric.COSINE:
+        step = max(1, 1_000_000 // max(1, cols.size))
+        for lo in range(0, rows.size, step):
+            r = rows[lo : lo + step]
+            pairs = paired_distances(emb, np.repeat(r, cols.size), np.tile(cols, r.size), metric)
+            out[lo : lo + step] = pairs.reshape(r.size, cols.size)
+        return out
     a = emb.data[rows]
     step = max(1, 2_000_000 // max(1, rows.size * emb.d))
     for lo in range(0, cols.size, step):

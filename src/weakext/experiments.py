@@ -31,7 +31,7 @@ from .diagnostics import (
     leave_one_out_constant,
     lift_bound_curve,
 )
-from .extension import coverage, extend_votes, nearest_in_support
+from .extension import NeighborTable, coverage, neighbor_tables
 from .label_model import estimate_accuracies, predict
 
 __all__ = [
@@ -202,22 +202,6 @@ class SweepResult:
                 fh.write("\n")
 
 
-def _nearest_cache(emb, votes, source, metric, threads=None):
-    queries, dist, col = nearest_in_support(emb, votes, source, metric=metric, threads=threads)
-    vote = votes.votes[np.minimum(col, votes.n - 1), source]
-    return queries, dist, vote
-
-
-def _threshold_column(votes, source, cache, radius):
-    """Extended column of one source at ``radius`` from its nearest cache."""
-    col = np.array(votes.votes[:, source], copy=True)
-    if radius > 0:
-        queries, dist, vote = cache
-        sel = dist <= radius
-        col[queries[sel]] = vote[sel]
-    return col
-
-
 class RadiusBins:
     """Cached query-support distance binning for repeated radius sweeps.
 
@@ -225,7 +209,8 @@ class RadiusBins:
     accuracies or the label layout change, so the exact distances and
     their grid bins can be computed once per family.  ``d <= radii[b]``
     holds exactly for every bin index ``>= bins``; votes enter later as
-    bincount weights.
+    bincount weights, so unlike a scanned ``NeighborTable`` one instance
+    serves every vote variant of the family.
     """
 
     def __init__(self, emb, votes, source, radii, metric):
@@ -258,15 +243,18 @@ class RadiusBins:
             and np.array_equal(np.flatnonzero(col != 0), self.support)
         )
 
-    def vote_sums(self, votes) -> np.ndarray:
-        """Signed support-vote sums per (query, radius) for one vote matrix."""
+    def table(self, votes) -> NeighborTable:
+        """The wsum ``NeighborTable`` of one vote matrix over this grid."""
         nq, k = self.queries.size, self.radii.size
         w = np.broadcast_to(
             votes.votes[self.support, self.source].astype(np.float64), self._flat.shape
         )
         sums = np.bincount(self._flat.ravel(), weights=w.ravel(), minlength=nq * (k + 1))
         sums = np.rint(sums).astype(np.int64).reshape(nq, k + 1)
-        return np.cumsum(sums[:, :-1], axis=1)
+        return NeighborTable(
+            self.source, self.queries, self.support, self.radii, Weighting.THRESHOLDED_WEIGHTED_SUM,
+            in_count=self.counts, vote_sum=np.cumsum(sums[:, :-1], axis=1),
+        )
 
 
 def sweep_radius(
@@ -313,15 +301,15 @@ def sweep_radius(
     base_metric = evaluate(base_pred, gold).accuracy
 
     if weighting is Weighting.ONE_NEAREST_NEIGHBOR:
-        cache = _nearest_cache(emb, votes, source, task.metric, threads)
+        table = neighbor_tables(emb, votes, {source: radii}, weighting, task.metric, threads)[source]
     else:
         if bins is None:
             bins = RadiusBins(emb, votes, source, radii, task.metric)
         elif not (np.array_equal(bins.radii, radii) and bins.matches(votes, source)):
             raise ValueError("supplied RadiusBins do not match this task's support and grid")
-        queries, counts, sums = bins.queries, bins.counts, bins.vote_sums(votes)
+        table = bins.table(votes)
 
-    orig_col = np.array(votes.votes[:, source], copy=True)
+    orig_col = votes.votes[:, source]
     gold_arr = gold.labels
     cov = np.empty(radii.size)
     met = np.empty(radii.size)
@@ -329,13 +317,7 @@ def sweep_radius(
     a_new = np.full(radii.size, np.nan)
     work = np.array(votes.votes, copy=True)
     for k, r in enumerate(radii):
-        if weighting is Weighting.ONE_NEAREST_NEIGHBOR:
-            col = _threshold_column(votes, source, cache, float(r))
-        else:
-            col = np.array(orig_col, copy=True)
-            if r > 0:
-                member = counts[:, k] > 0
-                col[queries[member]] = np.sign(sums[member, k]).astype(np.int8)
+        col = table.column(votes, float(r))
         work[:, source] = col
         vm = VoteMatrix(work)
         cov[k] = (col != 0).mean()
@@ -437,21 +419,18 @@ def tune_shared_radius(
     extendable = [
         j for j in range(votes.m) if (votes.votes[:, j] == 0).any() and (votes.votes[:, j] != 0).any()
     ]
+    evaluate_radii = _make_pipeline_evaluator(
+        emb, votes, dev_labels, prior, name, metric, weighting, {j: radii for j in extendable}, threads
+    )
     if not extendable:
-        params = estimate_accuracies(votes, prior)
-        _, pred = predict(votes, params)
         return TuneResult(
             radius=0.0,
             metric_name=name,
-            metric_value=_dev_metric(pred, dev_labels, name),
+            metric_value=evaluate_radii({}),
             radii=None,
             metric_curve=None,
             note="no abstains to extend",
         )
-
-    evaluate_radii = _make_pipeline_evaluator(
-        emb, votes, dev_labels, prior, name, metric, weighting, extendable, threads
-    )
     curve = np.array([evaluate_radii({j: float(r) for j in extendable}) for r in radii])
     best = int(np.argmax(curve))  # first max = smallest radius on ties
     return TuneResult(
@@ -463,29 +442,17 @@ def tune_shared_radius(
     )
 
 
-def _make_pipeline_evaluator(emb, votes, dev_labels, prior, name, metric, weighting, extendable, threads):
-    """Dev-metric evaluator for per-source radii; caches 1nn scans."""
-    if weighting is Weighting.ONE_NEAREST_NEIGHBOR:
-        caches = {j: _nearest_cache(emb, votes, j, metric, threads) for j in extendable}
-        work = np.array(votes.votes, copy=True)
-
-        def run(radii_by_source: dict) -> float:
-            for j in extendable:
-                work[:, j] = _threshold_column(votes, j, caches[j], radii_by_source.get(j, 0.0))
-            vm = VoteMatrix(work)
-            params = estimate_accuracies(vm, prior)
-            _, pred = predict(vm, params)
-            return _dev_metric(pred, dev_labels, name)
-
-        return run
+def _make_pipeline_evaluator(emb, votes, dev_labels, prior, name, metric, weighting, grids, threads):
+    """Dev-metric evaluator for per-source radii on their grids, one scan per source."""
+    tables = neighbor_tables(emb, votes, grids, weighting, metric, threads)
+    work = np.array(votes.votes, copy=True)
 
     def run(radii_by_source: dict) -> float:
-        vec = np.zeros(votes.m)
-        for j, r in radii_by_source.items():
-            vec[j] = r
-        ext, _ = extend_votes(emb, votes, RadiusConfig(vec, weighting), metric=metric, threads=threads)
-        params = estimate_accuracies(ext, prior)
-        _, pred = predict(ext, params)
+        for j, table in tables.items():
+            work[:, j] = table.column(votes, radii_by_source[j])
+        vm = VoteMatrix(work)
+        params = estimate_accuracies(vm, prior)
+        _, pred = predict(vm, params)
         return _dev_metric(pred, dev_labels, name)
 
     return run
@@ -531,13 +498,14 @@ def refine_radii(
         j for j in range(votes.m) if (votes.votes[:, j] == 0).any() and (votes.votes[:, j] != 0).any()
     ]
     current = {j: float(r_star) for j in extendable}
-    run = _make_pipeline_evaluator(emb, votes, dev_labels, prior, name, metric, weighting, extendable, threads)
-    best_val = run(current) if extendable else _baseline_dev_metric(votes, prior, dev_labels, name)
-
     if local_grids is None:
         local_grids = {j: default_local_grid(float(r_star)) for j in extendable}
     elif not isinstance(local_grids, dict):
         local_grids = {j: np.asarray(g, dtype=np.float64) for j, g in zip(extendable, local_grids)}
+    # every radius a coordinate can take is known up front
+    grids = {j: np.append(local_grids[j], r_star) for j in extendable}
+    run = _make_pipeline_evaluator(emb, votes, dev_labels, prior, name, metric, weighting, grids, threads)
+    best_val = run(current)
 
     for _ in range(passes):
         for j in extendable:
@@ -561,12 +529,6 @@ def refine_radii(
         metric_value=float(best_val),
         passes=passes,
     )
-
-
-def _baseline_dev_metric(votes, prior, dev_labels, name):
-    params = estimate_accuracies(votes, prior)
-    _, pred = predict(votes, params)
-    return _dev_metric(pred, dev_labels, name)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,11 @@ query chunks; a chunk is scored against the whole support in one float32
 GEMM block and folded into per-query results, and every decision near a
 threshold or a tie is re-evaluated in float64, so results are identical
 to a pure float64 scan whatever the chunking or thread count.
+
+A scan fills one ``NeighborTable`` per source for a whole radius grid
+(wsum folds each block once per grid radius), and ``column`` reads an
+extended column from it: extension scans one-radius grids, while tuning
+and refinement scan each source once over every radius they will try.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from functools import partial
 import numpy as np
 
 from .core import (
+    DataError,
     EmbeddingSet,
     Metric,
     RadiusConfig,
@@ -35,8 +41,10 @@ from .core import (
 
 __all__ = [
     "NeighborSet",
+    "NeighborTable",
     "ExtensionReport",
     "neighbors_in_support",
+    "neighbor_tables",
     "nearest_in_support",
     "extend_votes",
     "coverage",
@@ -113,8 +121,6 @@ def neighbors_in_support(
     if votes.votes[query, source] != 0:
         raise ValueError(f"point {query} is already voted on by source {source}")
     supp = votes.support(source)
-    if supp.size == 0:
-        return NeighborSet(query, np.empty(0, np.int64), np.empty(0, np.float64))
     dist = pairwise_distances(emb, [query], supp, metric)[0]
     keep = dist <= radius
     idx, d = supp[keep], dist[keep]
@@ -197,30 +203,49 @@ class _ScoreSpace:
 
 
 @dataclass
-class _SourceState:
+class NeighborTable:
+    """One source's scan results over its ascending radius grid.
+
+    1nn keeps every abstainer's nearest support point, which answers any
+    radius; wsum keeps, per grid radius, the count and signed sum of the
+    voters inside it.  Rows follow ``queries``.
+    """
+
     source: int
     queries: np.ndarray  # abstaining rows, ascending
     support: np.ndarray  # voting rows, ascending
-    radius: float
-    # 1nn results (indexed by position in `queries`)
+    radii: np.ndarray  # ascending grid
+    weighting: Weighting
+    # 1nn results
     best_dist: np.ndarray | None = None
     best_col: np.ndarray | None = None
-    # wsum results
+    # wsum results, one column per grid radius
     in_count: np.ndarray | None = None
     vote_sum: np.ndarray | None = None
 
+    def _grid_index(self, radius: float) -> int:
+        k = int(np.searchsorted(self.radii, radius))
+        if k == self.radii.size or self.radii[k] != radius:
+            raise ValueError(f"radius {radius} is not on the grid of source {self.source}")
+        return k
 
-def _new_state(votes, source, radius, weighting) -> _SourceState:
-    col = votes.votes[:, source]
-    st = _SourceState(source, np.flatnonzero(col == 0), np.flatnonzero(col != 0), float(radius))
-    q = st.queries.size
-    if weighting is Weighting.ONE_NEAREST_NEIGHBOR:
-        st.best_dist = np.full(q, np.inf)
-        st.best_col = np.full(q, votes.n, dtype=np.int64)
-    else:
-        st.in_count = np.zeros(q, dtype=np.int64)
-        st.vote_sum = np.zeros(q, dtype=np.int64)
-    return st
+    def reached(self, radius: float) -> np.ndarray:
+        """Mask over ``queries``: abstainers with a voter within ``radius``."""
+        if radius <= 0:
+            return np.zeros(self.queries.size, dtype=bool)
+        if self.weighting is Weighting.ONE_NEAREST_NEIGHBOR:
+            return self.best_dist <= radius
+        return self.in_count[:, self._grid_index(radius)] > 0
+
+    def column(self, votes: VoteMatrix, radius: float) -> np.ndarray:
+        """The source's column extended to ``radius`` (wsum: a grid radius; <= 0: as is)."""
+        col = np.array(votes.votes[:, self.source], copy=True)
+        member = self.reached(radius)
+        if self.weighting is Weighting.ONE_NEAREST_NEIGHBOR:
+            col[self.queries[member]] = votes.votes[self.best_col[member], self.source]
+        elif member.any():
+            col[self.queries[member]] = np.sign(self.vote_sum[member, self._grid_index(radius)])
+        return col
 
 
 def _refine_first_per_group(emb, metric, groups, qids, cids):
@@ -239,16 +264,17 @@ def _refine_first_per_group(emb, metric, groups, qids, cids):
     return groups[pick], dist[pick], cids[pick]
 
 
-def _scan_chunk(space, votes, st, lo, hi, weighting):
-    """Score queries ``lo:hi`` of ``st`` against its whole support and fold.
+def _scan_chunk(space, votes, st, lo, hi):
+    """Score queries ``lo:hi`` of table ``st`` against its whole support and fold.
 
     Chunks of one source cover disjoint query positions, so each writes
-    its own slice of the results without locking.
+    its own slice of the results without locking.  wsum folds the same
+    block once per positive grid radius.
     """
     qids, cols = st.queries[lo:hi], st.support
     sub = space.block(qids, cols)
     emb, metric = space.emb, space.metric
-    if weighting is Weighting.ONE_NEAREST_NEIGHBOR:
+    if st.weighting is Weighting.ONE_NEAREST_NEIGHBOR:
         am = sub.argmax(axis=1)
         mx = sub[np.arange(sub.shape[0]), am]
         rr, cc = np.nonzero(sub >= (mx[:, None] - space.tau))
@@ -257,24 +283,26 @@ def _scan_chunk(space, votes, st, lo, hi, weighting):
         st.best_col[lo + grp] = cid
         return
     # only boolean masks the size of `sub` are made; voters are counted
-    lo_s, hi_s = space.band(st.radius, sub.dtype)
     vcol = votes.votes[cols, st.source]
     positive = vcol > 0
-    inside = sub > hi_s
-    counts = np.count_nonzero(inside, axis=1)
-    sums = 2 * np.count_nonzero(inside & positive, axis=1) - counts
-    near = sub >= lo_s
-    near ^= inside
-    del inside
-    rr, cc = np.nonzero(near)
-    del near
-    if rr.size:
-        keep = paired_distances(emb, qids[rr], cols[cc], metric) <= st.radius
-        rr, cc = rr[keep], cc[keep]
-        np.add.at(counts, rr, 1)
-        np.add.at(sums, rr, vcol[cc])
-    st.in_count[lo:hi] = counts
-    st.vote_sum[lo:hi] = sums
+    for k in np.flatnonzero(st.radii > 0):
+        radius = float(st.radii[k])
+        lo_s, hi_s = space.band(radius, sub.dtype)
+        inside = sub > hi_s
+        counts = np.count_nonzero(inside, axis=1)
+        sums = 2 * np.count_nonzero(inside & positive, axis=1) - counts
+        near = sub >= lo_s
+        near ^= inside
+        del inside
+        rr, cc = np.nonzero(near)
+        del near
+        if rr.size:
+            keep = paired_distances(emb, qids[rr], cols[cc], metric) <= radius
+            rr, cc = rr[keep], cc[keep]
+            np.add.at(counts, rr, 1)
+            np.add.at(sums, rr, vcol[cc])
+        st.in_count[lo:hi, k] = counts
+        st.vote_sum[lo:hi, k] = sums
 
 
 def _run_tasks(tasks, threads):
@@ -287,32 +315,62 @@ def _run_tasks(tasks, threads):
             f.result()
 
 
-def _scan_sources(emb, votes, states, weighting, metric, threads):
-    """Fill the results of every state by exhaustive support scans.
+def _scan_sources(emb, votes, grids, weighting, metric, threads):
+    """Check each grid of ``grids`` (source -> radii), then fill one table per source.
 
     Each source's queries are cut into chunks of about ``_CHUNK_ELEMS``
     score cells (at least ``_MIN_CHUNK`` rows); every chunk is one score
-    block and one fold, run on a pool of ``threads`` workers.
+    block and one fold, and all sources' chunks run on one pool of
+    ``threads`` workers.  A wsum table without a positive radius has
+    nothing to fold.
     """
-    states = [st for st in states if st.queries.size and st.support.size]
-    if not states:
-        return
-    space = _ScoreSpace(emb, metric)
-    tasks = []
-    for st in states:
-        nq, ns = st.queries.size, st.support.size
-        step = max(_MIN_CHUNK, _CHUNK_ELEMS // ns)
-        tasks += [
-            partial(_scan_chunk, space, votes, st, lo, min(lo + step, nq), weighting)
-            for lo in range(0, nq, step)
-        ]
-    _run_tasks(tasks, threads)
+    if emb.n != votes.n:
+        raise ValueError(f"embeddings have {emb.n} rows but votes have {votes.n}")
+    tables, tasks = {}, []
+    for j, radii in grids.items():
+        if not 0 <= j < votes.m:
+            raise ValueError(f"source {j} out of range for {votes.m} sources")
+        radii = np.unique(np.asarray(radii, dtype=np.float64))
+        if not np.isfinite(radii).all() or (radii < 0).any():
+            raise DataError(f"radius grid of source {j} must be finite and nonnegative")
+        abstain = votes.votes[:, j] == 0
+        queries, support = np.flatnonzero(abstain), np.flatnonzero(~abstain)
+        t = tables[j] = NeighborTable(j, queries, support, radii, weighting)
+        nq, ns = queries.size, support.size
+        if weighting is Weighting.ONE_NEAREST_NEIGHBOR:
+            t.best_dist = np.full(nq, np.inf)
+            t.best_col = np.full(nq, votes.n, dtype=np.int64)
+        else:
+            t.in_count = np.zeros((nq, radii.size), dtype=np.int64)
+            t.vote_sum = np.zeros((nq, radii.size), dtype=np.int64)
+            if not (radii > 0).any():
+                continue
+        if nq and ns:
+            step = max(_MIN_CHUNK, _CHUNK_ELEMS // ns)
+            tasks += [(t, lo, min(lo + step, nq)) for lo in range(0, nq, step)]
+    if tasks:
+        space = _ScoreSpace(emb, metric)
+        threads = min(4, os.cpu_count() or 1) if threads is None else max(1, int(threads))
+        _run_tasks([partial(_scan_chunk, space, votes, *task) for task in tasks], threads)
+    return tables
 
 
-def _default_threads(threads):
-    if threads is None:
-        return min(4, os.cpu_count() or 1)
-    return max(1, int(threads))
+def neighbor_tables(
+    emb: EmbeddingSet,
+    votes: VoteMatrix,
+    grids: dict,
+    weighting: Weighting = Weighting.ONE_NEAREST_NEIGHBOR,
+    metric: Metric = Metric.COSINE,
+    threads: int | None = None,
+) -> dict:
+    """One scan per source of ``grids`` (source -> radii) in one pool.
+
+    Returns a ``NeighborTable`` per source, whose ``column(votes, r)``
+    is that source's column as ``extend_votes`` extends it at radius
+    ``r`` (for wsum, ``r`` must be on the grid).  Each grid is sorted and
+    deduplicated and must be finite and nonnegative (else ``DataError``).
+    """
+    return _scan_sources(emb, votes, grids, Weighting(weighting), metric, threads)
 
 
 def nearest_in_support(
@@ -328,9 +386,8 @@ def nearest_in_support(
     (index ``n``) when the support is empty.  Ties resolve to the lowest
     point index.
     """
-    st = _new_state(votes, source, np.inf, Weighting.ONE_NEAREST_NEIGHBOR)
-    _scan_sources(emb, votes, [st], Weighting.ONE_NEAREST_NEIGHBOR, metric, _default_threads(threads))
-    return st.queries, st.best_dist, st.best_col
+    t = _scan_sources(emb, votes, {source: ()}, Weighting.ONE_NEAREST_NEIGHBOR, metric, threads)[source]
+    return t.queries, t.best_dist, t.best_col
 
 
 def extend_votes(
@@ -347,39 +404,22 @@ def extend_votes(
     With the weighted-sum rule a neighborhood voting to an exact zero sum
     stays an abstain.
     """
-    if emb.n != votes.n:
-        raise ValueError(f"embeddings have {emb.n} rows but votes have {votes.n}")
     if config.radii.shape[0] != votes.m:
         raise ValueError(f"config has {config.radii.shape[0]} radii for {votes.m} sources")
-    weighting = config.weighting
-    threads = _default_threads(threads)
-
-    states = [
-        _new_state(votes, j, config.radii[j], weighting)
-        for j in range(votes.m)
-        if config.radii[j] > 0.0
-    ]
-    _scan_sources(emb, votes, states, weighting, metric, threads)
+    radii = config.radii
+    grids = {j: radii[j : j + 1] for j in range(votes.m) if radii[j] > 0.0}
+    tables = _scan_sources(emb, votes, grids, config.weighting, metric, threads)
 
     extended = np.array(votes.votes, copy=True)
     newly = np.zeros(votes.m, dtype=np.float64)
-    for st in states:
-        if st.queries.size == 0 or st.support.size == 0:
-            continue
-        if weighting is Weighting.ONE_NEAREST_NEIGHBOR:
-            member = st.best_dist <= st.radius
-            vote = votes.votes[np.minimum(st.best_col, votes.n - 1), st.source]
-            extended[st.queries[member], st.source] = vote[member]
-        else:
-            member = st.in_count > 0
-            vote = np.sign(st.vote_sum).astype(np.int8)
-            extended[st.queries[member], st.source] = vote[member]
-        newly[st.source] = member.sum() / votes.n
+    for j, t in tables.items():
+        extended[:, j] = t.column(votes, radii[j])
+        newly[j] = t.reached(radii[j]).sum() / votes.n
 
     out = VoteMatrix(extended)
     report = ExtensionReport(
         radii=config.radii,
-        weighting=weighting,
+        weighting=config.weighting,
         original_coverage=coverage(votes),
         extended_coverage=coverage(out),
         newly_labeled_fraction=newly,

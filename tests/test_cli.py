@@ -208,6 +208,18 @@ class TestErrorHandling:
         )
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize("weighting", ["1nn", "wsum"])
+    @pytest.mark.parametrize("grid", ["-0.1,0.2", "0.2,nan"])
+    def test_bad_tune_grid_is_data_error(self, task_dir, tmp_path, grid, weighting):
+        rc = main([
+            "tune", "--embeddings", str(task_dir / "embeddings.emb"),
+            "--votes", str(task_dir / "votes.csv"),
+            "--dev-labels", str(task_dir / "labels.csv"),
+            "--prior", "0.5", "--distance", "euclidean", "--weighting", weighting,
+            f"--grid={grid}", "--refine-passes", "0", "--out", str(tmp_path / "t"),
+        ])
+        assert rc == 2
+
     def test_data_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("1,2\n")

@@ -16,6 +16,7 @@ from weakext.core import (
     load_embeddings,
     load_labels,
     load_votes,
+    paired_distances,
     pairwise_distances,
     save_embeddings,
     save_labels,
@@ -83,6 +84,18 @@ class TestPairwiseDistances:
         for i, r in enumerate(rows):
             for j, c in enumerate(cols):
                 assert abs(block[i, j] - cosine_distance(x[r], x[c])) < 1e-12
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_bitwise_equal_to_paired_distances(self, metric):
+        # the scan decides radii with paired_distances, so a block from
+        # pairwise_distances must carry the very same float64 values
+        rng = np.random.default_rng(13)
+        for d in (2, 16, 128):
+            emb = EmbeddingSet(rng.standard_normal((150, d)))
+            idx = np.arange(150)
+            block = pairwise_distances(emb, idx, idx, metric)
+            pairs = paired_distances(emb, np.repeat(idx, idx.size), np.tile(idx, idx.size), metric)
+            assert np.array_equal(block, pairs.reshape(block.shape)), d
 
     def test_euclidean_matches_norm(self):
         rng = np.random.default_rng(12)

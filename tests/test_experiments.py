@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from weakext.core import LabelVector, Metric, RadiusConfig, Weighting
+from weakext.core import DataError, LabelVector, Metric, RadiusConfig, Weighting
 from weakext.diagnostics import LipschitzProfile, default_radius_grid
 from weakext.experiments import (
     RadiusBins,
@@ -180,17 +180,20 @@ class TestTuneSharedRadius:
         assert res.radius == 0.0
         assert res.note == "no abstains to extend"
 
-    def test_matches_exhaustive_pipeline_search(self):
+    @pytest.mark.parametrize("weighting", list(Weighting))
+    def test_matches_exhaustive_pipeline_search(self, weighting):
         task = small_task(seed=27)
         grid = default_radius_grid(0.02, 0.8, 10)
         res = tune_shared_radius(
-            task.embeddings, task.votes, task.gold, 0.5, grid, metric=Metric.EUCLIDEAN
+            task.embeddings, task.votes, task.gold, 0.5, grid, metric=Metric.EUCLIDEAN,
+            weighting=weighting,
         )
         # independent exhaustive search through the full extension pipeline
         best_val, best_r = -1.0, None
         for r in grid:
             ext, _ = extend_votes(
-                task.embeddings, task.votes, RadiusConfig(np.full(3, r)), metric=Metric.EUCLIDEAN
+                task.embeddings, task.votes, RadiusConfig(np.full(3, r), weighting),
+                metric=Metric.EUCLIDEAN,
             )
             params = estimate_accuracies(ext, 0.5)
             _, pred = predict(ext, params)
@@ -232,30 +235,57 @@ class TestRefineRadii:
         res = refine_radii(task.embeddings, task.votes, task.gold, 0.5, 0.3, metric=Metric.EUCLIDEAN)
         np.testing.assert_array_equal(res.config.radii, np.zeros(3))
 
-    def test_never_decreases_dev_metric(self):
+    @pytest.mark.parametrize("weighting", list(Weighting))
+    def test_never_decreases_dev_metric(self, weighting):
         task = generate_checkerboard(1500, 10, 3, (0.89, 0.7, 0.8), (0.1, 0.5, 0.7), seed=31)
         grid = default_radius_grid(0.02, 0.5, 8)
         shared = tune_shared_radius(
-            task.embeddings, task.votes, task.gold, 0.5, grid, metric=Metric.EUCLIDEAN
+            task.embeddings, task.votes, task.gold, 0.5, grid, metric=Metric.EUCLIDEAN,
+            weighting=weighting,
         )
         refined = refine_radii(
-            task.embeddings, task.votes, task.gold, 0.5, shared.radius, metric=Metric.EUCLIDEAN
+            task.embeddings, task.votes, task.gold, 0.5, shared.radius, metric=Metric.EUCLIDEAN,
+            weighting=weighting,
         )
         assert refined.metric_value >= shared.metric_value
 
-    def test_single_source_equals_shared_tuning(self):
+    @pytest.mark.parametrize("weighting", list(Weighting))
+    def test_single_source_equals_shared_tuning(self, weighting):
         # with one extendable source, coordinate search over the tune grid
         # reaches the same optimum as the shared search
         task = small_task(seed=32)
         grid = default_radius_grid(0.02, 0.8, 10)
         shared = tune_shared_radius(
-            task.embeddings, task.votes, task.gold, 0.5, grid, metric=Metric.EUCLIDEAN
+            task.embeddings, task.votes, task.gold, 0.5, grid, metric=Metric.EUCLIDEAN,
+            weighting=weighting,
         )
         refined = refine_radii(
             task.embeddings, task.votes, task.gold, 0.5, shared.radius,
-            local_grids=[grid], metric=Metric.EUCLIDEAN,
+            local_grids=[grid], metric=Metric.EUCLIDEAN, weighting=weighting,
         )
         assert refined.metric_value == shared.metric_value
+
+
+@pytest.mark.parametrize("weighting", list(Weighting))
+@pytest.mark.parametrize("grid", [[-0.1, 0.2], [0.2, np.nan]], ids=["negative", "nan"])
+class TestRadiusGridValidation:
+    """A negative or non-finite grid radius is a data error under either weighting."""
+
+    def test_tune_grid(self, grid, weighting):
+        task = small_task(seed=33)
+        with pytest.raises(DataError, match="finite and nonnegative"):
+            tune_shared_radius(
+                task.embeddings, task.votes, task.gold, 0.5, np.array(grid),
+                metric=Metric.EUCLIDEAN, weighting=weighting,
+            )
+
+    def test_refine_local_grid(self, grid, weighting):
+        task = small_task(seed=33)
+        with pytest.raises(DataError, match="finite and nonnegative"):
+            refine_radii(
+                task.embeddings, task.votes, task.gold, 0.5, 0.1, local_grids=[np.array(grid)],
+                metric=Metric.EUCLIDEAN, weighting=weighting,
+            )
 
 
 class TestTheoryGuidedRadius:

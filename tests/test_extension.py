@@ -9,6 +9,7 @@ from hypothesis import strategies as hst
 
 from weakext import extension
 from weakext.core import (
+    DataError,
     EmbeddingSet,
     Metric,
     RadiusConfig,
@@ -21,6 +22,7 @@ from weakext.extension import (
     extend_votes,
     min_overlap,
     nearest_in_support,
+    neighbor_tables,
     neighbors_in_support,
 )
 
@@ -108,6 +110,12 @@ class TestNeighborsInSupport:
         ns = neighbors_in_support(self.emb, self.votes, 0, 0, 2.0)
         assert ns.indices.tolist() == [3, 1, 2]  # 0.0012 < 0.0050 < 1.0
         assert np.all(np.diff(ns.distances) >= 0)
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_empty_support(self, metric):
+        ns = neighbors_in_support(self.emb, VoteMatrix(np.zeros((4, 1))), 0, 0, 2.0, Metric(metric))
+        assert ns.indices.dtype == np.int64 and ns.indices.size == 0
+        assert ns.distances.dtype == np.float64 and ns.distances.size == 0
 
     def test_rejects_voted_query(self):
         with pytest.raises(ValueError, match="already voted"):
@@ -267,6 +275,66 @@ class TestNearestInSupport:
             expected = votes[:, j].copy()
             expected[queries[sel]] = votes[np.minimum(col[sel], vm.n - 1), j]
             assert np.array_equal(ext.votes[:, j], expected)
+
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_neighbors_at_nearest_distance_start_with_nearest(self, metric):
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((300, 16))
+        votes = rng.choice([-1, 0, 1], size=(300, 1), p=[0.25, 0.5, 0.25])
+        emb, vm = EmbeddingSet(x), VoteMatrix(votes)
+        queries, dist, nearest = nearest_in_support(emb, vm, 0, metric=Metric(metric))
+        for q, r, k in zip(queries, dist, nearest):
+            ns = neighbors_in_support(emb, vm, 0, int(q), float(r), metric=Metric(metric))
+            assert ns.indices[0] == k and ns.distances[0] == r
+
+
+class TestNeighborTables:
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    @pytest.mark.parametrize("weighting", list(Weighting), ids=lambda w: w.value)
+    def test_columns_equal_extend_votes_at_every_grid_radius(self, weighting, metric):
+        rng = np.random.default_rng(15)
+        n, m = 240, 3
+        x = rng.standard_normal((n, 4))
+        x[120:160] = x[:40]  # duplicate points
+        votes = rng.choice([-1, 0, 1], size=(n, m), p=[0.3, 0.4, 0.3])
+        emb, vm = EmbeddingSet(x), VoteMatrix(votes)
+        dist = brute_force_distances(x, metric)
+        abst = votes[:, 0] == 0
+        assert (dist[np.ix_(abst, ~abst)] <= 1e-15).any()  # a duplicate straddles source 0's support
+        values = np.unique(dist[dist > 1e-12])
+        grid = np.concatenate([[0.0], values[(np.array([0.005, 0.05, 0.2, 0.6]) * values.size).astype(int)]])
+        expected = {
+            r: extend_votes(emb, vm, RadiusConfig(np.full(m, r), weighting), metric=Metric(metric))[0]
+            for r in grid[1:]
+        }
+        # tiny chunks: every source splits into many query chunks
+        with mock.patch.multiple(extension, _CHUNK_ELEMS=700, _MIN_CHUNK=1):
+            for threads in (1, 2):
+                tables = neighbor_tables(emb, vm, {j: grid for j in range(m)}, weighting,
+                                         Metric(metric), threads)
+                for j, table in tables.items():
+                    assert np.array_equal(table.column(vm, 0.0), votes[:, j])
+                    for r in grid[1:]:
+                        assert np.array_equal(table.column(vm, r), expected[r].votes[:, j]), (j, r)
+
+    def test_wsum_radius_must_be_on_the_grid(self):
+        rng = np.random.default_rng(16)
+        x, votes, _ = random_instance(rng)
+        emb, vm = EmbeddingSet(x), VoteMatrix(votes)
+        table = neighbor_tables(emb, vm, {0: [0.5, 0.2]}, Weighting.THRESHOLDED_WEIGHTED_SUM)[0]
+        np.testing.assert_array_equal(table.radii, [0.2, 0.5])
+        table.column(vm, 0.5)
+        with pytest.raises(ValueError, match="not on the grid"):
+            table.column(vm, 0.3)
+
+    @pytest.mark.parametrize("grid", [[-0.1, 0.2], [0.2, np.nan], [np.inf]], ids=["negative", "nan", "inf"])
+    def test_bad_grid_is_data_error(self, grid):
+        x = np.eye(3)
+        vm = VoteMatrix(np.array([[1], [0], [-1]]))
+        for w in Weighting:
+            with pytest.raises(DataError, match="finite and nonnegative"):
+                neighbor_tables(EmbeddingSet(x), vm, {0: grid}, w)
 
 
 class TestCoverageAndOverlap:
