@@ -62,9 +62,11 @@ class Weighting(str, Enum):
     THRESHOLDED_WEIGHTED_SUM = "wsum"
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
+def _freeze(val):
+    for arr in val if isinstance(val, tuple) else (val,):
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
+    return val
 
 
 @dataclass
@@ -73,8 +75,8 @@ class EmbeddingSet:
 
     Rows must be finite and nonzero (cosine distance is undefined on the
     zero vector).  Instances are immutable after construction and safe
-    for concurrent reads; derived quantities (norms, unit rows, float32
-    mirrors) are cached lazily.
+    for concurrent reads; derived arrays (unit rows, and the float32 score
+    mirrors of ``extension``) are each built once, lazily, by ``_cached``.
     """
 
     data: np.ndarray
@@ -110,21 +112,9 @@ class EmbeddingSet:
         return val
 
     @property
-    def sq_norms(self) -> np.ndarray:
-        return self._cached("sq", lambda: np.einsum("ij,ij->i", self.data, self.data))
-
-    @property
     def unit(self) -> np.ndarray:
         """Rows scaled to unit Euclidean norm (float64)."""
-        return self._cached("unit", lambda: self.data / np.sqrt(self.sq_norms)[:, None])
-
-    @property
-    def unit32(self) -> np.ndarray:
-        return self._cached("unit32", lambda: self.unit.astype(np.float32))
-
-    @property
-    def data32(self) -> np.ndarray:
-        return self._cached("data32", lambda: self.data.astype(np.float32))
+        return self._cached("unit", lambda: self.data / np.sqrt(np.einsum("ij,ij->i", self.data, self.data))[:, None])
 
 
 def _validate_alphabet(arr: np.ndarray, alphabet: tuple, what: str) -> None:

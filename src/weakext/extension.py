@@ -9,9 +9,11 @@ labeled points never seed further extension.
 
 The scan is exact in float64.  Each source's abstainers are cut into
 query chunks; a chunk is scored against the whole support in one float32
-GEMM block and folded into per-query results, and every decision near a
-threshold or a tie is re-evaluated in float64, so results are identical
-to a pure float64 scan whatever the chunking or thread count.
+GEMM block (the only score path; Euclidean rows are centered and scaled
+by a power of two) and folded into per-query results; every decision
+near a threshold or a tie is re-evaluated in float64, so results are
+identical to a pure float64 scan whatever the chunking, thread count,
+data offset or scale.
 
 A scan fills one ``NeighborTable`` per source for a whole radius grid
 (wsum folds each block once per grid radius), and ``column`` reads an
@@ -132,13 +134,13 @@ def neighbors_in_support(
 # Bulk scan machinery
 
 
-def _cosine_error_bound(d: int) -> float:
-    """Worst case of |float32 score - float64 score| for unit rows in ``d`` dims.
+def _dot_error_bound(d: int) -> float:
+    """Worst case of |float32 dot - float64 dot| of two rows in ``d`` dims, per ``|a| |b|``.
 
     Rounding both rows to float32 and a d-term float32 dot product (any
     summation order, with or without FMA) put at most ``d + 2`` relative
     roundings on each product term, so the error is at most
-    ``gamma(d + 2) * sum_k |a_k b_k| <= gamma(d + 2)`` with
+    ``gamma(d + 2) * sum_k |a_k b_k| <= gamma(d + 2) |a| |b|`` with
     ``gamma(k) = k*u / (1 - k*u)`` and ``u = 2**-24``.  The float64
     reference adds the same term with ``u = 2**-53``.
     """
@@ -147,59 +149,68 @@ def _cosine_error_bound(d: int) -> float:
 
 
 class _ScoreSpace:
-    """Score = monotone proxy for closeness (cosine similarity or -dist^2).
+    """float32 scores, a monotone proxy for closeness, and their error band.
 
-    ``tau`` bounds the float32 error of a score against a threshold, and
-    of the gap between two scores, so any comparison within ``tau`` of a
-    threshold or of a query's best score is re-decided in float64.
+    Cosine scores are dot products of unit rows.  Euclidean scores are
+    ``-(scale |a - b|)^2`` on rows centered on the column mean and scaled
+    by the power of two putting the largest squared norm ``M`` in [1/4, 1),
+    both exact on distances, so the band ignores the data's offset and
+    scale.  ``tau`` bounds the float32 error of a score against a threshold
+    and of the gap between two scores (twice the error ``e`` of one);
+    comparisons within ``tau`` are re-decided in float64.  Euclidean
+    ``tau = max(2e-4, 5 gamma(d+2)) M``: ``fl(fl(2 dot - sq_a) - sq_b)``
+    errs by ``2 gamma(d+2) M`` (dot, as ``|a| |b| <= M``), ``2u M`` (rounded
+    norms) and ``(3 + 4) u M`` (subtractions, as scores lie in [-4M, 0]),
+    so ``2e <= max(90u, 5 gamma(d+2)) M``, room left for ``2**-53`` terms;
+    the floor wins to d = 669 (cosine: 836).  ``(d + 2) 2**-1070 scale^2``
+    more covers squares underflowing in the float64 reference (spreads
+    below ~1e-150); a tau of 8 covers any gap.
     """
 
     def __init__(self, emb: EmbeddingSet, metric: Metric):
         self.emb = emb
         self.metric = Metric(metric)
         if self.metric is Metric.COSINE:
-            self.use32 = True
-            # a 1nn comparison takes the difference of two scores, hence
-            # twice the bound; 1e-4 covers that up to d = 836
-            self.tau = max(1e-4, 2.0 * _cosine_error_bound(emb.d))
+            self.sq = None
+            self.tau = max(1e-4, 2.0 * _dot_error_bound(emb.d))
         else:
-            mx = float(emb.sq_norms.max())
-            self.use32 = 0.0 < mx < 1e30
-            # the float64 fallback still needs a band: block scores use the
-            # norm-expansion form while exact checks difference coordinates
-            self.tau = 2e-4 * mx if self.use32 else 1e-9 * mx
-        if self.metric is Metric.EUCLIDEAN and self.use32:
-            self._sq32 = emb.sq_norms.astype(np.float32)
+            self.rows, self.sq, self.scale, mx = emb._cached("centered32", self._mirror)
+            under = (emb.d + 2) * 2.0**-1070 * self.scale * self.scale
+            self.tau = min(8.0, max(2e-4, 5.0 * _dot_error_bound(emb.d)) * mx + under)
+
+    def _mirror(self):
+        """``(rows, sq_norms, scale, M)``: float32 but for the scalars."""
+        c = self.emb.data - self.emb.data.mean(axis=0)
+        e = -int(np.frexp(np.abs(c).max())[1])
+        np.ldexp(c, e, out=c)  # entries below 1: no norm overflows
+        t = min(e - (int(np.frexp(np.einsum("ij,ij->i", c, c).max())[1]) + 1) // 2, 1023)  # finite scale
+        np.ldexp(c, t - e, out=c)
+        sq = np.einsum("ij,ij->i", c, c)
+        return c.astype(np.float32), sq.astype(np.float32), float(np.ldexp(1.0, t)), float(sq.max())
 
     def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Scores of every (row, col) pair of point indices."""
-        if self.metric is Metric.COSINE:
-            u = self.emb.unit32 if self.use32 else self.emb.unit
+        """float32 scores of every (row, col) pair of point indices."""
+        if self.sq is None:  # cosine: unit rows, built by the first chunk to need them
+            u = self.emb._cached("unit32", lambda: self.emb.unit.astype(np.float32))
             return u[rows] @ u[cols].T
-        if self.use32:
-            x, sq = self.emb.data32, self._sq32
-        else:
-            x, sq = self.emb.data, self.emb.sq_norms
-        dot = x[rows] @ x[cols].T
-        return 2.0 * dot - sq[rows][:, None] - sq[cols][None, :]
+        return 2.0 * (self.rows[rows] @ self.rows[cols].T) - self.sq[rows][:, None] - self.sq[cols][None, :]
 
     def score_at_radius(self, r: float) -> float:
         if self.metric is Metric.COSINE:
             return 1.0 - r
+        r = r * self.scale
         return -(r * r)
 
-    def band(self, r: float, dtype) -> tuple:
-        """Scores ``lo <= hi`` of ``dtype`` enclosing ``score_at_radius(r) -/+ tau``.
+    def band(self, r: float) -> tuple:
+        """float32 scores ``lo <= hi`` enclosing ``score_at_radius(r) -/+ tau``.
 
-        A block score above ``hi`` is inside radius ``r``, one below
-        ``lo`` is outside, and one in ``[lo, hi]`` needs a float64 check.
-        Each bound is rounded one ulp outward, so the band is never
-        narrower than ``tau`` on either side.
+        A block score above ``hi`` is inside radius ``r``, one below ``lo``
+        outside, one in ``[lo, hi]`` needs a float64 check; each bound is
+        rounded one ulp outward, so the band is never narrower than ``tau``.
         """
-        sthr, t = self.score_at_radius(r), dtype.type
-        lo = np.nextafter(t(sthr - self.tau), t(-np.inf))
-        hi = np.nextafter(t(sthr + self.tau), t(np.inf))
-        return lo, hi
+        sthr, f = self.score_at_radius(r), np.float32
+        with np.errstate(over="ignore"):  # a radius far beyond the data's spread: -inf
+            return np.nextafter(f(sthr - self.tau), f(-np.inf)), np.nextafter(f(sthr + self.tau), f(np.inf))
 
 
 @dataclass
@@ -275,8 +286,7 @@ def _scan_chunk(space, votes, st, lo, hi):
     sub = space.block(qids, cols)
     emb, metric = space.emb, space.metric
     if st.weighting is Weighting.ONE_NEAREST_NEIGHBOR:
-        am = sub.argmax(axis=1)
-        mx = sub[np.arange(sub.shape[0]), am]
+        mx = sub.max(axis=1)
         rr, cc = np.nonzero(sub >= (mx[:, None] - space.tau))
         grp, dist, cid = _refine_first_per_group(emb, metric, rr, qids[rr], cols[cc])
         st.best_dist[lo + grp] = dist
@@ -287,7 +297,7 @@ def _scan_chunk(space, votes, st, lo, hi):
     positive = vcol > 0
     for k in np.flatnonzero(st.radii > 0):
         radius = float(st.radii[k])
-        lo_s, hi_s = space.band(radius, sub.dtype)
+        lo_s, hi_s = space.band(radius)
         inside = sub > hi_s
         counts = np.count_nonzero(inside, axis=1)
         sums = 2 * np.count_nonzero(inside & positive, axis=1) - counts

@@ -16,6 +16,7 @@ from weakext.core import (
     VoteMatrix,
     Weighting,
     cosine_distance,
+    pairwise_distances,
 )
 from weakext.extension import (
     coverage,
@@ -32,7 +33,7 @@ def brute_force_distances(x, metric="cosine"):
     if metric == "cosine":
         u = x / np.linalg.norm(x, axis=1, keepdims=True)
         return np.clip(1.0 - u @ u.T, 0.0, 2.0)
-    return np.linalg.norm(x[:, None, :] - x[None, :, :], axis=2)
+    return np.array([np.linalg.norm(x - row, axis=1) for row in x])
 
 
 def brute_force_extend(x, votes, radii, weighting, metric="cosine"):
@@ -385,8 +386,9 @@ class TestNewlyLabeledRegionBound:
 def exact_instances(draw):
     """Instances whose distances are exact in float32 and float64 alike.
 
-    Euclidean points sit on a small integer lattice (optionally shifted
-    by 1024); cosine points have 1, 4 or 16 entries of +-1 in 16 dims, so
+    Euclidean points sit on a small integer lattice, shifted by 0, 1024 or
+    2**20 and then scaled by 2**-40, 1 or 2**40 (powers of two, so still
+    exact); cosine points have 1, 4 or 16 entries of +-1 in 16 dims, so
     unit rows and their dot products are dyadic.  Duplicated rows, all-tie
     neighbourhoods (every row from a pool of two or three points) and radii
     equal to an occurring distance make ties and on-radius pairs exact.
@@ -400,8 +402,9 @@ def exact_instances(draw):
     if metric == "euclidean":
         d = draw(hst.integers(1, 4))
         x = rng.integers(0, draw(hst.integers(1, 4)) + 1, (n_distinct, d)).astype(np.float64)
-        x += draw(hst.sampled_from([0.0, 1024.0]))
+        x += draw(hst.sampled_from([0.0, 1024.0, 2.0**20]))
         x[(x == 0).all(axis=1), 0] = 1.0  # all-zero rows are invalid input
+        x *= draw(hst.sampled_from([2.0**-40, 1.0, 2.0**40]))
     else:
         x = np.zeros((n_distinct, 16))
         for row in x:
@@ -507,3 +510,100 @@ def test_high_dimensional_cosine_agrees_with_brute_force(weighting):
     assert all((np.abs(values - r) <= tau).sum() > 10 for r in radii)
     ext, _ = extend_votes(EmbeddingSet(x), VoteMatrix(votes), RadiusConfig(radii, weighting))
     assert np.array_equal(ext.votes, brute_force_extend(x, votes, radii, weighting.value))
+
+
+@pytest.mark.parametrize("weighting", list(Weighting), ids=lambda w: w.value)
+def test_high_dimensional_euclidean_agrees_with_brute_force(weighting):
+    # d=4096 puts the derived float32 bound above the 2e-4 floor; the
+    # shift by 1e3 must not widen the band
+    rng = np.random.default_rng(11)
+    n, d, m = 300, 4096, 3
+    centers = rng.standard_normal((6, d))
+    x = centers[rng.integers(0, 6, n)] + 0.6 * rng.standard_normal((n, d)) + 1e3
+    votes = rng.choice([-1, 0, 1], size=(n, m), p=[0.2, 0.5, 0.3])
+    values = np.unique(brute_force_distances(x, "euclidean"))
+    k = (np.array([0.02, 0.1, 0.3]) * values.size).astype(int)
+    radii = (values[k] + values[k + 1]) / 2
+    space = extension._ScoreSpace(EmbeddingSet(x), Metric.EUCLIDEAN)
+    c = (x - x.mean(axis=0)) * space.scale
+    assert space.tau > 2e-4 * np.einsum("ij,ij->i", c, c).max()
+    assert all((np.abs(values**2 - r**2) * space.scale**2 <= space.tau).sum() > 10 for r in radii)
+    ext, _ = extend_votes(EmbeddingSet(x), VoteMatrix(votes), RadiusConfig(radii, weighting), Metric.EUCLIDEAN)
+    assert np.array_equal(ext.votes, brute_force_extend(x, votes, radii, weighting.value, "euclidean"))
+
+
+@pytest.mark.parametrize("weighting", list(Weighting), ids=lambda w: w.value)
+def test_translation_does_not_widen_the_float64_band(weighting):
+    # coordinates on a 2**-20 grid, so the shift by 1e3 is exact and moves
+    # no distance; count the pairs re-decided in float64
+    rng = np.random.default_rng(12)
+    n, m = 600, 4
+    x = np.round(rng.random((n, 16)) * 2**20) / 2**20
+    votes = rng.choice([-1, 0, 1], size=(n, m), p=[0.1, 0.8, 0.1])
+    config = RadiusConfig(np.full(m, 0.8), weighting)
+    cells = sum(int((votes[:, j] == 0).sum() * (votes[:, j] != 0).sum()) for j in range(m))
+    counts, outs = [], []
+    for shift in (0.0, 1e3):
+        with mock.patch.object(extension, "paired_distances", wraps=extension.paired_distances) as spy:
+            ext, _ = extend_votes(EmbeddingSet(x + shift), VoteMatrix(votes), config, Metric.EUCLIDEAN, threads=1)
+        counts.append(sum(len(call.args[1]) for call in spy.call_args_list))
+        outs.append(ext.votes)
+    assert counts[1] <= 2 * counts[0] + 0.01 * cells, (counts, cells)
+    assert np.array_equal(outs[0], outs[1])
+
+
+class TestScoreSpace:
+    @pytest.mark.parametrize(
+        "shift, scale",
+        [(0.0, 1.0), (1e3, 1.0), (0.0, 1e20), (1e3, 1e20), (0.0, 2.0**-60)],
+        ids=["as-is", "shift", "scale-up", "shift-scale-up", "scale-down"],
+    )
+    def test_euclidean_block_matches_exact_scores(self, shift, scale):
+        rng = np.random.default_rng(13)
+        emb = EmbeddingSet((rng.standard_normal((120, 7)) + shift) * scale)
+        space = extension._ScoreSpace(emb, Metric.EUCLIDEAN)
+        s = space.scale
+        assert np.frexp(s)[0] == 0.5  # a power of two
+        c = (emb.data - emb.data.mean(axis=0)) * s
+        assert 0.25 <= np.einsum("ij,ij->i", c, c).max() < 1.0
+        rows, cols = np.arange(0, 120, 3), np.arange(120)
+        exact = -pairwise_distances(emb, rows, cols, Metric.EUCLIDEAN) ** 2
+        block = space.block(rows, cols)
+        assert block.dtype == np.float32
+        # block / s^2 within tau / s^2 of the exact scores, compared in float64
+        assert np.all(np.abs(block.astype(np.float64) / s**2 - exact) <= space.tau / s**2)
+        for r in np.quantile(-exact, [0.1, 0.5]) ** 0.5:
+            lo, hi = space.band(r)
+            assert float(lo) / s**2 <= -(r * r) <= float(hi) / s**2
+
+    @pytest.mark.parametrize(
+        "x",
+        [np.tile([1.0, 2.0, 3.0], (50, 1)), np.tile([0.1, 0.7, 1e3 / 3], (50, 1)), np.arange(1, 51.0)[:, None] * 1e-320],
+        ids=["exact-mean", "rounded-mean", "subnormal-spread"],
+    )
+    def test_degenerate_spread_extends_every_abstainer(self, x):
+        # identical rows (centered norm 0, or rounding-level once the mean
+        # is rounded), or rows whose squared differences underflow to 0
+        assert np.isfinite(extension._ScoreSpace(EmbeddingSet(x), Metric.EUCLIDEAN).scale)
+        votes = np.zeros((50, 2), dtype=int)
+        votes[[3, 10, 20], 0] = [1, 1, -1]
+        votes[[7, 8], 1] = [-1, -1]
+        for w in Weighting:
+            for r in (1e-300, 1e-6, 1.0, 1e10):
+                radii = np.array([r, r])
+                ext, _ = extend_votes(EmbeddingSet(x), VoteMatrix(votes), RadiusConfig(radii, w), Metric.EUCLIDEAN)
+                assert np.array_equal(ext.votes, brute_force_extend(x, votes, radii, w.value, "euclidean"))
+                assert (ext.votes != 0).all()
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-300])
+    def test_spread_below_float64_squares_agrees_with_brute_force(self, scale):
+        # the float64 reference's squared differences underflow, so the band
+        # must widen enough to leave the decisions to it
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((80, 3)) * scale
+        votes = rng.choice([-1, 0, 1], size=(80, 2), p=[0.3, 0.4, 0.3])
+        for w in Weighting:
+            for r in (0.1 * scale, scale):
+                radii = np.array([r, r])
+                ext, _ = extend_votes(EmbeddingSet(x), VoteMatrix(votes), RadiusConfig(radii, w), Metric.EUCLIDEAN)
+                assert np.array_equal(ext.votes, brute_force_extend(x, votes, radii, w.value, "euclidean"))
