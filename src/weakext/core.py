@@ -17,6 +17,7 @@ On-disk formats are byte-deterministic:
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -76,11 +77,14 @@ class EmbeddingSet:
     Rows must be finite and nonzero (cosine distance is undefined on the
     zero vector).  Instances are immutable after construction and safe
     for concurrent reads; derived arrays (unit rows, and the float32 score
-    mirrors of ``extension``) are each built once, lazily, by ``_cached``.
+    mirrors of ``extension``) are each built once, lazily, by ``_cached``,
+    even when several scan workers ask for one at the same time.
     """
 
     data: np.ndarray
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # reentrant: building one array may need another (unit32 reads unit)
+    _lock: threading.RLock = field(default_factory=threading.RLock, repr=False, compare=False)
 
     def __post_init__(self):
         data = np.array(self.data, dtype=np.float64, order="C", copy=True)
@@ -107,8 +111,11 @@ class EmbeddingSet:
     def _cached(self, key, build):
         val = self._cache.get(key)
         if val is None:
-            val = _freeze(build())
-            self._cache[key] = val
+            with self._lock:  # check again: another thread may have built it meanwhile
+                val = self._cache.get(key)
+                if val is None:
+                    val = _freeze(build())
+                    self._cache[key] = val
         return val
 
     @property

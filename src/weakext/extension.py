@@ -10,10 +10,12 @@ labeled points never seed further extension.
 The scan is exact in float64.  Each source's abstainers are cut into
 query chunks; a chunk is scored against the whole support in one float32
 GEMM block (the only score path; Euclidean rows are centered and scaled
-by a power of two) and folded into per-query results; every decision
-near a threshold or a tie is re-evaluated in float64, so results are
-identical to a pure float64 scan whatever the chunking, thread count,
-data offset or scale.
+by a power of two), written into a buffer that each scan worker owns and
+reuses for every chunk it runs, and folded into per-query results.  The
+fold finds the cells near a threshold or a tie in one flat pass over the
+block's mask and re-evaluates them in float64, a slice of whole rows at
+a time, so results are identical to a pure float64 scan whatever the
+chunking, thread count, data offset or scale.
 
 A scan fills one ``NeighborTable`` per source for a whole radius grid
 (wsum folds each block once per grid radius), and ``column`` reads an
@@ -24,6 +26,7 @@ and refinement scan each source once over every radius they will try.
 from __future__ import annotations
 
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -188,12 +191,17 @@ class _ScoreSpace:
         sq = np.einsum("ij,ij->i", c, c)
         return c.astype(np.float32), sq.astype(np.float32), float(np.ldexp(1.0, t)), float(sq.max())
 
-    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """float32 scores of every (row, col) pair of point indices."""
+    def block(self, rows: np.ndarray, cols: np.ndarray, buf: np.ndarray) -> np.ndarray:
+        """float32 scores of every (row, col) pair of point indices, in the front of ``buf``."""
+        out = buf[: rows.size * cols.size].reshape(rows.size, cols.size)
         if self.sq is None:  # cosine: unit rows, built by the first chunk to need them
             u = self.emb._cached("unit32", lambda: self.emb.unit.astype(np.float32))
-            return u[rows] @ u[cols].T
-        return 2.0 * (self.rows[rows] @ self.rows[cols].T) - self.sq[rows][:, None] - self.sq[cols][None, :]
+            return np.matmul(u[rows], u[cols].T, out=out)
+        np.matmul(self.rows[rows], self.rows[cols].T, out=out)
+        out *= 2
+        out -= self.sq[rows][:, None]
+        out -= self.sq[cols][None, :]
+        return out
 
     def score_at_radius(self, r: float) -> float:
         if self.metric is Metric.COSINE:
@@ -275,22 +283,48 @@ def _refine_first_per_group(emb, metric, groups, qids, cids):
     return groups[pick], dist[pick], cids[pick]
 
 
-def _scan_chunk(space, votes, st, lo, hi):
+def _split_flat(flat, ncols):
+    """Rows and columns of ``flat`` indices into a C-order block ``ncols`` wide.
+
+    ``flat`` (from one ``np.flatnonzero`` pass over a block's mask)
+    becomes the rows in place, so the cells cost two int64 arrays.
+    """
+    cc = flat % ncols
+    flat //= ncols
+    return flat, cc
+
+
+def _row_slices(rr):
+    """``(a, b)`` ranges covering ``rr`` (ascending rows) in slices of whole rows.
+
+    Each slice holds about ``_CHUNK_ELEMS // 256`` entries (plus at most
+    one row), so the float64 re-check of a band as large as its block
+    needs only a slice's scratch memory.
+    """
+    cuts = np.unique(np.searchsorted(rr, rr[:: max(1, _CHUNK_ELEMS // 256)]))
+    return zip(cuts.tolist(), [*cuts[1:].tolist(), rr.size])
+
+
+def _scan_chunk(space, votes, st, lo, hi, buf):
     """Score queries ``lo:hi`` of table ``st`` against its whole support and fold.
 
-    Chunks of one source cover disjoint query positions, so each writes
-    its own slice of the results without locking.  wsum folds the same
-    block once per positive grid radius.
+    The block is written into the front of the worker's ``buf``.  Its
+    cells near a threshold or the 1nn best score are found in one flat
+    pass (``_split_flat``) and re-decided in float64 a slice of rows at a
+    time.  Chunks of one source cover disjoint query positions, so each
+    writes its own slice of the results without locking.  wsum folds the
+    same block once per positive grid radius.
     """
     qids, cols = st.queries[lo:hi], st.support
-    sub = space.block(qids, cols)
+    sub = space.block(qids, cols, buf)
     emb, metric = space.emb, space.metric
     if st.weighting is Weighting.ONE_NEAREST_NEIGHBOR:
-        mx = sub.max(axis=1)
-        rr, cc = np.nonzero(sub >= (mx[:, None] - space.tau))
-        grp, dist, cid = _refine_first_per_group(emb, metric, rr, qids[rr], cols[cc])
-        st.best_dist[lo + grp] = dist
-        st.best_col[lo + grp] = cid
+        rr, cc = _split_flat(np.flatnonzero(sub >= (sub.max(axis=1)[:, None] - space.tau)), cols.size)
+        for a, b in _row_slices(rr):
+            r = rr[a:b]
+            grp, dist, cid = _refine_first_per_group(emb, metric, r, qids[r], cols[cc[a:b]])
+            st.best_dist[lo + grp] = dist
+            st.best_col[lo + grp] = cid
         return
     # only boolean masks the size of `sub` are made; voters are counted
     vcol = votes.votes[cols, st.source]
@@ -304,24 +338,43 @@ def _scan_chunk(space, votes, st, lo, hi):
         near = sub >= lo_s
         near ^= inside
         del inside
-        rr, cc = np.nonzero(near)
+        flat = np.flatnonzero(near)
         del near
-        if rr.size:
-            keep = paired_distances(emb, qids[rr], cols[cc], metric) <= radius
-            rr, cc = rr[keep], cc[keep]
-            np.add.at(counts, rr, 1)
-            np.add.at(sums, rr, vcol[cc])
+        rr, cc = _split_flat(flat, cols.size)
+        for a, b in _row_slices(rr):
+            r, c = rr[a:b], cc[a:b]
+            keep = paired_distances(emb, qids[r], cols[c], metric) <= radius
+            r, c = r[keep], c[keep]
+            np.add.at(counts, r, 1)
+            np.add.at(sums, r, vcol[c])
         st.in_count[lo:hi, k] = counts
         st.vote_sum[lo:hi, k] = sums
 
 
-def _run_tasks(tasks, threads):
-    if threads <= 1 or len(tasks) <= 1:
-        for t in tasks:
-            t()
+def _run_tasks(tasks, threads, cells):
+    """Run ``tasks`` on up to ``threads`` worker loops that take them in order.
+
+    Each worker owns one float32 buffer of ``cells`` (the largest block
+    of the scan) and passes it to every task it runs, so chunks reuse
+    their block's memory; the buffers are freed when the workers return.
+    """
+    queue = deque(tasks)
+
+    def work():
+        buf = np.empty(cells, dtype=np.float32)
+        while True:
+            try:
+                task = queue.popleft()
+            except IndexError:  # drained
+                return
+            task(buf)
+
+    workers = min(threads, len(tasks))
+    if workers <= 1:
+        work()
         return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for f in [pool.submit(t) for t in tasks]:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for f in [pool.submit(work) for _ in range(workers)]:
             f.result()
 
 
@@ -331,8 +384,9 @@ def _scan_sources(emb, votes, grids, weighting, metric, threads):
     Each source's queries are cut into chunks of about ``_CHUNK_ELEMS``
     score cells (at least ``_MIN_CHUNK`` rows); every chunk is one score
     block and one fold, and all sources' chunks run on one pool of
-    ``threads`` workers.  A wsum table without a positive radius has
-    nothing to fold.
+    ``threads`` workers, each scoring into its own buffer sized for the
+    largest chunk.  A wsum table without a positive radius has nothing to
+    fold.
     """
     if emb.n != votes.n:
         raise ValueError(f"embeddings have {emb.n} rows but votes have {votes.n}")
@@ -361,7 +415,8 @@ def _scan_sources(emb, votes, grids, weighting, metric, threads):
     if tasks:
         space = _ScoreSpace(emb, metric)
         threads = min(4, os.cpu_count() or 1) if threads is None else max(1, int(threads))
-        _run_tasks([partial(_scan_chunk, space, votes, *task) for task in tasks], threads)
+        cells = max((hi - lo) * t.support.size for t, lo, hi in tasks)
+        _run_tasks([partial(_scan_chunk, space, votes, *task) for task in tasks], threads, cells)
     return tables
 
 

@@ -1,6 +1,9 @@
 """Domain types, cosine distance, and bit-exact file round-trips."""
 
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -145,6 +148,34 @@ class TestTypeInvariants:
         emb = EmbeddingSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
         with pytest.raises(ValueError):
             emb.data[0, 0] = 2.0
+
+    def test_lazy_array_is_built_once_under_concurrent_first_use(self):
+        emb = EmbeddingSet(np.ones((4, 3)))
+        workers = 4
+        barrier, calls, got = threading.Barrier(workers), [], []
+
+        def build():
+            calls.append(1)
+            time.sleep(0.05)  # every other thread arrives while this one builds
+            return np.zeros(3)
+
+        def use():
+            barrier.wait(timeout=10)
+            got.append(emb._cached("probe", build))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=use) for _ in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert len(calls) == 1
+        assert len(got) == workers and all(g is got[0] for g in got)
 
     def test_constructor_copies_input(self):
         src = np.array([[1, 0], [0, -1]], dtype=np.int8)

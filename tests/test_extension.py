@@ -1,5 +1,9 @@
 """Vote extension semantics against brute-force oracles."""
 
+import sys
+import tracemalloc
+from dataclasses import fields
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -532,10 +536,15 @@ def test_high_dimensional_euclidean_agrees_with_brute_force(weighting):
     assert np.array_equal(ext.votes, brute_force_extend(x, votes, radii, weighting.value, "euclidean"))
 
 
-@pytest.mark.parametrize("weighting", list(Weighting), ids=lambda w: w.value)
-def test_translation_does_not_widen_the_float64_band(weighting):
+@pytest.mark.parametrize(
+    "weighting, rechecked",
+    [(Weighting.ONE_NEAREST_NEIGHBOR, 1969), (Weighting.THRESHOLDED_WEIGHTED_SUM, 0)],
+    ids=["1nn", "wsum"],
+)
+def test_translation_does_not_widen_the_float64_band(weighting, rechecked):
     # coordinates on a 2**-20 grid, so the shift by 1e3 is exact and moves
-    # no distance; count the pairs re-decided in float64
+    # no distance; count the pairs re-decided in float64 (the pinned counts
+    # also hold the band's candidate pass to the same cells)
     rng = np.random.default_rng(12)
     n, m = 600, 4
     x = np.round(rng.random((n, 16)) * 2**20) / 2**20
@@ -548,8 +557,108 @@ def test_translation_does_not_widen_the_float64_band(weighting):
             ext, _ = extend_votes(EmbeddingSet(x + shift), VoteMatrix(votes), config, Metric.EUCLIDEAN, threads=1)
         counts.append(sum(len(call.args[1]) for call in spy.call_args_list))
         outs.append(ext.votes)
-    assert counts[1] <= 2 * counts[0] + 0.01 * cells, (counts, cells)
+    assert counts == [rechecked, rechecked] and rechecked < 0.01 * cells, (counts, cells)
     assert np.array_equal(outs[0], outs[1])
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_chunks_of_different_shapes_share_a_worker_buffer(metric):
+    # sources at 5%, 40% and 90% coverage in one pool: every worker scores
+    # blocks of several widths, and every source ends on a shorter chunk
+    rng = np.random.default_rng(17)
+    n = 400
+    x = rng.standard_normal((n, 5))
+    votes = np.zeros((n, 3), dtype=int)
+    for j, p in enumerate((0.05, 0.4, 0.9)):
+        on = rng.random(n) < p
+        votes[on, j] = rng.choice([-1, 1], on.sum())
+    emb, vm = EmbeddingSet(x), VoteMatrix(votes)
+    values = np.unique(brute_force_distances(x, metric))
+    grid = values[(np.array([0.02, 0.1, 0.3]) * values.size).astype(int)]
+    chunk_elems = 1080
+    for j in range(3):
+        nq, ns = int((votes[:, j] == 0).sum()), int((votes[:, j] != 0).sum())
+        assert nq > chunk_elems // ns and nq % (chunk_elems // ns) != 0
+    nearest = [brute_force_nearest(x, votes, j, metric) for j in range(3)]
+    expected = {
+        (w, r): brute_force_extend(x, votes, np.full(3, r), w.value, metric) for w in Weighting for r in grid
+    }
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # workers interleave often on the shared task queue
+    try:
+        with mock.patch.multiple(extension, _CHUNK_ELEMS=chunk_elems, _MIN_CHUNK=1):
+            scans = {
+                (w, threads): neighbor_tables(emb, vm, {j: grid for j in range(3)}, w, Metric(metric), threads)
+                for w in Weighting
+                for threads in (1, 2, 4)
+            }
+    finally:
+        sys.setswitchinterval(switch)
+    for (w, threads), tables in scans.items():
+        for j, table in tables.items():
+            if w is Weighting.ONE_NEAREST_NEIGHBOR:
+                assert np.array_equal(table.best_col, nearest[j][2]), (j, threads)
+                np.testing.assert_allclose(table.best_dist, nearest[j][1], rtol=1e-14, atol=1e-15)
+            for r in grid:
+                assert np.array_equal(table.column(vm, r), expected[w, r][:, j]), (w, j, r, threads)
+
+
+def _traced(fn):
+    """``(result, bytes still held, peak bytes)`` of ``fn()`` above the memory held before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, held - before, peak - before
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+@pytest.mark.parametrize("weighting", list(Weighting), ids=lambda w: w.value)
+def test_scan_frees_its_block_buffer(weighting, metric):
+    rng = np.random.default_rng(18)
+    x = rng.standard_normal((600, 6))
+    votes = rng.choice([-1, 0, 1], size=(600, 3), p=[0.2, 0.6, 0.2])
+    emb, vm = EmbeddingSet(x), VoteMatrix(votes)
+    grids = {j: [0.3, 0.6] for j in range(3)}
+    chunk_elems = 40_000
+    with mock.patch.multiple(extension, _CHUNK_ELEMS=chunk_elems, _MIN_CHUNK=1):
+        scan = partial(neighbor_tables, emb, vm, grids, weighting, Metric(metric), threads=1)
+        scan()  # builds the set's lazy score mirrors, which it keeps
+        tables, held, _ = _traced(scan)
+    arrays = [getattr(t, f.name) for t in tables.values() for f in fields(t)]
+    own = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+    slack = 16 * 1024  # the dict and table objects
+    assert 4 * chunk_elems > 8 * slack  # a kept block buffer would show
+    assert held <= own + slack, (held, own)
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_all_duplicate_support_peak_is_one_block_and_two_index_arrays(metric):
+    # every support point is the same row, so each query ties with its
+    # whole support and every cell of the block is a 1nn band candidate
+    rng = np.random.default_rng(19)
+    n = 1600
+    x = rng.standard_normal((n, 3))
+    votes = np.zeros((n, 1), dtype=int)
+    votes[:400, 0] = rng.choice([-1, 1], 400)
+    x[:400] = x[0]
+    emb, vm = EmbeddingSet(x), VoteMatrix(votes)
+    cells = 1200 * 400
+    with mock.patch.multiple(extension, _CHUNK_ELEMS=cells, _MIN_CHUNK=1):
+        scan = partial(nearest_in_support, emb, vm, 0, Metric(metric), threads=1)
+        with mock.patch.object(extension, "paired_distances", wraps=extension.paired_distances) as spy:
+            scan()  # also builds the set's lazy score mirrors
+        (queries, dist, nearest), _, peak = _traced(scan)  # the spy would keep every pair it saw
+    assert sum(len(call.args[1]) for call in spy.call_args_list) == cells
+    want = brute_force_nearest(x, votes, 0, metric)
+    assert np.array_equal(queries, want[0]) and np.array_equal(nearest, want[2])
+    np.testing.assert_allclose(dist, want[1], rtol=1e-14, atol=1e-15)
+    # slack: the table and one slice of the float64 re-check
+    block, index = 4 * cells, 2 * 8 * cells
+    assert peak <= 1.05 * (block + index), (peak, block + index)
 
 
 class TestScoreSpace:
@@ -568,7 +677,7 @@ class TestScoreSpace:
         assert 0.25 <= np.einsum("ij,ij->i", c, c).max() < 1.0
         rows, cols = np.arange(0, 120, 3), np.arange(120)
         exact = -pairwise_distances(emb, rows, cols, Metric.EUCLIDEAN) ** 2
-        block = space.block(rows, cols)
+        block = space.block(rows, cols, np.empty(rows.size * cols.size, dtype=np.float32))
         assert block.dtype == np.float32
         # block / s^2 within tau / s^2 of the exact scores, compared in float64
         assert np.all(np.abs(block.astype(np.float64) / s**2 - exact) <= space.tau / s**2)
