@@ -39,7 +39,7 @@ from .experiments import (
     refine_radii,
     tune_shared_radius,
 )
-from .extension import extend_votes
+from .extension import extend_from_tables, extend_votes, neighbor_tables
 from .label_model import estimate_accuracies, majority_vote, predict
 
 __all__ = ["main"]
@@ -381,12 +381,19 @@ def cmd_diagnose(args) -> int:
     prior = _resolve_prior(args, dev)
     config = _resolve_radii(args, votes.m)
     metric = Metric(args.distance)
-    ext, report = extend_votes(emb, votes, config, metric=metric, threads=args.threads)
+    tables = None
+    if config.weighting is Weighting.ONE_NEAREST_NEIGHBOR:  # one scan serves extension and curves
+        grids = {j: () for j in range(votes.m)}
+        tables = neighbor_tables(emb, votes, grids, config.weighting, metric, args.threads)
+        ext, report = extend_from_tables(votes, config, tables)
+    else:
+        ext, report = extend_votes(emb, votes, config, metric=metric, threads=args.threads)
     params = estimate_accuracies(votes, prior)
     diag = diagnose(
         emb, votes, ext, dev, params, config,
         report=report, metric=metric, radii=_resolve_grid(args),
         pair_budget=args.pair_budget, seed=args.seed, delta=args.delta,
+        threads=args.threads, tables=tables,
     )
     _write_json(diag.to_dict(), out / "diagnostics.json")
     if args.profile_csv:

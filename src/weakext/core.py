@@ -280,7 +280,8 @@ def pairwise_distances(emb: EmbeddingSet, rows, cols, metric: Metric = Metric.CO
     """Exact float64 distance block ``len(rows) x len(cols)``.
 
     Euclidean distances come from direct coordinate differences (no
-    norm-expansion cancellation near duplicates); cosine distances take
+    norm-expansion cancellation near duplicates), each scaled by a power
+    of two before squaring (no overflow at any spread); cosine distances take
     the row-wise products of ``paired_distances``, so both functions
     agree to the bit.  Computed in chunks to bound memory.
     """
@@ -299,7 +300,29 @@ def pairwise_distances(emb: EmbeddingSet, rows, cols, metric: Metric = Metric.CO
     step = max(1, 2_000_000 // max(1, rows.size * emb.d))
     for lo in range(0, cols.size, step):
         diff = a[:, None, :] - emb.data[cols[lo : lo + step]][None, :, :]
-        out[:, lo : lo + step] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        out[:, lo : lo + step] = _scaled_norms(diff)
+    return out
+
+
+def _scaled_norms(diff: np.ndarray) -> np.ndarray:
+    """Euclidean norms of ``diff`` over its last axis, exact to rounding at any spread.
+
+    A difference whose plain sum of squares overflows, or falls below
+    ``2**-968`` where an underflowed square could matter, is scaled by the
+    power of two putting its largest entry in [1/2, 1) before squaring and
+    scaled back after the square root.  Elsewhere scaling would give the
+    plain result bit for bit unless a square far below half an ulp of the
+    sum underflows, so only those differences pay for it (scaling them
+    all costs up to 8x the plain pass).
+    """
+    sq = np.einsum("...k,...k->...", diff, diff)
+    out = np.sqrt(sq)
+    redo = ~((sq >= 2.0**-968) & (sq < np.inf))
+    if redo.any():
+        d = diff[redo]
+        e = np.frexp(np.abs(d).max(axis=-1))[1]
+        np.ldexp(d, -e[:, None], out=d)
+        out[redo] = np.ldexp(np.sqrt(np.einsum("ik,ik->i", d, d)), e)
     return out
 
 
@@ -316,8 +339,7 @@ def paired_distances(emb: EmbeddingSet, idx_a, idx_b, metric: Metric = Metric.CO
             sim = np.einsum("ij,ij->i", emb.unit[a], emb.unit[b])
             out[lo : lo + step] = np.clip(1.0 - sim, 0.0, 2.0)
         else:
-            diff = emb.data[a] - emb.data[b]
-            out[lo : lo + step] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            out[lo : lo + step] = _scaled_norms(emb.data[a] - emb.data[b])
     return out
 
 

@@ -24,9 +24,10 @@ from .core import (
     Metric,
     RadiusConfig,
     VoteMatrix,
+    Weighting,
     paired_distances,
 )
-from .extension import ExtensionReport, coverage, min_overlap
+from .extension import ExtensionReport, NeighborTable, coverage, min_overlap, neighbor_tables
 from .label_model import estimate_accuracies, pairwise_moments, predict, select_triplets
 
 __all__ = [
@@ -418,22 +419,21 @@ def leave_one_out_constant(
 
 
 def measured_accuracy_curves(
-    emb: EmbeddingSet,
+    table: NeighborTable,
     votes: VoteMatrix,
     dev_labels: LabelVector,
-    source: int,
     radii,
-    metric: Metric = Metric.COSINE,
-    threads: int | None = None,
 ):
     """Extended and new-region accuracy of one source at every radius.
 
-    Measured on the labeled prefix under 1-nearest-neighbor extension;
-    nan where no labeled point is reached.  Returns
-    ``(extended_accuracy, new_region_accuracy)`` arrays over ``radii``.
+    ``table`` is the source's 1nn ``NeighborTable`` (any grid).  Measured
+    on the labeled prefix under 1-nearest-neighbor extension; nan where
+    no labeled point is reached.  Returns ``(extended_accuracy,
+    new_region_accuracy)`` arrays over ``radii``.
     """
-    from .extension import nearest_in_support
-
+    if table.weighting is not Weighting.ONE_NEAREST_NEIGHBOR:
+        raise ValueError("accuracy curves read a 1nn table")
+    source = table.source
     radii = np.asarray(radii, dtype=np.float64)
     nd = dev_labels.n
     col = votes.votes[:nd, source]
@@ -441,7 +441,7 @@ def measured_accuracy_curves(
     base_correct = int((col[voted] == dev_labels.labels[voted]).sum())
     base_count = int(voted.sum())
 
-    queries, dist, nearest = nearest_in_support(emb, votes, source, metric=metric, threads=threads)
+    queries, dist, nearest = table.queries, table.best_dist, table.best_col
     in_dev = queries < nd
     dq, dd = queries[in_dev], dist[in_dev]
     nv = votes.votes[np.minimum(nearest[in_dev], votes.n - 1), source]
@@ -570,13 +570,18 @@ def diagnose(
     seed: int = 0,
     delta: float = 0.05,
     model_smoothness: tuple | None = None,
+    threads: int | None = None,
+    tables: dict | None = None,
 ) -> DiagnosticsReport:
     """Evaluate profiles, coverage deltas, and every bound on one dataset.
 
     ``params`` must be the label model fitted on the original votes; the
     extended model is re-fitted internally.  Label smoothness comes from
     ``dev_labels`` (a prefix of the dataset) or, failing that, from a
-    user-supplied ``(model_disagreement, model_risk)`` pair.
+    user-supplied ``(model_disagreement, model_risk)`` pair.  The measured
+    accuracy curves read 1nn ``tables`` (source -> ``NeighborTable``, as
+    ``neighbor_tables`` returns them); sources missing from ``tables`` are
+    scanned in one ``neighbor_tables`` call on ``threads`` workers.
     """
     if dev_labels is None and model_smoothness is None:
         raise ValueError(
@@ -607,6 +612,10 @@ def diagnose(
     newly = report.newly_labeled_fraction if report is not None else cov_after - cov_before
 
     base_post, _ = predict(votes, params)
+    tables = dict(tables or {})
+    if dev_labels is not None:
+        missing = {j: () for j in range(votes.m) if cov_before[j] > 0 and j not in tables}
+        tables.update(neighbor_tables(emb, votes, missing, Weighting.ONE_NEAREST_NEIGHBOR, metric, threads))
 
     per_source = []
     for j in range(votes.m):
@@ -617,7 +626,7 @@ def diagnose(
         if p_j > 0:
             curves = {}
             if dev_labels is not None:
-                a_bar_c, a_new_c = measured_accuracy_curves(emb, votes, dev_labels, j, grid, metric)
+                a_bar_c, a_new_c = measured_accuracy_curves(tables[j], votes, dev_labels, grid)
                 curves = {"extended_accuracy_curve": a_bar_c, "new_region_accuracy_curve": a_new_c}
             curve = lift_bound_curve(profile, j, a_j, p_j, c_j, **curves)
         else:

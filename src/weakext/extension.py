@@ -8,23 +8,33 @@ into a vote; points with an empty neighborhood keep abstaining.  Newly
 labeled points never seed further extension.
 
 The scan is exact in float64.  Each source's abstainers are cut into
-query chunks; a chunk is scored against the whole support in one float32
+k-d tiles of about 256 rows on a cached low-dimensional projection of
+the score rows, and exact float64 bounds drop, per tile, the support
+columns whose scores the fold would reject without a float64 check
+(wsum: beyond the grid's largest radius; 1nn: beyond every tile row's
+best score).  Tiles keeping every column are joined into query chunks;
+each chunk or pruned tile is scored against its columns in one float32
 GEMM block (the only score path; Euclidean rows are centered and scaled
 by a power of two), written into a buffer that each scan worker owns and
-reuses for every chunk it runs, and folded into per-query results.  The
+reuses for every block it runs, and folded into per-query results.  The
 fold finds the cells near a threshold or a tie in one flat pass over the
 block's mask and re-evaluates them in float64, a slice of whole rows at
 a time, so results are identical to a pure float64 scan whatever the
-chunking, thread count, data offset or scale.
+tiling, chunking, thread count, data offset or scale.  Where nothing can
+prune (high-dimensional data), no tile is cut and the chunks are those
+of a plain scan.
 
 A scan fills one ``NeighborTable`` per source for a whole radius grid
-(wsum folds each block once per grid radius), and ``column`` reads an
-extended column from it: extension scans one-radius grids, while tuning
-and refinement scan each source once over every radius they will try.
+(wsum folds each block once per grid radius, over the columns that
+radius can reach), and ``column`` reads an extended column from it:
+extension scans one-radius grids, while tuning and refinement scan each
+source once over every radius they will try, and diagnose's 1nn tables
+serve both its extension and its accuracy curves.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -50,7 +60,7 @@ __all__ = [
     "ExtensionReport",
     "neighbors_in_support",
     "neighbor_tables",
-    "nearest_in_support",
+    "extend_from_tables",
     "extend_votes",
     "coverage",
     "min_overlap",
@@ -58,6 +68,9 @@ __all__ = [
 
 _CHUNK_ELEMS = 32 * 1024 * 1024  # score cells per query chunk
 _MIN_CHUNK = 64  # query rows per chunk, whatever the support size
+_TILE_ROWS = 256  # query rows per pruning tile, at most
+_PROJ_DIMS = 4  # principal directions the tile bounds are taken in
+_SLACK = 2.0**-22  # error of a bounded distance; see _ScoreSpace.reach
 
 
 @dataclass(frozen=True)
@@ -168,18 +181,30 @@ class _ScoreSpace:
     the floor wins to d = 669 (cosine: 836).  ``(d + 2) 2**-1070 scale^2``
     more covers squares underflowing in the float64 reference (spreads
     below ~1e-150); a tau of 8 covers any gap.
+
+    ``rows`` (float32) are the score-space rows, of norm at most 1: a pair
+    at score-space distance ``D`` scores ``base - half D^2`` exactly
+    (Euclidean ``-D^2``, cosine ``1 - D^2 / 2``).  Built once per set,
+    ``proj`` holds them on their top ``min(d, _PROJ_DIMS)`` principal
+    directions in float64 and ``resid`` bounds the norm of each row's
+    remainder off those directions.  A projection never lengthens a
+    difference, so a distance bound taken there holds for the full rows,
+    and ``|Pa - Pb|^2 + (resid_a + resid_b)^2`` bounds ``|a - b|^2`` from
+    above.
     """
 
     def __init__(self, emb: EmbeddingSet, metric: Metric):
-        self.emb = emb
-        self.metric = Metric(metric)
+        self.emb, self.metric, self._bands = emb, Metric(metric), {}
         if self.metric is Metric.COSINE:
-            self.sq = None
+            self.rows = emb._cached("unit32", lambda: emb.unit.astype(np.float32))
+            self.sq, self.base, self.half = None, 1.0, 0.5
             self.tau = max(1e-4, 2.0 * _dot_error_bound(emb.d))
         else:
             self.rows, self.sq, self.scale, mx = emb._cached("centered32", self._mirror)
+            self.base, self.half = 0.0, 1.0
             under = (emb.d + 2) * 2.0**-1070 * self.scale * self.scale
             self.tau = min(8.0, max(2e-4, 5.0 * _dot_error_bound(emb.d)) * mx + under)
+        self.proj, self.resid = emb._cached(f"proj_{self.metric.value}", self._project)
 
     def _mirror(self):
         """``(rows, sq_norms, scale, M)``: float32 but for the scalars."""
@@ -191,13 +216,36 @@ class _ScoreSpace:
         sq = np.einsum("ij,ij->i", c, c)
         return c.astype(np.float32), sq.astype(np.float32), float(np.ldexp(1.0, t)), float(sq.max())
 
+    def _project(self):
+        """``(proj, resid)``, from the top eigenvectors of a strided sample's scatter.
+
+        ``resid^2 = |row|^2 - |proj|^2`` plus ``(d + 4) 2**-48``, which
+        covers the float64 rounding of both terms and of the basis for rows
+        of norm at most 1.
+        """
+        rows = self.rows
+        c = rows[:: max(1, rows.shape[0] // 1024)].astype(np.float64)
+        c -= c.mean(axis=0)
+        if c.shape[1] <= c.shape[0]:
+            top = np.linalg.eigh(c.T @ c)[1]
+        else:  # fewer samples than dimensions: through the samples' Gram matrix
+            top = c.T @ np.linalg.eigh(c @ c.T)[1]
+        basis = np.linalg.qr(top[:, -_PROJ_DIMS:])[0]  # orthonormal columns
+        proj, resid = np.empty((rows.shape[0], basis.shape[1])), np.empty(rows.shape[0])
+        step = max(1, 2**16 // rows.shape[1])  # float64 copies of a slice of rows at a time
+        for lo in range(0, rows.shape[0], step):
+            x = rows[lo : lo + step].astype(np.float64)
+            y = np.matmul(x, basis, out=proj[lo : lo + step])
+            resid[lo : lo + step] = np.einsum("ij,ij->i", x, x) - np.einsum("ij,ij->i", y, y)
+        np.maximum(resid, 0.0, out=resid)
+        return proj, np.sqrt(resid + (rows.shape[1] + 4) * 2.0**-48, out=resid)
+
     def block(self, rows: np.ndarray, cols: np.ndarray, buf: np.ndarray) -> np.ndarray:
         """float32 scores of every (row, col) pair of point indices, in the front of ``buf``."""
         out = buf[: rows.size * cols.size].reshape(rows.size, cols.size)
-        if self.sq is None:  # cosine: unit rows, built by the first chunk to need them
-            u = self.emb._cached("unit32", lambda: self.emb.unit.astype(np.float32))
-            return np.matmul(u[rows], u[cols].T, out=out)
         np.matmul(self.rows[rows], self.rows[cols].T, out=out)
+        if self.sq is None:  # cosine
+            return out
         out *= 2
         out -= self.sq[rows][:, None]
         out -= self.sq[cols][None, :]
@@ -215,10 +263,37 @@ class _ScoreSpace:
         A block score above ``hi`` is inside radius ``r``, one below ``lo``
         outside, one in ``[lo, hi]`` needs a float64 check; each bound is
         rounded one ulp outward, so the band is never narrower than ``tau``.
+        Kept per radius: ``_tile_tasks`` fills it for every grid radius on
+        the calling thread, so scan workers only read it.
         """
-        sthr, f = self.score_at_radius(r), np.float32
-        with np.errstate(over="ignore"):  # a radius far beyond the data's spread: -inf
-            return np.nextafter(f(sthr - self.tau), f(-np.inf)), np.nextafter(f(sthr + self.tau), f(np.inf))
+        if r not in self._bands:
+            sthr, f = self.score_at_radius(r), np.float32
+            with np.errstate(over="ignore"):  # a radius far beyond the data's spread: -inf
+                lo = np.nextafter(f(sthr - self.tau), f(-np.inf))
+                self._bands[r] = lo, np.nextafter(f(sthr + self.tau), f(np.inf))
+        return self._bands[r]
+
+    def reach(self, score: float) -> float:
+        """A distance between ``rows`` beyond which every float32 block score is below ``score``.
+
+        A pair at distance ``D`` scores at most ``base - half D^2 + tau/2``;
+        the spare ``tau/2`` of the margin used here covers cosine's
+        ``O(d 2**-53)`` gap between unit-row dot products and ``1 - D^2/2``.
+        Distances measured on ``rows`` or ``proj`` err from those of the
+        exact rows by at most ``2**-23`` (two float32 roundings of rows of
+        norm at most 1) plus float64 terms far below another ``2**-23``
+        for any d under 2**20, hence ``_SLACK``.
+        """
+        return _SLACK + math.sqrt(max(0.0, (self.base + self.tau - score) / self.half))
+
+    def floor(self, dist: float) -> float:
+        """A score below the 1nn threshold ``fl32(m - tau)`` of a row holding a pair within ``dist``.
+
+        The pair scores at least ``base - half (dist + _SLACK)^2 - tau/2``,
+        so its row's best score ``m`` does; ``2**-20`` bounds rounding
+        ``tau`` and ``m - tau`` (within [-12, 1]) to float32.
+        """
+        return self.base - self.half * (dist + _SLACK) ** 2 - 1.5 * self.tau - 2.0**-20
 
 
 @dataclass
@@ -227,7 +302,9 @@ class NeighborTable:
 
     1nn keeps every abstainer's nearest support point, which answers any
     radius; wsum keeps, per grid radius, the count and signed sum of the
-    voters inside it.  Rows follow ``queries``.
+    voters inside it.  Rows follow ``queries``.  ``cells`` counts the
+    (query, support) pairs the scan scored; it is deterministic and kept
+    out of every artifact.
     """
 
     source: int
@@ -241,6 +318,7 @@ class NeighborTable:
     # wsum results, one column per grid radius
     in_count: np.ndarray | None = None
     vote_sum: np.ndarray | None = None
+    cells: int = 0
 
     def _grid_index(self, radius: float) -> int:
         k = int(np.searchsorted(self.radii, radius))
@@ -301,21 +379,26 @@ def _row_slices(rr):
     one row), so the float64 re-check of a band as large as its block
     needs only a slice's scratch memory.
     """
-    cuts = np.unique(np.searchsorted(rr, rr[:: max(1, _CHUNK_ELEMS // 256)]))
+    step = max(1, _CHUNK_ELEMS // 256)
+    if rr.size <= step:  # one slice, or none
+        return [(0, rr.size)] if rr.size else []
+    cuts = np.unique(np.searchsorted(rr, rr[::step]))
     return zip(cuts.tolist(), [*cuts[1:].tolist(), rr.size])
 
 
-def _scan_chunk(space, votes, st, lo, hi, buf):
-    """Score queries ``lo:hi`` of table ``st`` against its whole support and fold.
+def _scan_chunk(space, votes, st, qpos, cpos, ends, buf):
+    """Score queries ``qpos`` of table ``st`` against its support (positions ``cpos``; None: all) and fold.
 
     The block is written into the front of the worker's ``buf``.  Its
     cells near a threshold or the 1nn best score are found in one flat
     pass (``_split_flat``) and re-decided in float64 a slice of rows at a
-    time.  Chunks of one source cover disjoint query positions, so each
-    writes its own slice of the results without locking.  wsum folds the
-    same block once per positive grid radius.
+    time.  Tasks of one source cover disjoint query positions, so each
+    writes its own rows of the results without locking.  wsum folds the
+    block once per positive grid radius ``k``, over its first ``ends[k]``
+    columns (None: all).
     """
-    qids, cols = st.queries[lo:hi], st.support
+    qids = st.queries[qpos]
+    cols = st.support if cpos is None else st.support[cpos]
     sub = space.block(qids, cols, buf)
     emb, metric = space.emb, space.metric
     if st.weighting is Weighting.ONE_NEAREST_NEIGHBOR:
@@ -323,32 +406,138 @@ def _scan_chunk(space, votes, st, lo, hi, buf):
         for a, b in _row_slices(rr):
             r = rr[a:b]
             grp, dist, cid = _refine_first_per_group(emb, metric, r, qids[r], cols[cc[a:b]])
-            st.best_dist[lo + grp] = dist
-            st.best_col[lo + grp] = cid
+            st.best_dist[qpos[grp]] = dist
+            st.best_col[qpos[grp]] = cid
         return
     # only boolean masks the size of `sub` are made; voters are counted
     vcol = votes.votes[cols, st.source]
     positive = vcol > 0
     for k in np.flatnonzero(st.radii > 0):
-        radius = float(st.radii[k])
+        e = cols.size if ends is None else int(ends[k])
+        if e == 0:  # the rows' results stay zero
+            continue
+        radius, part = float(st.radii[k]), sub[:, :e]
         lo_s, hi_s = space.band(radius)
-        inside = sub > hi_s
+        inside = part > hi_s
         counts = np.count_nonzero(inside, axis=1)
-        sums = 2 * np.count_nonzero(inside & positive, axis=1) - counts
-        near = sub >= lo_s
+        sums = 2 * np.count_nonzero(inside & positive[:e], axis=1) - counts
+        near = part >= lo_s
         near ^= inside
         del inside
         flat = np.flatnonzero(near)
         del near
-        rr, cc = _split_flat(flat, cols.size)
+        rr, cc = _split_flat(flat, e)
         for a, b in _row_slices(rr):
             r, c = rr[a:b], cc[a:b]
             keep = paired_distances(emb, qids[r], cols[c], metric) <= radius
             r, c = r[keep], c[keep]
             np.add.at(counts, r, 1)
             np.add.at(sums, r, vcol[c])
-        st.in_count[lo:hi, k] = counts
-        st.vote_sum[lo:hi, k] = sums
+        st.in_count[qpos, k] = counts
+        st.vote_sum[qpos, k] = sums
+
+
+def _kd_tiles(p):
+    """``(order, starts)``: ``p``'s rows in k-d order, cut into tiles of ``_TILE_ROWS`` at ``starts``.
+
+    Each node splits on its widest coordinate at the whole number of tiles
+    nearest below its median, so only the last tile is short; all nodes
+    of one size split in one vectorized pass.
+    """
+    order, cols = np.arange(p.shape[0]), np.ascontiguousarray(p.T)
+    starts, sizes = np.zeros(1, dtype=np.int64), np.array([p.shape[0]])
+    while (sizes > _TILE_ROWS).any():
+        cut = np.where(sizes > _TILE_ROWS, -(-sizes // _TILE_ROWS) // 2 * _TILE_ROWS, sizes)
+        for s in np.unique(sizes[sizes > _TILE_ROWS]):
+            at = starts[sizes == s][:, None] + np.arange(s)
+            idx = order[at]
+            x = np.take(cols, idx, axis=1)  # (coordinate, node, row), C order
+            keys = x[np.argmax(x.max(axis=2) - x.min(axis=2), axis=0), np.arange(idx.shape[0])]
+            k = -(-s // _TILE_ROWS) // 2 * _TILE_ROWS
+            order[at] = np.take_along_axis(idx, np.argpartition(keys, k, axis=1), axis=1)
+        split = cut < sizes
+        starts = np.concatenate([starts, starts[split] + cut[split]])
+        sizes = np.concatenate([cut, sizes[split] - cut[split]])
+    return order, np.sort(starts)
+
+
+def _box_distances(lo, hi, pts):
+    """``(boxes, points)`` float64 distances from each box ``[lo, hi]`` to each point."""
+    acc = np.zeros((lo.shape[0], pts.shape[0]))
+    for k in range(pts.shape[1]):
+        gap = np.maximum(lo[:, k, None] - pts[:, k], pts[:, k] - hi[:, k, None])
+        np.maximum(gap, 0.0, out=gap)
+        gap *= gap
+        acc += gap
+    return np.sqrt(acc, out=acc)
+
+
+def _tile_tasks(space, st, step):
+    """Score tasks ``(table, query positions, support positions, ends)`` of one table.
+
+    The queries are cut into k-d tiles on ``space.proj``.  A tile drops
+    every support column whose distance from the tile's projected box is
+    beyond ``space.reach`` of a score the fold rejects without a float64
+    check: for wsum, the outward band edge of the grid's largest radius;
+    for 1nn, the ``space.floor`` of every tile row's threshold, from an
+    upper bound on each row's distance to the support point nearest the
+    tile's centre.  So a pruned tile's fold sees the same candidates as a
+    full scan.  Nothing is tiled when one ball about the support's mean
+    holds every query and support point within the least cut a tile
+    could have, and a tile keeps every column without column bounds when
+    the support's bounding box lies within its cut.  A wsum tile orders
+    its kept columns by bound, and ``ends[k]`` counts those grid radius
+    ``k`` may reach, the only ones it folds.  Tiles keeping every column
+    are joined, in ascending query order, into chunks of ``step`` rows
+    (support positions and ends None), which are an unpruned scan's
+    chunks where nothing prunes; the others are scored alone (wsum skips
+    a tile keeping none).
+    """
+    pq, ps = space.proj[st.queries], space.proj[st.support]
+    wsum = st.weighting is Weighting.THRESHOLDED_WEIGHTED_SUM
+    if wsum:
+        reach = np.array([space.reach(float(space.band(float(r))[0])) for r in st.radii])
+        least = reach[-1]
+    else:  # a tile's cut exceeds its rows' distance bound, which exceeds this
+        least = space.resid[st.queries].min() + space.resid[st.support].min()
+    spread, centre = 0.0, ps.mean(axis=0)
+    for x in (pq - centre, ps - centre):
+        spread += np.sqrt(np.einsum("ij,ij->i", x, x).max())
+    full, tasks = [], []
+    if spread <= least:  # every (query, support) pair is within any cut
+        full.append(np.arange(st.queries.size))
+    else:
+        qpos, starts = _kd_tiles(pq)
+        pq = pq[qpos]
+        lo, hi = np.minimum.reduceat(pq, starts), np.maximum.reduceat(pq, starts)
+        if wsum:
+            cuts = np.full(starts.size, least)
+        else:  # every row's best pair is within `far` of it
+            mid, sq = (lo + hi) / 2, np.einsum("ij,ij->i", ps, ps)
+            near = [(sq - 2 * (mid[g : g + 256] @ ps.T)).argmin(axis=1) for g in range(0, mid.shape[0], 256)]
+            near = np.repeat(np.concatenate(near), np.diff([*starts, qpos.size]))
+            gap = pq - ps[near]
+            far2 = np.einsum("ij,ij->i", gap, gap) + (space.resid[st.queries[qpos]] + space.resid[st.support[near]]) ** 2
+            cuts = np.array([space.reach(space.floor(u)) for u in np.sqrt(np.maximum.reduceat(far2, starts)).tolist()])
+        span = np.maximum(np.maximum(lo - ps.min(axis=0), ps.max(axis=0) - hi), 0.0)
+        whole = np.sqrt(np.einsum("ij,ij->i", span, span)) <= cuts  # no column is beyond the cut
+        tiles = np.split(qpos, starts[1:])
+        full += [tiles[t] for t in np.flatnonzero(whole)]
+        test = np.flatnonzero(~whole)
+        group = max(1, 2**20 // ps.shape[0])  # bounds scratch
+        for g in range(0, test.size, group):
+            part = test[g : g + group]
+            for t, bound in zip(part, _box_distances(lo[part], hi[part], ps)):
+                keep = np.flatnonzero(bound <= cuts[t])
+                if keep.size == bound.size:
+                    full.append(tiles[t])
+                elif wsum and keep.size:
+                    keep = keep[np.argsort(bound[keep], kind="stable")]
+                    tasks.append((st, tiles[t], keep, np.searchsorted(bound[keep], reach, side="right")))
+                elif keep.size:
+                    tasks.append((st, tiles[t], keep, None))
+    run = np.sort(np.concatenate(full)) if full else np.empty(0, dtype=np.int64)
+    return [(st, run[i : i + step], None, None) for i in range(0, run.size, step)] + tasks
 
 
 def _run_tasks(tasks, threads, cells):
@@ -381,16 +570,19 @@ def _run_tasks(tasks, threads, cells):
 def _scan_sources(emb, votes, grids, weighting, metric, threads):
     """Check each grid of ``grids`` (source -> radii), then fill one table per source.
 
-    Each source's queries are cut into chunks of about ``_CHUNK_ELEMS``
-    score cells (at least ``_MIN_CHUNK`` rows); every chunk is one score
-    block and one fold, and all sources' chunks run on one pool of
-    ``threads`` workers, each scoring into its own buffer sized for the
-    largest chunk.  A wsum table without a positive radius has nothing to
-    fold.
+    Each source's queries are cut into k-d tiles of at most
+    ``_TILE_ROWS`` rows, and each tile drops the support columns that
+    exact distance bounds prove its fold would reject (``_tile_tasks``).
+    Tiles keeping every column are joined into chunks of about
+    ``_CHUNK_ELEMS`` score cells (at least ``_MIN_CHUNK`` rows); the
+    others are scored alone.  Every chunk or tile is one score block and
+    one fold, and all sources' blocks run on one pool of ``threads``
+    workers, each scoring into its own buffer sized for the largest
+    block.  A wsum table without a positive radius has nothing to fold.
     """
     if emb.n != votes.n:
         raise ValueError(f"embeddings have {emb.n} rows but votes have {votes.n}")
-    tables, tasks = {}, []
+    tables, scans = {}, []
     for j, radii in grids.items():
         if not 0 <= j < votes.m:
             raise ValueError(f"source {j} out of range for {votes.m} sources")
@@ -410,12 +602,16 @@ def _scan_sources(emb, votes, grids, weighting, metric, threads):
             if not (radii > 0).any():
                 continue
         if nq and ns:
-            step = max(_MIN_CHUNK, _CHUNK_ELEMS // ns)
-            tasks += [(t, lo, min(lo + step, nq)) for lo in range(0, nq, step)]
-    if tasks:
+            scans.append(t)
+    if scans:
         space = _ScoreSpace(emb, metric)
+        tasks = []
+        for t in scans:
+            plan = _tile_tasks(space, t, max(_MIN_CHUNK, _CHUNK_ELEMS // t.support.size))
+            t.cells = sum(q.size * (t.support.size if c is None else c.size) for _, q, c, _ in plan)
+            tasks += plan
         threads = min(4, os.cpu_count() or 1) if threads is None else max(1, int(threads))
-        cells = max((hi - lo) * t.support.size for t, lo, hi in tasks)
+        cells = max(q.size * (t.support.size if c is None else c.size) for t, q, c, _ in tasks)
         _run_tasks([partial(_scan_chunk, space, votes, *task) for task in tasks], threads, cells)
     return tables
 
@@ -438,23 +634,6 @@ def neighbor_tables(
     return _scan_sources(emb, votes, grids, Weighting(weighting), metric, threads)
 
 
-def nearest_in_support(
-    emb: EmbeddingSet,
-    votes: VoteMatrix,
-    source: int,
-    metric: Metric = Metric.COSINE,
-    threads: int | None = None,
-):
-    """For every abstaining point: its nearest support point of ``source``.
-
-    Returns ``(queries, distances, nearest_index)``; distance is ``inf``
-    (index ``n``) when the support is empty.  Ties resolve to the lowest
-    point index.
-    """
-    t = _scan_sources(emb, votes, {source: ()}, Weighting.ONE_NEAREST_NEIGHBOR, metric, threads)[source]
-    return t.queries, t.best_dist, t.best_col
-
-
 def extend_votes(
     emb: EmbeddingSet,
     votes: VoteMatrix,
@@ -471,13 +650,28 @@ def extend_votes(
     """
     if config.radii.shape[0] != votes.m:
         raise ValueError(f"config has {config.radii.shape[0]} radii for {votes.m} sources")
-    radii = config.radii
-    grids = {j: radii[j : j + 1] for j in range(votes.m) if radii[j] > 0.0}
+    grids = {j: config.radii[j : j + 1] for j in range(votes.m) if config.radii[j] > 0.0}
     tables = _scan_sources(emb, votes, grids, config.weighting, metric, threads)
+    return extend_from_tables(votes, config, tables)
 
+
+def extend_from_tables(
+    votes: VoteMatrix, config: RadiusConfig, tables: dict
+) -> tuple[VoteMatrix, ExtensionReport]:
+    """``extend_votes`` read from scanned tables (source -> ``NeighborTable``).
+
+    Every source with a positive radius needs a table of the config's
+    weighting; a wsum table must hold that radius on its grid.
+    """
+    if config.radii.shape[0] != votes.m:
+        raise ValueError(f"config has {config.radii.shape[0]} radii for {votes.m} sources")
+    radii = config.radii
     extended = np.array(votes.votes, copy=True)
     newly = np.zeros(votes.m, dtype=np.float64)
-    for j, t in tables.items():
+    for j in np.flatnonzero(radii > 0.0):
+        t = tables[j]
+        if t.weighting is not config.weighting:
+            raise ValueError(f"table of source {j} is {t.weighting.value}, config is {config.weighting.value}")
         extended[:, j] = t.column(votes, radii[j])
         newly[j] = t.reached(radii[j]).sum() / votes.n
 

@@ -100,6 +100,18 @@ class TestPairwiseDistances:
             pairs = paired_distances(emb, np.repeat(idx, idx.size), np.tile(idx, idx.size), metric)
             assert np.array_equal(block, pairs.reshape(block.shape)), d
 
+    @pytest.mark.parametrize("power", [-1000, -560, 560, 1000])
+    def test_euclidean_scales_exactly_at_any_spread(self, power):
+        # plain squares of these differences underflow or overflow
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((40, 3))
+        idx = np.arange(40)
+        want = np.ldexp(pairwise_distances(EmbeddingSet(x), idx, idx, "euclidean"), power)
+        emb = EmbeddingSet(np.ldexp(x, power))
+        assert np.array_equal(pairwise_distances(emb, idx, idx, "euclidean"), want)
+        pairs = paired_distances(emb, np.repeat(idx, idx.size), np.tile(idx, idx.size), "euclidean")
+        assert np.array_equal(pairs, want.ravel())
+
     def test_euclidean_matches_norm(self):
         rng = np.random.default_rng(12)
         x = rng.uniform(size=(10, 3))

@@ -28,7 +28,7 @@ from weakext.diagnostics import (
     measured_accuracy_curves,
     other_sources_constant,
 )
-from weakext.extension import extend_votes
+from weakext.extension import extend_votes, neighbor_tables
 from weakext.label_model import estimate_accuracies
 
 
@@ -323,15 +323,33 @@ class TestDiagnose:
 
         q, _ = predict(task.votes, params)
         c_const = other_sources_constant(q, task.gold)
-        a_bar, a_new = measured_accuracy_curves(
-            task.embeddings, task.votes, task.gold, 0, grid, metric=Metric.EUCLIDEAN
-        )
+        table = neighbor_tables(task.embeddings, task.votes, {0: ()}, metric=Metric.EUCLIDEAN)[0]
+        a_bar, a_new = measured_accuracy_curves(table, task.votes, task.gold, grid)
         res = theory_guided_radius(
             profile, 0, float(params.accuracies[0]),
             float((task.votes.votes[:, 0] != 0).mean()), c_const,
             extended_accuracy_curve=a_bar, new_region_accuracy_curve=a_new,
         )
         assert diag["sources"][0]["recommended_radius"] == res.radius
+
+    def test_shared_tables_give_the_same_report(self):
+        from unittest import mock
+
+        from weakext import diagnostics
+
+        task, config, ext, report, params = self._setup(0.1)
+        kwargs = dict(report=report, metric=Metric.EUCLIDEAN, pair_budget=50_000)
+        spy = mock.patch.object(diagnostics, "neighbor_tables", wraps=diagnostics.neighbor_tables)
+        with spy as own_scan:
+            own = diagnose(task.embeddings, task.votes, ext, task.gold, params, config, threads=1, **kwargs)
+        # one scan of every source, on the caller's thread count
+        assert own_scan.call_count == 1 and own_scan.call_args.args[2] == {0: (), 1: (), 2: ()}
+        assert own_scan.call_args.args[5] == 1
+        tables = neighbor_tables(task.embeddings, task.votes, {j: () for j in range(3)}, metric=Metric.EUCLIDEAN)
+        with spy as shared_scan:
+            shared = diagnose(task.embeddings, task.votes, ext, task.gold, params, config, tables=tables, **kwargs)
+        assert shared.to_dict() == own.to_dict()
+        assert shared_scan.call_args.args[2] == {}  # every source's curves came from the given tables
 
     def test_measured_accuracies_reported(self):
         task, config, ext, report, params = self._setup(0.1)
@@ -351,9 +369,8 @@ class TestMeasuredAccuracyCurves:
 
         task = generate_checkerboard(800, 6, 3, (0.85, 0.8, 0.8), (0.2, 0.9, 0.9), seed=13)
         radii = np.array([0.05, 0.15, 0.4])
-        a_bar, a_new = measured_accuracy_curves(
-            task.embeddings, task.votes, task.gold, 0, radii, metric=Metric.EUCLIDEAN
-        )
+        table = neighbor_tables(task.embeddings, task.votes, {0: ()}, metric=Metric.EUCLIDEAN)[0]
+        a_bar, a_new = measured_accuracy_curves(table, task.votes, task.gold, radii)
         for k, r in enumerate(radii):
             cfg = np.zeros(3)
             cfg[0] = r

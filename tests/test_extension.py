@@ -26,18 +26,26 @@ from weakext.extension import (
     coverage,
     extend_votes,
     min_overlap,
-    nearest_in_support,
     neighbor_tables,
     neighbors_in_support,
 )
 
 
 def brute_force_distances(x, metric="cosine"):
-    """All pairwise float64 distances."""
+    """All pairwise float64 distances.
+
+    Each Euclidean difference is scaled by a power of two putting its
+    largest entry in [1/2, 1) before squaring, so no spread overflows.
+    """
     if metric == "cosine":
         u = x / np.linalg.norm(x, axis=1, keepdims=True)
         return np.clip(1.0 - u @ u.T, 0.0, 2.0)
-    return np.array([np.linalg.norm(x - row, axis=1) for row in x])
+    out = []
+    for row in x:
+        diff = x - row
+        e = np.frexp(np.abs(diff).max(axis=1))[1]
+        out.append(np.ldexp(np.linalg.norm(np.ldexp(diff, -e[:, None]), axis=1), e))
+    return np.array(out)
 
 
 def brute_force_extend(x, votes, radii, weighting, metric="cosine"):
@@ -68,7 +76,7 @@ def brute_force_extend(x, votes, radii, weighting, metric="cosine"):
 
 
 def brute_force_nearest(x, votes, source, metric="cosine"):
-    """Reference for ``nearest_in_support``: first minimum over the support."""
+    """Reference for a 1nn table: first minimum over the support."""
     n = votes.shape[0]
     dist = brute_force_distances(x, metric)
     queries = np.flatnonzero(votes[:, source] == 0)
@@ -77,6 +85,12 @@ def brute_force_nearest(x, votes, source, metric="cosine"):
         return queries, np.full(queries.size, np.inf), np.full(queries.size, n)
     k = dist[np.ix_(queries, supp)].argmin(axis=1)
     return queries, dist[queries, supp[k]], supp[k]
+
+
+def nearest(emb, vm, source, metric=Metric.COSINE, threads=None):
+    """``(queries, distances, nearest point)`` of ``source`` from its 1nn table."""
+    t = neighbor_tables(emb, vm, {source: ()}, Weighting.ONE_NEAREST_NEIGHBOR, Metric(metric), threads)[source]
+    return t.queries, t.best_dist, t.best_col
 
 
 def random_instance(rng, n_max=150):
@@ -271,7 +285,7 @@ class TestNearestInSupport:
         x, votes, _ = random_instance(rng)
         emb, vm = EmbeddingSet(x), VoteMatrix(votes)
         j = 0
-        queries, dist, col = nearest_in_support(emb, vm, j)
+        queries, dist, col = nearest(emb, vm, j)
         for r in (0.2, 0.7, 1.3):
             radii = np.zeros(votes.shape[1])
             radii[j] = r
@@ -288,8 +302,8 @@ class TestNearestInSupport:
         x = rng.standard_normal((300, 16))
         votes = rng.choice([-1, 0, 1], size=(300, 1), p=[0.25, 0.5, 0.25])
         emb, vm = EmbeddingSet(x), VoteMatrix(votes)
-        queries, dist, nearest = nearest_in_support(emb, vm, 0, metric=Metric(metric))
-        for q, r, k in zip(queries, dist, nearest):
+        queries, dist, best = nearest(emb, vm, 0, metric=Metric(metric))
+        for q, r, k in zip(queries, dist, best):
             ns = neighbors_in_support(emb, vm, 0, int(q), float(r), metric=Metric(metric))
             assert ns.indices[0] == k and ns.distances[0] == r
 
@@ -427,7 +441,7 @@ def exact_instances(draw):
     radii = rng.choice(np.unique(brute_force_distances(x, metric)), m)
     radii[rng.random(m) < 0.15] = 0.0
     chunk_elems = draw(hst.integers(1, 4000))
-    return x, votes, radii, metric, chunk_elems
+    return x, votes, radii, metric, chunk_elems, draw(hst.sampled_from([1, 5, 16, 256]))
 
 
 @hst.composite
@@ -462,13 +476,14 @@ def radius_shells(draw):
     votes = rng.choice([-1, 1], size=(n, m))
     votes[rng.random((n, m)) < draw(hst.floats(0.1, 0.5))] = 0
     radii = np.full(m, r)
-    return x, votes, radii, metric, draw(hst.integers(1, 4000))
+    return x, votes, radii, metric, draw(hst.integers(1, 4000)), draw(hst.sampled_from([1, 5, 16, 256]))
 
 
-def _check_against_oracles(x, votes, radii, metric, chunk_elems):
+def _check_against_oracles(x, votes, radii, metric, chunk_elems, tile_rows):
     emb, vm = EmbeddingSet(x), VoteMatrix(votes)
-    # tiny chunks: every source splits into many query chunks at n ~ 200
-    with mock.patch.multiple(extension, _CHUNK_ELEMS=chunk_elems, _MIN_CHUNK=1):
+    # tiny chunks and tiles: every source splits into many query chunks at
+    # n ~ 200, and pruned tiles mix with whole ones
+    with mock.patch.multiple(extension, _CHUNK_ELEMS=chunk_elems, _MIN_CHUNK=1, _TILE_ROWS=tile_rows):
         for w in Weighting:
             expected = brute_force_extend(x, votes, radii, w.value, metric=metric)
             for threads in (1, 2, 4):
@@ -477,8 +492,8 @@ def _check_against_oracles(x, votes, radii, metric, chunk_elems):
         for j in range(votes.shape[1]):
             want = brute_force_nearest(x, votes, j, metric)
             for threads in (1, 2, 4):
-                queries, dist, nearest = nearest_in_support(emb, vm, j, metric=Metric(metric), threads=threads)
-                assert np.array_equal(queries, want[0]) and np.array_equal(nearest, want[2]), threads
+                queries, dist, best = nearest(emb, vm, j, metric=Metric(metric), threads=threads)
+                assert np.array_equal(queries, want[0]) and np.array_equal(best, want[2]), threads
                 # the oracle's matmul and the scan's pairwise dot differ in the last bits
                 np.testing.assert_allclose(dist, want[1], rtol=1e-14, atol=1e-15)
 
@@ -493,6 +508,151 @@ def test_chunked_scan_matches_oracles_on_exact_ties(instance):
 @given(radius_shells())
 def test_chunked_scan_matches_oracles_inside_float32_band(instance):
     _check_against_oracles(*instance)
+
+
+def _scan_kinds(fn):
+    """``(fn(), kinds)``: the scan's blocks as ``"pruned"`` (a tile on some columns) or ``"whole"``."""
+    kinds = []
+
+    def spy(space, votes, st, qpos, cpos, ends, buf):
+        kinds.append("whole" if cpos is None else "pruned")
+        return scan_chunk(space, votes, st, qpos, cpos, ends, buf)
+
+    scan_chunk = extension._scan_chunk
+    with mock.patch.object(extension, "_scan_chunk", spy):
+        return fn(), kinds
+
+
+def _rechecked(fn):
+    """Sorted ``(query, support)`` pairs ``fn``'s scan re-decides in float64."""
+    with mock.patch.object(extension, "paired_distances", wraps=extension.paired_distances) as spy:
+        fn()
+    return sorted(pair for call in spy.call_args_list for pair in zip(call.args[1].tolist(), call.args[2].tolist()))
+
+
+def _check_pruned_scan(x, votes, grid, metric, tile_rows=8, chunk_elems=2000):
+    """Tables of every weighting and thread count match the oracles, on scans that prune."""
+    emb, vm = EmbeddingSet(x), VoteMatrix(votes)
+    m = votes.shape[1]
+    full = sum(int((votes[:, j] == 0).sum() * (votes[:, j] != 0).sum()) for j in range(m))
+    extended = {(w, r): brute_force_extend(x, votes, np.full(m, r), w.value, metric) for w in Weighting for r in grid}
+    nearest_want = [brute_force_nearest(x, votes, j, metric) for j in range(m)]
+    grids = {j: grid for j in range(m)}
+    with mock.patch.multiple(extension, _TILE_ROWS=tile_rows, _CHUNK_ELEMS=chunk_elems, _MIN_CHUNK=1):
+        for w in Weighting:
+            # a dropped column is one the fold rejects without a float64 check
+            pruned = _rechecked(partial(neighbor_tables, emb, vm, grids, w, Metric(metric), 1))
+            with mock.patch.object(extension._ScoreSpace, "reach", lambda self, score: np.inf):
+                whole = _rechecked(partial(neighbor_tables, emb, vm, grids, w, Metric(metric), 1))
+            assert pruned == whole, w
+            for threads in (1, 2, 4):
+                scan = partial(neighbor_tables, emb, vm, grids, w, Metric(metric), threads)
+                tables, kinds = _scan_kinds(scan)
+                assert "pruned" in kinds and sum(t.cells for t in tables.values()) < full, (w, kinds)
+                for j, table in tables.items():
+                    if w is Weighting.ONE_NEAREST_NEIGHBOR:
+                        assert np.array_equal(table.best_col, nearest_want[j][2]), (j, threads)
+                        np.testing.assert_allclose(table.best_dist, nearest_want[j][1], rtol=1e-14, atol=1e-15)
+                    for r in grid:
+                        assert np.array_equal(table.column(vm, r), extended[w, r][:, j]), (w, j, r, threads)
+
+
+def _lattice(rng, n_side=20):
+    """Queries on an ``n_side`` square lattice; source 0's voters sit 5 from two of its
+    corners, between lattice points and in a far cluster, source 1's anywhere."""
+    q = np.stack(np.meshgrid(np.arange(n_side), np.arange(n_side)), -1).reshape(-1, 2) + 1.0
+    ring = np.array([[-2.0, -3.0], [-3.0, -2.0], [-4.0, 1.0], [1.0, -4.0]])  # 5 from the corner (1, 1)
+    far = rng.integers(60, 70, (40, 2)).astype(np.float64)
+    supp = np.vstack([ring, ring + n_side + 2, q[rng.choice(q.shape[0], 30, replace=False)] + 0.5, far])
+    x = np.vstack([q, supp])
+    votes = np.zeros((x.shape[0], 2), dtype=int)
+    votes[q.shape[0] :, 0] = rng.choice([-1, 1], supp.shape[0])
+    votes[rng.choice(x.shape[0], 120, replace=False), 1] = rng.choice([-1, 1], 120)
+    return x, votes
+
+
+class TestPrunedScan:
+    def test_support_exactly_at_the_largest_radius_from_a_tile_corner(self):
+        # the corner query (1, 1) opens its tile's box; (-2, -3) and its
+        # kin sit at exactly 5, the largest grid radius
+        x, votes = _lattice(np.random.default_rng(20))
+        assert brute_force_distances(x, "euclidean")[0, 400] == 5.0
+        _check_pruned_scan(x, votes, [1.0, 2.5, 5.0], "euclidean")
+
+    def test_duplicates_split_across_tiles(self):
+        rng = np.random.default_rng(21)
+        x, votes = _lattice(rng)
+        x[rng.choice(400, 60, replace=False)] = x[7]  # one query row many times over
+        x[400:430] = x[rng.choice(400, 30)]  # support rows equal to query rows
+        _check_pruned_scan(x, votes, [0.0, 1.0, 3.0], "euclidean", tile_rows=5)
+
+    @pytest.mark.parametrize("scale", [2.0**-40, 2.0**40], ids=["2^-40", "2^40"])
+    def test_shifted_and_scaled_rows(self, scale):
+        x, votes = _lattice(np.random.default_rng(22))
+        _check_pruned_scan((x + 1e3) * scale, votes, [scale, 2.5 * scale, 5.0 * scale], "euclidean")
+
+    def test_cosine_rows_on_a_circle(self):
+        # angles k/2 degrees, offset by a third of a step for source 0's
+        # voters and two thirds for source 1's, so no query lies midway
+        # between two voters (a tie the oracle's matmul could round apart);
+        # duplicates at one angle, scaled by powers of two, tie exactly
+        rng = np.random.default_rng(23)
+        step = np.pi / 360
+        kind = rng.integers(0, 3, 600)
+        angle = (rng.integers(0, 720, 600) + kind / 3) * step
+        x = np.stack([np.cos(angle), np.sin(angle)], 1) * rng.choice([0.5, 1.0, 4.0], (600, 1))
+        votes = np.zeros((600, 2), dtype=int)
+        for j in range(2):
+            voters = (kind == j + 1) & (rng.random(600) < 0.4)
+            votes[voters, j] = rng.choice([-1, 1], voters.sum())
+        values = np.unique(brute_force_distances(x))
+        k = np.flatnonzero(np.diff(values) > 1e-9)[[3, 30, 100]]
+        grid = (values[k] + values[k + 1]) / 2  # well between occurring distances
+        _check_pruned_scan(x, votes, grid, "cosine", tile_rows=16)
+
+
+class TestScoredCells:
+    def test_planar_wsum_scan_scores_under_half_the_cells(self):
+        from weakext.experiments import generate_checkerboard
+
+        task = generate_checkerboard(6000, 10, 3, (0.9, 0.8, 0.8), (0.2, 0.15, 0.15), seed=24)
+        votes = task.votes.votes
+        grid = np.linspace(0.025, 0.2, 8)
+        tables = neighbor_tables(task.embeddings, task.votes, {j: grid for j in range(3)},
+                                 Weighting.THRESHOLDED_WEIGHTED_SUM, Metric.EUCLIDEAN, threads=2)
+        full = [int((votes[:, j] == 0).sum() * (votes[:, j] != 0).sum()) for j in range(3)]
+        assert all(0 < t.cells < 0.5 * f for t, f in zip(tables.values(), full)), [t.cells for t in tables.values()]
+        again = neighbor_tables(task.embeddings, task.votes, {j: grid for j in range(3)},
+                                Weighting.THRESHOLDED_WEIGHTED_SUM, Metric.EUCLIDEAN, threads=1)
+        assert [t.cells for t in again.values()] == [t.cells for t in tables.values()]
+
+    @pytest.mark.parametrize("weighting", list(Weighting), ids=lambda w: w.value)
+    def test_high_dimensional_gaussian_scores_every_cell_in_unpruned_chunks(self, weighting):
+        # the C7 shape: nothing prunes, so the chunks are an unpruned scan's
+        rng = np.random.default_rng(25)
+        n, m = 3000, 2
+        x = rng.standard_normal((n, 128))
+        votes = np.zeros((n, m), dtype=int)
+        for j in range(m):
+            on = rng.random(n) < 0.3
+            votes[on, j] = rng.choice([-1, 1], on.sum())
+        emb, vm = EmbeddingSet(x), VoteMatrix(votes)
+        shapes = []
+
+        def spy(space, votes, st, qpos, cpos, ends, buf):
+            shapes.append((st.source, qpos.tolist(), cpos))
+            return scan_chunk(space, votes, st, qpos, cpos, ends, buf)
+
+        scan_chunk = extension._scan_chunk
+        with mock.patch.multiple(extension, _CHUNK_ELEMS=100_000, _scan_chunk=spy):
+            tables = neighbor_tables(emb, vm, {j: [0.7] for j in range(m)}, weighting, Metric.COSINE, threads=2)
+        for j, t in tables.items():
+            nq, ns = t.queries.size, t.support.size
+            assert t.cells == nq * ns
+            step = max(64, 100_000 // ns)
+            want = [list(range(lo, min(lo + step, nq))) for lo in range(0, nq, step)]
+            assert sorted(q for s, q, c in shapes if s == j) == want
+            assert all(c is None for s, q, c in shapes if s == j)
 
 
 @pytest.mark.parametrize("weighting", list(Weighting), ids=lambda w: w.value)
@@ -579,7 +739,7 @@ def test_chunks_of_different_shapes_share_a_worker_buffer(metric):
     for j in range(3):
         nq, ns = int((votes[:, j] == 0).sum()), int((votes[:, j] != 0).sum())
         assert nq > chunk_elems // ns and nq % (chunk_elems // ns) != 0
-    nearest = [brute_force_nearest(x, votes, j, metric) for j in range(3)]
+    nearest_want = [brute_force_nearest(x, votes, j, metric) for j in range(3)]
     expected = {
         (w, r): brute_force_extend(x, votes, np.full(3, r), w.value, metric) for w in Weighting for r in grid
     }
@@ -597,8 +757,8 @@ def test_chunks_of_different_shapes_share_a_worker_buffer(metric):
     for (w, threads), tables in scans.items():
         for j, table in tables.items():
             if w is Weighting.ONE_NEAREST_NEIGHBOR:
-                assert np.array_equal(table.best_col, nearest[j][2]), (j, threads)
-                np.testing.assert_allclose(table.best_dist, nearest[j][1], rtol=1e-14, atol=1e-15)
+                assert np.array_equal(table.best_col, nearest_want[j][2]), (j, threads)
+                np.testing.assert_allclose(table.best_dist, nearest_want[j][1], rtol=1e-14, atol=1e-15)
             for r in grid:
                 assert np.array_equal(table.column(vm, r), expected[w, r][:, j]), (w, j, r, threads)
 
@@ -648,13 +808,13 @@ def test_all_duplicate_support_peak_is_one_block_and_two_index_arrays(metric):
     emb, vm = EmbeddingSet(x), VoteMatrix(votes)
     cells = 1200 * 400
     with mock.patch.multiple(extension, _CHUNK_ELEMS=cells, _MIN_CHUNK=1):
-        scan = partial(nearest_in_support, emb, vm, 0, Metric(metric), threads=1)
+        scan = partial(nearest, emb, vm, 0, Metric(metric), threads=1)
         with mock.patch.object(extension, "paired_distances", wraps=extension.paired_distances) as spy:
             scan()  # also builds the set's lazy score mirrors
-        (queries, dist, nearest), _, peak = _traced(scan)  # the spy would keep every pair it saw
+        (queries, dist, best), _, peak = _traced(scan)  # the spy would keep every pair it saw
     assert sum(len(call.args[1]) for call in spy.call_args_list) == cells
     want = brute_force_nearest(x, votes, 0, metric)
-    assert np.array_equal(queries, want[0]) and np.array_equal(nearest, want[2])
+    assert np.array_equal(queries, want[0]) and np.array_equal(best, want[2])
     np.testing.assert_allclose(dist, want[1], rtol=1e-14, atol=1e-15)
     # slack: the table and one slice of the float64 re-check
     block, index = 4 * cells, 2 * 8 * cells
@@ -703,6 +863,20 @@ class TestScoreSpace:
                 ext, _ = extend_votes(EmbeddingSet(x), VoteMatrix(votes), RadiusConfig(radii, w), Metric.EUCLIDEAN)
                 assert np.array_equal(ext.votes, brute_force_extend(x, votes, radii, w.value, "euclidean"))
                 assert (ext.votes != 0).all()
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(seed=hst.integers(0, 2**32 - 1), exponent=hst.floats(155.0, 300.0))
+    def test_spread_above_float64_squares_agrees_with_brute_force(self, seed, exponent):
+        # plain float64 squares of these differences overflow to inf
+        rng = np.random.default_rng(seed)
+        scale = 10.0**exponent
+        x = rng.standard_normal((80, 3)) * scale
+        votes = rng.choice([-1, 0, 1], size=(80, 2), p=[0.3, 0.4, 0.3])
+        for w in Weighting:
+            for r in (0.1 * scale, scale):
+                radii = np.array([r, r])
+                ext, _ = extend_votes(EmbeddingSet(x), VoteMatrix(votes), RadiusConfig(radii, w), Metric.EUCLIDEAN)
+                assert np.array_equal(ext.votes, brute_force_extend(x, votes, radii, w.value, "euclidean"))
 
     @pytest.mark.parametrize("scale", [1e-170, 1e-300])
     def test_spread_below_float64_squares_agrees_with_brute_force(self, scale):
