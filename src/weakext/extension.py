@@ -484,14 +484,13 @@ def _tile_tasks(space, st, step):
     tile's centre.  So a pruned tile's fold sees the same candidates as a
     full scan.  Nothing is tiled when one ball about the support's mean
     holds every query and support point within the least cut a tile
-    could have, and a tile keeps every column without column bounds when
-    the support's bounding box lies within its cut.  A wsum tile orders
-    its kept columns by bound, and ``ends[k]`` counts those grid radius
-    ``k`` may reach, the only ones it folds.  Tiles keeping every column
-    are joined, in ascending query order, into chunks of ``step`` rows
-    (support positions and ends None), which are an unpruned scan's
-    chunks where nothing prunes; the others are scored alone (wsum skips
-    a tile keeping none).
+    could have.  A wsum tile orders its kept columns by bound, and
+    ``ends[k]`` counts those grid radius ``k`` may reach, the only ones
+    it folds.  Tiles keeping every column are joined, in ascending query
+    order, into chunks of ``step`` rows (support positions and ends
+    None), which are an unpruned scan's chunks where nothing prunes; the
+    others are scored alone.  A wsum tile keeping no column has no task,
+    so a plan may have none.
     """
     pq, ps = space.proj[st.queries], space.proj[st.support]
     wsum = st.weighting is Weighting.THRESHOLDED_WEIGHTED_SUM
@@ -510,24 +509,19 @@ def _tile_tasks(space, st, step):
         qpos, starts = _kd_tiles(pq)
         pq = pq[qpos]
         lo, hi = np.minimum.reduceat(pq, starts), np.maximum.reduceat(pq, starts)
+        group = max(1, 2**20 // ps.shape[0])  # tiles per (tiles, support) scratch array
         if wsum:
             cuts = np.full(starts.size, least)
         else:  # every row's best pair is within `far` of it
             mid, sq = (lo + hi) / 2, np.einsum("ij,ij->i", ps, ps)
-            near = [(sq - 2 * (mid[g : g + 256] @ ps.T)).argmin(axis=1) for g in range(0, mid.shape[0], 256)]
+            near = [(sq - 2 * (mid[g : g + group] @ ps.T)).argmin(axis=1) for g in range(0, mid.shape[0], group)]
             near = np.repeat(np.concatenate(near), np.diff([*starts, qpos.size]))
             gap = pq - ps[near]
             far2 = np.einsum("ij,ij->i", gap, gap) + (space.resid[st.queries[qpos]] + space.resid[st.support[near]]) ** 2
             cuts = np.array([space.reach(space.floor(u)) for u in np.sqrt(np.maximum.reduceat(far2, starts)).tolist()])
-        span = np.maximum(np.maximum(lo - ps.min(axis=0), ps.max(axis=0) - hi), 0.0)
-        whole = np.sqrt(np.einsum("ij,ij->i", span, span)) <= cuts  # no column is beyond the cut
         tiles = np.split(qpos, starts[1:])
-        full += [tiles[t] for t in np.flatnonzero(whole)]
-        test = np.flatnonzero(~whole)
-        group = max(1, 2**20 // ps.shape[0])  # bounds scratch
-        for g in range(0, test.size, group):
-            part = test[g : g + group]
-            for t, bound in zip(part, _box_distances(lo[part], hi[part], ps)):
+        for g in range(0, starts.size, group):
+            for t, bound in zip(range(g, g + group), _box_distances(lo[g : g + group], hi[g : g + group], ps)):
                 keep = np.flatnonzero(bound <= cuts[t])
                 if keep.size == bound.size:
                     full.append(tiles[t])
@@ -610,9 +604,10 @@ def _scan_sources(emb, votes, grids, weighting, metric, threads):
             plan = _tile_tasks(space, t, max(_MIN_CHUNK, _CHUNK_ELEMS // t.support.size))
             t.cells = sum(q.size * (t.support.size if c is None else c.size) for _, q, c, _ in plan)
             tasks += plan
-        threads = min(4, os.cpu_count() or 1) if threads is None else max(1, int(threads))
-        cells = max(q.size * (t.support.size if c is None else c.size) for t, q, c, _ in tasks)
-        _run_tasks([partial(_scan_chunk, space, votes, *task) for task in tasks], threads, cells)
+        if tasks:  # none when every tile is beyond a wsum scan's largest radius
+            threads = min(4, os.cpu_count() or 1) if threads is None else max(1, int(threads))
+            cells = max(q.size * (t.support.size if c is None else c.size) for t, q, c, _ in tasks)
+            _run_tasks([partial(_scan_chunk, space, votes, *task) for task in tasks], threads, cells)
     return tables
 
 

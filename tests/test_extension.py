@@ -610,6 +610,22 @@ class TestPrunedScan:
         grid = (values[k] + values[k + 1]) / 2  # well between occurring distances
         _check_pruned_scan(x, votes, grid, "cosine", tile_rows=16)
 
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_wsum_scan_with_every_tile_beyond_reach_scores_nothing(self, metric):
+        # the source votes on one cluster and abstains on the other, far
+        # beyond the largest radius: a plan with no task
+        rng = np.random.default_rng(26)
+        x = np.repeat([[10.0, 0.0], [0.0, 10.0]], 300, axis=0) + 0.1 * rng.standard_normal((600, 2))
+        votes = np.zeros((600, 1), dtype=int)
+        votes[:300, 0] = rng.choice([-1, 1], 300)
+        emb, vm = EmbeddingSet(x), VoteMatrix(votes)
+        grid = [0.01, 0.02]
+        for threads in (1, 2):
+            table = neighbor_tables(emb, vm, {0: grid}, Weighting.THRESHOLDED_WEIGHTED_SUM, Metric(metric), threads)[0]
+            assert table.cells == 0
+            for r in grid:
+                assert np.array_equal(table.column(vm, r), brute_force_extend(x, votes, [r], "wsum", metric)[:, 0])
+
 
 class TestScoredCells:
     def test_planar_wsum_scan_scores_under_half_the_cells(self):
