@@ -120,8 +120,8 @@ class EmbeddingSet:
 
     @property
     def unit(self) -> np.ndarray:
-        """Rows scaled to unit Euclidean norm (float64)."""
-        return self._cached("unit", lambda: self.data / np.sqrt(np.einsum("ij,ij->i", self.data, self.data))[:, None])
+        """Rows scaled to unit Euclidean norm (float64), at any row scale (``_scaled_norms``)."""
+        return self._cached("unit", lambda: self.data / _scaled_norms(self.data)[:, None])
 
 
 def _validate_alphabet(arr: np.ndarray, alphabet: tuple, what: str) -> None:
@@ -379,35 +379,38 @@ def load_embeddings(path) -> EmbeddingSet:
 
 
 def _load_int_csv(path, what: str) -> np.ndarray:
+    """Headerless integer CSV (lines stripped, blank ones skipped, cells read by ``int``) as int64.
+
+    Each distinct cell spelling is parsed once; a ragged row or non-integer
+    cell raises ``DataError`` naming the first fault's line and cell.
+    """
     path = Path(path)
-    rows = []
-    width = None
     with open(path, "r", encoding="ascii") as fh:
-        for r, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise DataError(f"{path}: row {r} has {len(cells)} columns, expected {width}")
-            try:
-                rows.append([int(c) for c in cells])
-            except ValueError:
-                bad = next(i for i, c in enumerate(cells) if not _is_int(c))
-                raise DataError(f"{path}: non-integer {what} entry {cells[bad]!r} at (row {r}, col {bad})") from None
+        lines = fh.read().split("\n")  # the lines that iterating the file yields
+    rows = [(r, line) for r, line in enumerate(map(str.strip, lines)) if line]
     if not rows:
         raise DataError(f"{path}: no rows")
-    return np.asarray(rows, dtype=np.int64)
-
-
-def _is_int(s: str) -> bool:
+    width = rows[0][1].count(",") + 1
+    cells = ",".join(line for _, line in rows).split(",")
     try:
-        int(s)
-        return True
+        if any(line.count(",") != width - 1 for _, line in rows):
+            raise ValueError
+        value = {c: int(c) for c in set(cells)}
     except ValueError:
-        return False
+        _raise_first_fault(path, what, rows, width)
+    return np.fromiter(map(value.__getitem__, cells), dtype=np.int64, count=len(cells)).reshape(len(rows), width)
+
+
+def _raise_first_fault(path, what, rows, width):
+    for r, line in rows:
+        cells = line.split(",")
+        if len(cells) != width:
+            raise DataError(f"{path}: row {r} has {len(cells)} columns, expected {width}")
+        for c, cell in enumerate(cells):
+            try:
+                int(cell)
+            except ValueError:
+                raise DataError(f"{path}: non-integer {what} entry {cell!r} at (row {r}, col {c})") from None
 
 
 def load_votes(path) -> VoteMatrix:
@@ -437,7 +440,7 @@ def save_labels(labels: LabelVector, path) -> None:
 
 
 def _save_int_csv(arr: np.ndarray, path) -> None:
+    values, inverse = np.unique(arr, return_inverse=True)
+    text = np.array([str(v) for v in values.tolist()], dtype=object)[inverse.reshape(arr.shape)]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for row in arr:
-            fh.write(",".join(str(int(v)) for v in row))
-            fh.write("\n")
+        fh.writelines(",".join(row) + "\n" for row in text.tolist())

@@ -11,7 +11,7 @@ monotone in the accuracy.  Distances in this planar space are Euclidean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "generate_checkerboard",
     "MetricsReport",
     "evaluate",
-    "RadiusBins",
     "SweepResult",
     "sweep_radius",
     "TuneResult",
@@ -202,61 +201,6 @@ class SweepResult:
                 fh.write("\n")
 
 
-class RadiusBins:
-    """Cached query-support distance binning for repeated radius sweeps.
-
-    Tasks generated from the same seed share points and supports even as
-    accuracies or the label layout change, so the exact distances and
-    their grid bins can be computed once per family.  ``d <= radii[b]``
-    holds exactly for every bin index ``>= bins``; votes enter later as
-    bincount weights, so unlike a scanned ``NeighborTable`` one instance
-    serves every vote variant of the family.
-    """
-
-    def __init__(self, emb, votes, source, radii, metric):
-        from .core import pairwise_distances
-
-        self.radii = np.asarray(radii, dtype=np.float64)
-        self.metric = Metric(metric)
-        self.source = source
-        col = votes.votes[:, source]
-        self.queries = np.flatnonzero(col == 0)
-        self.support = np.flatnonzero(col != 0)
-        k = self.radii.size
-        nq, ns = self.queries.size, self.support.size
-        self._flat = np.empty((nq, ns), dtype=np.int64)
-        if ns:
-            chunk = max(16, 4 * 1024 * 1024 // ns)
-            for lo in range(0, nq, chunk):
-                q = self.queries[lo : lo + chunk]
-                d = pairwise_distances(emb, q, self.support, self.metric)
-                bins = np.searchsorted(self.radii, d, side="left")
-                self._flat[lo : lo + chunk] = np.arange(lo, lo + q.size)[:, None] * (k + 1) + bins
-        counts = np.bincount(self._flat.ravel(), minlength=nq * (k + 1)).reshape(nq, k + 1)
-        self.counts = np.cumsum(counts[:, :-1], axis=1)
-
-    def matches(self, votes, source) -> bool:
-        col = votes.votes[:, source]
-        return (
-            source == self.source
-            and np.array_equal(np.flatnonzero(col == 0), self.queries)
-            and np.array_equal(np.flatnonzero(col != 0), self.support)
-        )
-
-    def table(self, votes) -> NeighborTable:
-        """The wsum ``NeighborTable`` of one vote matrix over this grid."""
-        nq, k = self.queries.size, self.radii.size
-        w = np.broadcast_to(
-            votes.votes[self.support, self.source].astype(np.float64), self._flat.shape
-        )
-        sums = np.bincount(self._flat.ravel(), weights=w.ravel(), minlength=nq * (k + 1))
-        sums = np.rint(sums).astype(np.int64).reshape(nq, k + 1)
-        return NeighborTable(
-            self.source, self.queries, self.support, self.radii, Weighting.THRESHOLDED_WEIGHTED_SUM,
-            in_count=self.counts, vote_sum=np.cumsum(sums[:, :-1], axis=1),
-        )
-
-
 def sweep_radius(
     task: SyntheticTask,
     source: int,
@@ -267,7 +211,7 @@ def sweep_radius(
     pair_budget: int = DEFAULT_PAIR_BUDGET,
     profile_seed: int = 0,
     threads: int | None = None,
-    bins: RadiusBins | None = None,
+    table: NeighborTable | None = None,
     on_degenerate: str = "raise",
 ) -> SweepResult:
     """Extend one source over a radius grid, refitting the model each time.
@@ -282,6 +226,14 @@ def sweep_radius(
     over-extension regime this sweep studies (a 1-nearest-neighbor
     extension saturates once the radius exceeds the support's covering
     distance).
+
+    The extended columns are read from one ``neighbor_tables`` table of
+    ``source`` over ``radii``, scanned here unless ``table`` is given.  A
+    given table must have the task's queries, support, grid and weighting
+    (else ``ValueError``) and is read as the task's ``source``, so one
+    scan of a vote matrix stacking the source columns of several tasks
+    that share points and supports serves every task's sweep; its support
+    votes must be the task's.
 
     Deep in the over-extension regime an agreement moment can hit an
     exact zero, where accuracy recovery degenerates at that radius;
@@ -300,14 +252,17 @@ def sweep_radius(
     base_post, base_pred = predict(votes, base_params)
     base_metric = evaluate(base_pred, gold).accuracy
 
-    if weighting is Weighting.ONE_NEAREST_NEIGHBOR:
+    if table is None:
         table = neighbor_tables(emb, votes, {source: radii}, weighting, task.metric, threads)[source]
+    elif not (
+        table.weighting is weighting
+        and np.array_equal(table.radii, np.unique(radii))
+        and np.array_equal(table.queries, np.flatnonzero(votes.votes[:, source] == 0))
+        and np.array_equal(table.support, votes.support(source))
+    ):
+        raise ValueError("table does not match this task's queries, support, radius grid and weighting")
     else:
-        if bins is None:
-            bins = RadiusBins(emb, votes, source, radii, task.metric)
-        elif not (np.array_equal(bins.radii, radii) and bins.matches(votes, source)):
-            raise ValueError("supplied RadiusBins do not match this task's support and grid")
-        table = bins.table(votes)
+        table = replace(table, source=source)
 
     orig_col = votes.votes[:, source]
     gold_arr = gold.labels

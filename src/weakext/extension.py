@@ -25,11 +25,14 @@ prune (high-dimensional data), no tile is cut and the chunks are those
 of a plain scan.
 
 A scan fills one ``NeighborTable`` per source for a whole radius grid
-(wsum folds each block once per grid radius, over the columns that
-radius can reach), and ``column`` reads an extended column from it:
-extension scans one-radius grids, while tuning and refinement scan each
-source once over every radius they will try, and diagnose's 1nn tables
-serve both its extension and its accuracy curves.
+(wsum folds each block once per grid radius with one skinny float32 GEMM
+per piece of rows, which counts the voters and sums every vote column at
+once), and ``column`` reads an extended column from it: extension scans
+one-radius grids, while tuning and refinement scan each source once over
+every radius they will try, and diagnose's 1nn tables serve both its
+extension and its accuracy curves.  Sources with equal supports and
+grids share one scan, so stacked vote variants fill all their tables in
+one pass.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -71,6 +74,7 @@ _MIN_CHUNK = 64  # query rows per chunk, whatever the support size
 _TILE_ROWS = 256  # query rows per pruning tile, at most
 _PROJ_DIMS = 4  # principal directions the tile bounds are taken in
 _SLACK = 2.0**-22  # error of a bounded distance; see _ScoreSpace.reach
+_EXACT_COLS = 2**24  # widest wsum fold piece whose float32 vote sums are exact
 
 
 @dataclass(frozen=True)
@@ -178,9 +182,12 @@ class _ScoreSpace:
     errs by ``2 gamma(d+2) M`` (dot, as ``|a| |b| <= M``), ``2u M`` (rounded
     norms) and ``(3 + 4) u M`` (subtractions, as scores lie in [-4M, 0]),
     so ``2e <= max(90u, 5 gamma(d+2)) M``, room left for ``2**-53`` terms;
-    the floor wins to d = 669 (cosine: 836).  ``(d + 2) 2**-1070 scale^2``
-    more covers squares underflowing in the float64 reference (spreads
-    below ~1e-150); a tau of 8 covers any gap.
+    the floor wins to d = 669 (cosine: 836).  The float64 reference
+    (``paired_distances``) scales before squaring, so no spread needs more,
+    except where the scale is capped at 2**1023 (spreads in the subnormal
+    range, where ``M`` falls below 1/4): there ``(d + 2) 2**-1070 scale^2``
+    is added, which takes tau to 8 and leaves every decision to float64
+    (a tau of 8 covers any gap).
 
     ``rows`` (float32) are the score-space rows, of norm at most 1: a pair
     at score-space distance ``D`` scores ``base - half D^2`` exactly
@@ -200,21 +207,22 @@ class _ScoreSpace:
             self.sq, self.base, self.half = None, 1.0, 0.5
             self.tau = max(1e-4, 2.0 * _dot_error_bound(emb.d))
         else:
-            self.rows, self.sq, self.scale, mx = emb._cached("centered32", self._mirror)
+            self.rows, self.sq, self.scale, mx, capped = emb._cached("centered32", self._mirror)
             self.base, self.half = 0.0, 1.0
-            under = (emb.d + 2) * 2.0**-1070 * self.scale * self.scale
+            under = (emb.d + 2) * 2.0**-1070 * self.scale * self.scale if capped else 0.0
             self.tau = min(8.0, max(2e-4, 5.0 * _dot_error_bound(emb.d)) * mx + under)
         self.proj, self.resid = emb._cached(f"proj_{self.metric.value}", self._project)
 
     def _mirror(self):
-        """``(rows, sq_norms, scale, M)``: float32 but for the scalars."""
+        """``(rows, sq_norms, scale, M, capped)``: float32 but for the scalars; capped: scale held at 2**1023."""
         c = self.emb.data - self.emb.data.mean(axis=0)
         e = -int(np.frexp(np.abs(c).max())[1])
         np.ldexp(c, e, out=c)  # entries below 1: no norm overflows
-        t = min(e - (int(np.frexp(np.einsum("ij,ij->i", c, c).max())[1]) + 1) // 2, 1023)  # finite scale
+        t = e - (int(np.frexp(np.einsum("ij,ij->i", c, c).max())[1]) + 1) // 2
+        capped, t = t > 1023, min(t, 1023)  # a finite scale
         np.ldexp(c, t - e, out=c)
         sq = np.einsum("ij,ij->i", c, c)
-        return c.astype(np.float32), sq.astype(np.float32), float(np.ldexp(1.0, t)), float(sq.max())
+        return c.astype(np.float32), sq.astype(np.float32), float(np.ldexp(1.0, t)), float(sq.max()), capped
 
     def _project(self):
         """``(proj, resid)``, from the top eigenvectors of a strided sample's scatter.
@@ -303,8 +311,9 @@ class NeighborTable:
     1nn keeps every abstainer's nearest support point, which answers any
     radius; wsum keeps, per grid radius, the count and signed sum of the
     voters inside it.  Rows follow ``queries``.  ``cells`` counts the
-    (query, support) pairs the scan scored; it is deterministic and kept
-    out of every artifact.
+    (query, support) pairs the scan scored (0 for a table sharing an
+    earlier source's scan); it is deterministic and kept out of every
+    artifact.
     """
 
     source: int
@@ -386,17 +395,27 @@ def _row_slices(rr):
     return zip(cuts.tolist(), [*cuts[1:].tolist(), rr.size])
 
 
-def _scan_chunk(space, votes, st, qpos, cpos, ends, buf):
-    """Score queries ``qpos`` of table ``st`` against its support (positions ``cpos``; None: all) and fold.
+def _scan_chunk(space, votes, group, qpos, cpos, ends, buf):
+    """Score queries ``qpos`` of ``group`` against its support (positions ``cpos``; None: all) and fold.
 
-    The block is written into the front of the worker's ``buf``.  Its
-    cells near a threshold or the 1nn best score are found in one flat
-    pass (``_split_flat``) and re-decided in float64 a slice of rows at a
-    time.  Tasks of one source cover disjoint query positions, so each
-    writes its own rows of the results without locking.  wsum folds the
-    block once per positive grid radius ``k``, over its first ``ends[k]``
-    columns (None: all).
+    ``group`` holds the tables of sources sharing one support and grid;
+    the first stands for all, and they share its nearest arrays (1nn) or
+    voter counts (wsum).  The block goes into the front of the worker's
+    ``buf``; tasks of one group cover disjoint query positions, so each
+    writes its own result rows without locking.  1nn re-decides the cells
+    near each row's best score in float64, a slice of rows at a time.
+    wsum folds each positive grid radius ``k`` over the first ``ends[k]``
+    columns (None: all), in pieces of whole rows of about
+    ``_CHUNK_ELEMS // 256`` cells: a piece's inside mask, as float32 in a
+    reused buffer, times ``[ones, vote columns...]`` in one GEMM gives the
+    count and every source's vote sum.  Each term is 0 or +-1, so every
+    partial sum BLAS forms, in any order, is an integer no larger than the
+    piece's width, which ``_EXACT_COLS`` (2^24; wider supports fold in
+    column pieces) keeps exact in float32.  Band cells are re-decided in
+    float64 and added, all columns in one ``np.add.at``.  Masks and band
+    indices are bounded by a piece.
     """
+    st = group[0]
     qids = st.queries[qpos]
     cols = st.support if cpos is None else st.support[cpos]
     sub = space.block(qids, cols, buf)
@@ -409,32 +428,35 @@ def _scan_chunk(space, votes, st, qpos, cpos, ends, buf):
             st.best_dist[qpos[grp]] = dist
             st.best_col[qpos[grp]] = cid
         return
-    # only boolean masks the size of `sub` are made; voters are counted
-    vcol = votes.votes[cols, st.source]
-    positive = vcol > 0
-    for k in np.flatnonzero(st.radii > 0):
-        e = cols.size if ends is None else int(ends[k])
-        if e == 0:  # the rows' results stay zero
-            continue
-        radius, part = float(st.radii[k]), sub[:, :e]
-        lo_s, hi_s = space.band(radius)
-        inside = part > hi_s
-        counts = np.count_nonzero(inside, axis=1)
-        sums = 2 * np.count_nonzero(inside & positive[:e], axis=1) - counts
-        near = part >= lo_s
-        near ^= inside
-        del inside
-        flat = np.flatnonzero(near)
-        del near
-        rr, cc = _split_flat(flat, e)
-        for a, b in _row_slices(rr):
-            r, c = rr[a:b], cc[a:b]
-            keep = paired_distances(emb, qids[r], cols[c], metric) <= radius
-            r, c = r[keep], c[keep]
-            np.add.at(counts, r, 1)
-            np.add.at(sums, r, vcol[c])
-        st.in_count[qpos, k] = counts
-        st.vote_sum[qpos, k] = sums
+    w = np.ones((cols.size, 1 + len(group)), dtype=np.float32)
+    w[:, 1:] = votes.votes[cols][:, [t.source for t in group]]
+    wi = w.astype(np.int64)
+    wide = min(cols.size, _EXACT_COLS)  # columns per piece
+    step = max(1, _CHUNK_ELEMS // 256 // wide)  # rows per piece
+    inside, near = np.empty(step * wide, dtype=bool), np.empty(step * wide, dtype=bool)
+    mask32 = np.empty(step * wide, dtype=np.float32)
+    grid = [(k, float(st.radii[k]), cols.size if ends is None else int(ends[k])) for k in np.flatnonzero(st.radii > 0)]
+    for a in range(0, qpos.size, step):
+        res = np.zeros((min(step, qpos.size - a), st.radii.size, w.shape[1]), dtype=np.int64)
+        for k, radius, e in grid:
+            lo_s, hi_s = space.band(radius)
+            for c in range(0, e, wide):  # one piece unless the support is wider than _EXACT_COLS
+                part = sub[a : a + step, c : min(e, c + wide)]
+                ins = np.greater(part, hi_s, out=inside[: part.size].reshape(part.shape))
+                fl = mask32[: part.size].reshape(part.shape)
+                fl[...] = ins
+                res[:, k] += (fl @ w[c : c + part.shape[1]]).astype(np.int64)
+                nr = np.greater_equal(part, lo_s, out=near[: part.size].reshape(part.shape))
+                nr ^= ins
+                rr, cc = _split_flat(np.flatnonzero(nr), part.shape[1])
+                cc += c
+                if rr.size:
+                    keep = paired_distances(emb, qids[a + rr], cols[cc], metric) <= radius
+                    np.add.at(res[:, k], rr[keep], wi[cc[keep]])
+        rows = qpos[a : a + step]
+        st.in_count[rows] = res[:, :, 0]
+        for i, t in enumerate(group):
+            t.vote_sum[rows] = res[:, :, 1 + i]
 
 
 def _kd_tiles(p):
@@ -473,7 +495,7 @@ def _box_distances(lo, hi, pts):
 
 
 def _tile_tasks(space, st, step):
-    """Score tasks ``(table, query positions, support positions, ends)`` of one table.
+    """Score tasks ``(query positions, support positions, ends)`` of one table.
 
     The queries are cut into k-d tiles on ``space.proj``.  A tile drops
     every support column whose distance from the tile's projected box is
@@ -527,11 +549,11 @@ def _tile_tasks(space, st, step):
                     full.append(tiles[t])
                 elif wsum and keep.size:
                     keep = keep[np.argsort(bound[keep], kind="stable")]
-                    tasks.append((st, tiles[t], keep, np.searchsorted(bound[keep], reach, side="right")))
+                    tasks.append((tiles[t], keep, np.searchsorted(bound[keep], reach, side="right")))
                 elif keep.size:
-                    tasks.append((st, tiles[t], keep, None))
+                    tasks.append((tiles[t], keep, None))
     run = np.sort(np.concatenate(full)) if full else np.empty(0, dtype=np.int64)
-    return [(st, run[i : i + step], None, None) for i in range(0, run.size, step)] + tasks
+    return [(run[i : i + step], None, None) for i in range(0, run.size, step)] + tasks
 
 
 def _run_tasks(tasks, threads, cells):
@@ -564,19 +586,22 @@ def _run_tasks(tasks, threads, cells):
 def _scan_sources(emb, votes, grids, weighting, metric, threads):
     """Check each grid of ``grids`` (source -> radii), then fill one table per source.
 
-    Each source's queries are cut into k-d tiles of at most
+    Sources with equal supports and grids form one group, planned, scored
+    and folded once; its first table owns the scan's ``cells`` (the others
+    count 0).  Each group's queries are cut into k-d tiles of at most
     ``_TILE_ROWS`` rows, and each tile drops the support columns that
     exact distance bounds prove its fold would reject (``_tile_tasks``).
     Tiles keeping every column are joined into chunks of about
     ``_CHUNK_ELEMS`` score cells (at least ``_MIN_CHUNK`` rows); the
     others are scored alone.  Every chunk or tile is one score block and
-    one fold, and all sources' blocks run on one pool of ``threads``
-    workers, each scoring into its own buffer sized for the largest
-    block.  A wsum table without a positive radius has nothing to fold.
+    one fold (``_scan_chunk``), and all groups' blocks run on one pool of
+    ``threads`` workers, each scoring into its own buffer sized for the
+    largest block.  A wsum group without a positive radius has nothing to
+    fold.
     """
     if emb.n != votes.n:
         raise ValueError(f"embeddings have {emb.n} rows but votes have {votes.n}")
-    tables, scans = {}, []
+    tables, groups = {}, {}
     for j, radii in grids.items():
         if not 0 <= j < votes.m:
             raise ValueError(f"source {j} out of range for {votes.m} sources")
@@ -584,29 +609,35 @@ def _scan_sources(emb, votes, grids, weighting, metric, threads):
         if not np.isfinite(radii).all() or (radii < 0).any():
             raise DataError(f"radius grid of source {j} must be finite and nonnegative")
         abstain = votes.votes[:, j] == 0
-        queries, support = np.flatnonzero(abstain), np.flatnonzero(~abstain)
-        t = tables[j] = NeighborTable(j, queries, support, radii, weighting)
-        nq, ns = queries.size, support.size
-        if weighting is Weighting.ONE_NEAREST_NEIGHBOR:
-            t.best_dist = np.full(nq, np.inf)
-            t.best_col = np.full(nq, votes.n, dtype=np.int64)
+        group = groups.setdefault((abstain.tobytes(), radii.tobytes()), [])
+        if group:
+            lead = group[0]
+            t = replace(lead, source=j, vote_sum=None if lead.vote_sum is None else np.zeros_like(lead.vote_sum))
         else:
-            t.in_count = np.zeros((nq, radii.size), dtype=np.int64)
-            t.vote_sum = np.zeros((nq, radii.size), dtype=np.int64)
-            if not (radii > 0).any():
-                continue
-        if nq and ns:
-            scans.append(t)
+            queries, support = np.flatnonzero(abstain), np.flatnonzero(~abstain)
+            t = NeighborTable(j, queries, support, radii, weighting)
+            if weighting is Weighting.ONE_NEAREST_NEIGHBOR:
+                t.best_dist = np.full(queries.size, np.inf)
+                t.best_col = np.full(queries.size, votes.n, dtype=np.int64)
+            else:
+                t.in_count = np.zeros((queries.size, radii.size), dtype=np.int64)
+                t.vote_sum = np.zeros((queries.size, radii.size), dtype=np.int64)
+        group.append(t)
+        tables[j] = t
+    scans = [g for g in groups.values() if g[0].queries.size and g[0].support.size]
+    if weighting is Weighting.THRESHOLDED_WEIGHTED_SUM:  # a grid without a positive radius has nothing to fold
+        scans = [g for g in scans if (g[0].radii > 0).any()]
     if scans:
         space = _ScoreSpace(emb, metric)
         tasks = []
-        for t in scans:
-            plan = _tile_tasks(space, t, max(_MIN_CHUNK, _CHUNK_ELEMS // t.support.size))
-            t.cells = sum(q.size * (t.support.size if c is None else c.size) for _, q, c, _ in plan)
-            tasks += plan
+        for g in scans:
+            st = g[0]
+            plan = _tile_tasks(space, st, max(_MIN_CHUNK, _CHUNK_ELEMS // st.support.size))
+            st.cells = sum(q.size * (st.support.size if c is None else c.size) for q, c, _ in plan)
+            tasks += [(g, *task) for task in plan]
         if tasks:  # none when every tile is beyond a wsum scan's largest radius
             threads = min(4, os.cpu_count() or 1) if threads is None else max(1, int(threads))
-            cells = max(q.size * (t.support.size if c is None else c.size) for t, q, c, _ in tasks)
+            cells = max(q.size * (g[0].support.size if c is None else c.size) for g, q, c, _ in tasks)
             _run_tasks([partial(_scan_chunk, space, votes, *task) for task in tasks], threads, cells)
     return tables
 

@@ -112,6 +112,17 @@ class TestPairwiseDistances:
         pairs = paired_distances(emb, np.repeat(idx, idx.size), np.tile(idx, idx.size), "euclidean")
         assert np.array_equal(pairs, want.ravel())
 
+    @pytest.mark.parametrize("power", [-600, 600])
+    def test_unit_rows_ignore_the_scale(self, power):
+        # plain squared norms of these rows underflow or overflow
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((40, 5))
+        want = EmbeddingSet(x).unit
+        assert np.array_equal(EmbeddingSet(x * 2.0**power).unit, want)
+        idx = np.arange(40)
+        cos = pairwise_distances(EmbeddingSet(x * 2.0**power), idx, idx, "cosine")
+        assert np.array_equal(cos, pairwise_distances(EmbeddingSet(x), idx, idx, "cosine"))
+
     def test_euclidean_matches_norm(self):
         rng = np.random.default_rng(12)
         x = rng.uniform(size=(10, 3))
@@ -302,6 +313,67 @@ class TestCsvIO:
         save_labels(labels, p1)
         save_labels(load_labels(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "text, rows",
+        [
+            (" 1,\t-1 , +1\n", [[1, -1, 1]]),
+            ("01,-0,+0\n00,-01,1\n", [[1, 0, 0], [0, -1, 1]]),
+            ("\n1,0\n\n  \n-1,1\n\n", [[1, 0], [-1, 1]]),  # blank lines anywhere
+            ("1,0\r\n0,1\r\n", [[1, 0], [0, 1]]),
+            ("1,0\n0,1", [[1, 0], [0, 1]]),  # no final newline
+        ],
+        ids=["spaces-signs", "leading-zeros", "blank-lines", "crlf", "no-final-newline"],
+    )
+    def test_accepted_spellings(self, tmp_path, text, rows):
+        path = tmp_path / "v.csv"
+        path.write_bytes(text.encode("ascii"))
+        assert load_votes(path).votes.tolist() == rows
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1,0\n0,1.0\n", "non-integer vote entry '1.0' at (row 1, col 1)"),
+            ("1,0\n\nx,1\n", "non-integer vote entry 'x' at (row 2, col 0)"),
+            ("1,,0\n", "non-integer vote entry '' at (row 0, col 1)"),
+            ("1,0\n0,x\n1\n", "non-integer vote entry 'x' at (row 1, col 1)"),  # first fault wins
+            ("1,0\n1\n0,x\n", "row 1 has 1 columns, expected 2"),
+            ("1,0\n\n1,0,1\n", "row 2 has 3 columns, expected 2"),
+            ("\n\n \n", "no rows"),
+            ("1,2\n", "vote entry 2 at (row 0, col 1) not in [-1, 0, 1]"),
+        ],
+        ids=["float", "letter", "empty-cell", "letter-before-ragged", "ragged-before-letter",
+             "wide-after-blank", "only-blank", "out-of-alphabet"],
+    )
+    def test_rejected_spellings(self, tmp_path, text, message):
+        path = tmp_path / "v.csv"
+        path.write_bytes(text.encode("ascii"))
+        with pytest.raises(DataError) as err:
+            load_votes(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_matches_a_per_cell_loop(self, tmp_path):
+        # the reference: strip each line, skip blank ones, int() each cell
+        rng = np.random.default_rng(15)
+        spellings = ["1", "-1", "0", " 1", "+1", "01", "-0", "1 ", "\t-1", "+0", "001"]
+        path = tmp_path / "v.csv"
+        for _ in range(20):
+            lines = [",".join(rng.choice(spellings, 3)) for _ in range(int(rng.integers(1, 40)))]
+            for k in rng.integers(0, len(lines) + 1, 5):
+                lines.insert(k, rng.choice(["", "  ", "\t"]))
+            text = "\n".join(lines) + rng.choice(["", "\n"])
+            path.write_text(text)
+            want = [[int(c) for c in line.strip().split(",")] for line in text.split("\n") if line.strip()]
+            assert load_votes(path).votes.tolist() == want
+
+    def test_written_bytes(self, tmp_path):
+        path = tmp_path / "v.csv"
+        save_votes(VoteMatrix(np.array([[1, 0, -1], [0, 0, 1]])), path)
+        assert path.read_bytes() == b"1,0,-1\n0,0,1\n"
+        save_labels(LabelVector(np.array([-1, 1])), path)
+        assert path.read_bytes() == b"-1\n1\n"
+        save_votes(VoteMatrix(np.zeros((0, 2))), path)
+        assert path.read_bytes() == b""
 
     def test_labels_reject_zero(self, tmp_path):
         path = tmp_path / "l.csv"

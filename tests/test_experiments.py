@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from weakext.core import DataError, LabelVector, Metric, RadiusConfig, Weighting
+from weakext.core import DataError, LabelVector, Metric, RadiusConfig, VoteMatrix, Weighting
 from weakext.diagnostics import LipschitzProfile, default_radius_grid
 from weakext.experiments import (
-    RadiusBins,
     evaluate,
     generate_checkerboard,
     refine_radii,
@@ -14,7 +13,7 @@ from weakext.experiments import (
     theory_guided_radius,
     tune_shared_radius,
 )
-from weakext.extension import extend_votes
+from weakext.extension import extend_votes, neighbor_tables
 from weakext.label_model import estimate_accuracies, predict
 
 
@@ -125,22 +124,43 @@ class TestSweepRadius:
             acc = (pred.labels == task.gold.labels).mean()
             assert sw.metric_values[k] == acc
 
-    def test_bin_cache_reuse_is_exact(self):
+    def test_stacked_variants_table_sweep_is_exact(self):
+        # variants of one seed share points and supports: one scan of their
+        # stacked source-0 columns serves each variant's sweep
         base = small_task(seed=21)
-        variant = generate_checkerboard(1500, 4, 3, (0.66, 0.8, 0.8), (0.1, 1.0, 1.0), seed=21)
+        variants = [base] + [
+            generate_checkerboard(1500, cells, 3, (acc, 0.8, 0.8), (0.1, 1.0, 1.0), seed=21, layout=layout)
+            for cells, acc, layout in ((4, 0.66, "checkerboard"), (10, 0.94, "random"))
+        ]
+        stacked = VoteMatrix(np.stack([v.votes.votes[:, 0] for v in variants], axis=1))
         grid = default_radius_grid(0.02, 0.8, 8)
-        bins = RadiusBins(base.embeddings, base.votes, 0, grid, Metric.EUCLIDEAN)
-        direct = sweep_radius(variant, 0, grid, compute_bound=False)
-        cached = sweep_radius(variant, 0, grid, compute_bound=False, bins=bins)
-        np.testing.assert_array_equal(direct.metric_values, cached.metric_values)
+        for w in Weighting:
+            tables = neighbor_tables(base.embeddings, stacked, {i: grid for i in range(len(variants))},
+                                     w, Metric.EUCLIDEAN)
+            assert sum(t.cells for t in tables.values()) == tables[0].cells  # one scan
+            for i, variant in enumerate(variants):
+                direct = sweep_radius(variant, 0, grid, weighting=w, compute_bound=False)
+                shared = sweep_radius(variant, 0, grid, weighting=w, compute_bound=False, table=tables[i])
+                np.testing.assert_array_equal(direct.metric_values, shared.metric_values)
+                np.testing.assert_array_equal(direct.coverage, shared.coverage)
+                np.testing.assert_array_equal(direct.extended_accuracy, shared.extended_accuracy)
 
-    def test_bin_cache_mismatch_rejected(self):
+    def test_mismatched_table_rejected(self):
         task = small_task(seed=22)
         other = generate_checkerboard(1500, 10, 3, (0.89, 0.8, 0.8), (0.1, 1.0, 1.0), seed=23)
         grid = default_radius_grid(0.02, 0.8, 8)
-        bins = RadiusBins(task.embeddings, task.votes, 0, grid, Metric.EUCLIDEAN)
-        with pytest.raises(ValueError, match="RadiusBins"):
-            sweep_radius(other, 0, grid, compute_bound=False, bins=bins)
+        wsum = Weighting.THRESHOLDED_WEIGHTED_SUM
+        table = neighbor_tables(task.embeddings, task.votes, {0: grid}, wsum, Metric.EUCLIDEAN)[0]
+        sweep_radius(task, 0, grid, compute_bound=False, table=table)
+        mismatches = [
+            (other, 0, grid, wsum),  # another support
+            (task, 1, grid, wsum),  # another source's support
+            (task, 0, grid[:-1], wsum),  # another grid
+            (task, 0, grid, Weighting.ONE_NEAREST_NEIGHBOR),
+        ]
+        for t, source, g, w in mismatches:
+            with pytest.raises(ValueError, match="table does not match"):
+                sweep_radius(t, source, g, weighting=w, compute_bound=False, table=table)
 
     def test_measured_accuracy_consistency(self):
         task = small_task(seed=24)

@@ -480,22 +480,27 @@ def radius_shells(draw):
 
 
 def _check_against_oracles(x, votes, radii, metric, chunk_elems, tile_rows):
+    # one more source votes on source 0's support, some votes flipped: the
+    # two share one scan wherever their radii agree
+    flip = np.random.default_rng(votes.shape[0]).choice([-1, 1], votes.shape[0])
+    votes, radii = np.column_stack([votes, votes[:, 0] * flip]), np.append(radii, radii[0])
     emb, vm = EmbeddingSet(x), VoteMatrix(votes)
-    # tiny chunks and tiles: every source splits into many query chunks at
-    # n ~ 200, and pruned tiles mix with whole ones
+    m = votes.shape[1]
+    # tiny chunks, wsum fold pieces and tiles: every source splits into many
+    # query chunks at n ~ 200, and pruned tiles mix with whole ones
     with mock.patch.multiple(extension, _CHUNK_ELEMS=chunk_elems, _MIN_CHUNK=1, _TILE_ROWS=tile_rows):
         for w in Weighting:
             expected = brute_force_extend(x, votes, radii, w.value, metric=metric)
             for threads in (1, 2, 4):
                 ext, _ = extend_votes(emb, vm, RadiusConfig(radii, w), metric=Metric(metric), threads=threads)
                 assert np.array_equal(ext.votes, expected), (w, threads)
-        for j in range(votes.shape[1]):
-            want = brute_force_nearest(x, votes, j, metric)
-            for threads in (1, 2, 4):
-                queries, dist, best = nearest(emb, vm, j, metric=Metric(metric), threads=threads)
-                assert np.array_equal(queries, want[0]) and np.array_equal(best, want[2]), threads
+        want = [brute_force_nearest(x, votes, j, metric) for j in range(m)]
+        for threads in (1, 2, 4):
+            tables = neighbor_tables(emb, vm, dict.fromkeys(range(m), ()), metric=Metric(metric), threads=threads)
+            for j, t in tables.items():
+                assert np.array_equal(t.queries, want[j][0]) and np.array_equal(t.best_col, want[j][2]), threads
                 # the oracle's matmul and the scan's pairwise dot differ in the last bits
-                np.testing.assert_allclose(dist, want[1], rtol=1e-14, atol=1e-15)
+                np.testing.assert_allclose(t.best_dist, want[j][1], rtol=1e-14, atol=1e-15)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -514,9 +519,9 @@ def _scan_kinds(fn):
     """``(fn(), kinds)``: the scan's blocks as ``"pruned"`` (a tile on some columns) or ``"whole"``."""
     kinds = []
 
-    def spy(space, votes, st, qpos, cpos, ends, buf):
+    def spy(space, votes, group, qpos, cpos, ends, buf):
         kinds.append("whole" if cpos is None else "pruned")
-        return scan_chunk(space, votes, st, qpos, cpos, ends, buf)
+        return scan_chunk(space, votes, group, qpos, cpos, ends, buf)
 
     scan_chunk = extension._scan_chunk
     with mock.patch.object(extension, "_scan_chunk", spy):
@@ -655,9 +660,9 @@ class TestScoredCells:
         emb, vm = EmbeddingSet(x), VoteMatrix(votes)
         shapes = []
 
-        def spy(space, votes, st, qpos, cpos, ends, buf):
-            shapes.append((st.source, qpos.tolist(), cpos))
-            return scan_chunk(space, votes, st, qpos, cpos, ends, buf)
+        def spy(space, votes, group, qpos, cpos, ends, buf):
+            shapes.append((group[0].source, qpos.tolist(), cpos))
+            return scan_chunk(space, votes, group, qpos, cpos, ends, buf)
 
         scan_chunk = extension._scan_chunk
         with mock.patch.multiple(extension, _CHUNK_ELEMS=100_000, _scan_chunk=spy):
@@ -669,6 +674,46 @@ class TestScoredCells:
             want = [list(range(lo, min(lo + step, nq))) for lo in range(0, nq, step)]
             assert sorted(q for s, q, c in shapes if s == j) == want
             assert all(c is None for s, q, c in shapes if s == j)
+
+
+    @pytest.mark.parametrize("exact_cols", [2**24, 37], ids=["one-piece", "column-pieces"])
+    @pytest.mark.parametrize("weighting", list(Weighting), ids=lambda w: w.value)
+    def test_sources_sharing_a_support_and_grid_scan_once(self, weighting, exact_cols):
+        # sources 0, 2 and 3 vote on one support with different votes (3 on
+        # another grid); source 1 elsewhere: each table equals its own scan
+        # bit for bit, also when the wsum fold splits its columns, and the
+        # cells the blocks score are counted once
+        from weakext.experiments import generate_checkerboard
+
+        task = generate_checkerboard(3000, 10, 3, (0.9, 0.8, 0.8), (0.2, 0.15, 0.15), seed=27)
+        v = task.votes.votes
+        flip = np.random.default_rng(27).choice([-1, 1], v.shape[0])
+        vm = VoteMatrix(np.column_stack([v[:, :2], v[:, 0] * flip, -v[:, 0]]))
+        grid = np.linspace(0.0, 0.2, 9)
+        grids = {0: grid, 1: grid, 2: grid, 3: grid[:-1]}
+        names = ["best_dist", "best_col", "in_count", "vote_sum"]
+        with mock.patch.multiple(extension, _CHUNK_ELEMS=200_000, _MIN_CHUNK=1):
+            alone = {
+                j: neighbor_tables(task.embeddings, vm, {j: g}, weighting, Metric.EUCLIDEAN, threads=1)[j]
+                for j, g in grids.items()
+            }
+            for threads in (1, 2, 4):
+                scored = []
+
+                def spy(space, votes, group, qpos, cpos, ends, buf):
+                    scored.append(qpos.size * (group[0].support.size if cpos is None else cpos.size))
+                    return scan_chunk(space, votes, group, qpos, cpos, ends, buf)
+
+                scan_chunk = extension._scan_chunk
+                with mock.patch.multiple(extension, _scan_chunk=spy, _EXACT_COLS=exact_cols):
+                    tables = neighbor_tables(task.embeddings, vm, grids, weighting, Metric.EUCLIDEAN, threads)
+                assert sum(t.cells for t in tables.values()) == sum(scored)
+                assert tables[2].cells == 0 and tables[0].cells == alone[0].cells > 0
+                assert tables[3].cells == alone[3].cells > 0  # another grid: its own scan
+                for j, t in tables.items():
+                    for name in names:
+                        a, b = getattr(t, name), getattr(alone[j], name)
+                        assert (a is None and b is None) or np.array_equal(a, b), (j, name, threads)
 
 
 @pytest.mark.parametrize("weighting", list(Weighting), ids=lambda w: w.value)
@@ -896,10 +941,12 @@ class TestScoreSpace:
 
     @pytest.mark.parametrize("scale", [1e-170, 1e-300])
     def test_spread_below_float64_squares_agrees_with_brute_force(self, scale):
-        # the float64 reference's squared differences underflow, so the band
-        # must widen enough to leave the decisions to it
+        # plain squared differences underflow; the float64 reference scales
+        # them, so the band stays as narrow as at spread 1
         rng = np.random.default_rng(14)
         x = rng.standard_normal((80, 3)) * scale
+        if scale == 1e-170:
+            assert extension._ScoreSpace(EmbeddingSet(x), Metric.EUCLIDEAN).tau < 1e-3
         votes = rng.choice([-1, 0, 1], size=(80, 2), p=[0.3, 0.4, 0.3])
         for w in Weighting:
             for r in (0.1 * scale, scale):
