@@ -33,6 +33,7 @@ from .core import (
 )
 from .diagnostics import DEFAULT_PAIR_BUDGET, default_radius_grid, diagnose
 from .experiments import (
+    _extendable,
     _resolve_metric_name,
     evaluate,
     generate_checkerboard,
@@ -355,9 +356,7 @@ def cmd_tune(args) -> int:
         result["refined_metric"] = refined.metric_value
     else:
         radii = np.zeros(votes.m)
-        for j in range(votes.m):
-            if (votes.votes[:, j] == 0).any() and (votes.votes[:, j] != 0).any():
-                radii[j] = shared.radius
+        radii[_extendable(votes)] = shared.radius
         config = RadiusConfig(radii, weighting)
     _write_json(config.to_dict(), out / "radius_config.json")
     if shared.radii is not None:

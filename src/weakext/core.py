@@ -281,9 +281,9 @@ def pairwise_distances(emb: EmbeddingSet, rows, cols, metric: Metric = Metric.CO
 
     Euclidean distances come from direct coordinate differences (no
     norm-expansion cancellation near duplicates), each scaled by a power
-    of two before squaring (no overflow at any spread); cosine distances take
-    the row-wise products of ``paired_distances``, so both functions
-    agree to the bit.  Computed in chunks to bound memory.
+    of two before squaring (no overflow at any spread); cosine distances are
+    ``paired_distances`` of every pair, so both functions agree to the
+    bit.  Computed in chunks to bound memory.
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
@@ -327,7 +327,12 @@ def _scaled_norms(diff: np.ndarray) -> np.ndarray:
 
 
 def paired_distances(emb: EmbeddingSet, idx_a, idx_b, metric: Metric = Metric.COSINE) -> np.ndarray:
-    """Exact float64 distances for aligned index pairs (idx_a[k], idx_b[k])."""
+    """Exact float64 distances for aligned index pairs (idx_a[k], idx_b[k]).
+
+    Cosine is half the squared difference of the unit rows, so near
+    duplicates keep their relative precision (``1 - <a,b>`` rounds them
+    to noise of 1e-16, which then picks the nearest of several).
+    """
     idx_a = np.asarray(idx_a, dtype=np.int64)
     idx_b = np.asarray(idx_b, dtype=np.int64)
     metric = Metric(metric)
@@ -336,8 +341,9 @@ def paired_distances(emb: EmbeddingSet, idx_a, idx_b, metric: Metric = Metric.CO
     for lo in range(0, idx_a.size, step):
         a, b = idx_a[lo : lo + step], idx_b[lo : lo + step]
         if metric is Metric.COSINE:
-            sim = np.einsum("ij,ij->i", emb.unit[a], emb.unit[b])
-            out[lo : lo + step] = np.clip(1.0 - sim, 0.0, 2.0)
+            diff = emb.unit[a]
+            diff -= emb.unit[b]
+            out[lo : lo + step] = np.minimum(0.5 * np.einsum("ij,ij->i", diff, diff), 2.0)
         else:
             out[lo : lo + step] = _scaled_norms(emb.data[a] - emb.data[b])
     return out

@@ -330,6 +330,11 @@ def _resolve_metric_name(name: str, dev_labels: LabelVector) -> str:
     return "f1" if balance < 0.35 else "accuracy"
 
 
+def _extendable(votes: VoteMatrix) -> list:
+    """Sources with both votes and abstains: the only ones extension can change."""
+    return [j for j in range(votes.m) if (votes.votes[:, j] == 0).any() and (votes.votes[:, j] != 0).any()]
+
+
 def _dev_metric(pred: LabelVector, dev_labels: LabelVector, name: str) -> float:
     head = LabelVector(pred.labels[: dev_labels.n])
     rep = evaluate(head, dev_labels)
@@ -371,9 +376,7 @@ def tune_shared_radius(
     name = _resolve_metric_name(tune_metric, dev_labels)
     weighting = Weighting(weighting)
 
-    extendable = [
-        j for j in range(votes.m) if (votes.votes[:, j] == 0).any() and (votes.votes[:, j] != 0).any()
-    ]
+    extendable = _extendable(votes)
     evaluate_radii = _make_pipeline_evaluator(
         emb, votes, dev_labels, prior, name, metric, weighting, {j: radii for j in extendable}, threads
     )
@@ -449,9 +452,7 @@ def refine_radii(
         raise ValueError("passes must be at least 1")
     name = _resolve_metric_name(tune_metric, dev_labels)
     weighting = Weighting(weighting)
-    extendable = [
-        j for j in range(votes.m) if (votes.votes[:, j] == 0).any() and (votes.votes[:, j] != 0).any()
-    ]
+    extendable = _extendable(votes)
     current = {j: float(r_star) for j in extendable}
     if local_grids is None:
         local_grids = {j: default_local_grid(float(r_star)) for j in extendable}

@@ -17,12 +17,13 @@ each chunk or pruned tile is scored against its columns in one float32
 GEMM block (the only score path; Euclidean rows are centered and scaled
 by a power of two), written into a buffer that each scan worker owns and
 reuses for every block it runs, and folded into per-query results.  The
-fold finds the cells near a threshold or a tie in one flat pass over the
-block's mask and re-evaluates them in float64, a slice of whole rows at
-a time, so results are identical to a pure float64 scan whatever the
-tiling, chunking, thread count, data offset or scale.  Where nothing can
-prune (high-dimensional data), no tile is cut and the chunks are those
-of a plain scan.
+fold walks the block in pieces of whole rows; each piece marks the cells
+near a threshold or a tie in one reused mask and re-evaluates them in
+float64, so results are identical to a pure float64 scan whatever the
+tiling, chunking, thread count, data offset or scale, and the fold's
+scratch is bounded by a piece.  Where nothing can prune
+(high-dimensional data), no tile is cut and the chunks are those of a
+plain scan.
 
 A scan fills one ``NeighborTable`` per source for a whole radius grid
 (wsum folds each block once per grid radius with one skinny float32 GEMM
@@ -74,6 +75,7 @@ _MIN_CHUNK = 64  # query rows per chunk, whatever the support size
 _TILE_ROWS = 256  # query rows per pruning tile, at most
 _PROJ_DIMS = 4  # principal directions the tile bounds are taken in
 _SLACK = 2.0**-22  # error of a bounded distance; see _ScoreSpace.reach
+_PIECE_CELLS = 2**17  # score cells per fold piece of whole rows (at least one row)
 _EXACT_COLS = 2**24  # widest wsum fold piece whose float32 vote sums are exact
 
 
@@ -155,17 +157,19 @@ def neighbors_in_support(
 
 
 def _dot_error_bound(d: int) -> float:
-    """Worst case of |float32 dot - float64 dot| of two rows in ``d`` dims, per ``|a| |b|``.
+    """Worst case of |float32 dot - float64 reference| of two rows in ``d`` dims, per ``|a| |b|``.
 
     Rounding both rows to float32 and a d-term float32 dot product (any
     summation order, with or without FMA) put at most ``d + 2`` relative
     roundings on each product term, so the error is at most
     ``gamma(d + 2) * sum_k |a_k b_k| <= gamma(d + 2) |a| |b|`` with
     ``gamma(k) = k*u / (1 - k*u)`` and ``u = 2**-24``.  The float64
-    reference adds the same term with ``u = 2**-53``.
+    reference adds four times that term with ``u = 2**-53``: cosine's
+    half squared difference of unit rows errs by ``2 gamma(d + 2)`` and
+    misses their exact ``1 - dot`` by at most ``(d + 5) 2**-53``.
     """
     k = d + 2
-    return sum(k * u / (1.0 - k * u) for u in (2.0**-24, 2.0**-53))
+    return k * 2.0**-24 / (1.0 - k * 2.0**-24) + 4.0 * k * 2.0**-53 / (1.0 - k * 2.0**-53)
 
 
 class _ScoreSpace:
@@ -370,31 +374,6 @@ def _refine_first_per_group(emb, metric, groups, qids, cids):
     return groups[pick], dist[pick], cids[pick]
 
 
-def _split_flat(flat, ncols):
-    """Rows and columns of ``flat`` indices into a C-order block ``ncols`` wide.
-
-    ``flat`` (from one ``np.flatnonzero`` pass over a block's mask)
-    becomes the rows in place, so the cells cost two int64 arrays.
-    """
-    cc = flat % ncols
-    flat //= ncols
-    return flat, cc
-
-
-def _row_slices(rr):
-    """``(a, b)`` ranges covering ``rr`` (ascending rows) in slices of whole rows.
-
-    Each slice holds about ``_CHUNK_ELEMS // 256`` entries (plus at most
-    one row), so the float64 re-check of a band as large as its block
-    needs only a slice's scratch memory.
-    """
-    step = max(1, _CHUNK_ELEMS // 256)
-    if rr.size <= step:  # one slice, or none
-        return [(0, rr.size)] if rr.size else []
-    cuts = np.unique(np.searchsorted(rr, rr[::step]))
-    return zip(cuts.tolist(), [*cuts[1:].tolist(), rr.size])
-
-
 def _scan_chunk(space, votes, group, qpos, cpos, ends, buf):
     """Score queries ``qpos`` of ``group`` against its support (positions ``cpos``; None: all) and fold.
 
@@ -402,42 +381,50 @@ def _scan_chunk(space, votes, group, qpos, cpos, ends, buf):
     the first stands for all, and they share its nearest arrays (1nn) or
     voter counts (wsum).  The block goes into the front of the worker's
     ``buf``; tasks of one group cover disjoint query positions, so each
-    writes its own result rows without locking.  1nn re-decides the cells
-    near each row's best score in float64, a slice of rows at a time.
-    wsum folds each positive grid radius ``k`` over the first ``ends[k]``
-    columns (None: all), in pieces of whole rows of about
-    ``_CHUNK_ELEMS // 256`` cells: a piece's inside mask, as float32 in a
-    reused buffer, times ``[ones, vote columns...]`` in one GEMM gives the
-    count and every source's vote sum.  Each term is 0 or +-1, so every
-    partial sum BLAS forms, in any order, is an integer no larger than the
-    piece's width, which ``_EXACT_COLS`` (2^24; wider supports fold in
-    column pieces) keeps exact in float32.  Band cells are re-decided in
-    float64 and added, all columns in one ``np.add.at``.  Masks and band
-    indices are bounded by a piece.
+    writes its own result rows without locking.  Both folds walk the
+    block in pieces of whole rows of about ``_PIECE_CELLS`` cells, each
+    marking its float64 candidates in one reused bool mask, so scratch is
+    bounded by a piece, not by the block or its band; a row's decision
+    depends on that row alone, so the pieces change no result.  1nn marks
+    the cells within ``tau`` of each row's best score and keeps each
+    row's float64 nearest among them.  wsum folds each positive grid
+    radius ``k`` over the first ``ends[k]`` columns (None: all): a piece's
+    inside mask, as float32 in a reused buffer, times ``[ones, vote
+    columns...]`` in one GEMM gives the count and every source's vote
+    sum.  Each term is 0 or +-1, so every partial sum BLAS forms, in any
+    order, is an integer no larger than the piece's width, which
+    ``_EXACT_COLS`` (2^24; wider supports fold in column pieces) keeps
+    exact in float32.  The band cells are re-decided in float64 and
+    added, all columns in one ``np.add.at``.
     """
     st = group[0]
     qids = st.queries[qpos]
     cols = st.support if cpos is None else st.support[cpos]
     sub = space.block(qids, cols, buf)
     emb, metric = space.emb, space.metric
-    if st.weighting is Weighting.ONE_NEAREST_NEIGHBOR:
-        rr, cc = _split_flat(np.flatnonzero(sub >= (sub.max(axis=1)[:, None] - space.tau)), cols.size)
-        for a, b in _row_slices(rr):
-            r = rr[a:b]
-            grp, dist, cid = _refine_first_per_group(emb, metric, r, qids[r], cols[cc[a:b]])
-            st.best_dist[qpos[grp]] = dist
-            st.best_col[qpos[grp]] = cid
-        return
-    w = np.ones((cols.size, 1 + len(group)), dtype=np.float32)
-    w[:, 1:] = votes.votes[cols][:, [t.source for t in group]]
-    wi = w.astype(np.int64)
-    wide = min(cols.size, _EXACT_COLS)  # columns per piece
-    step = max(1, _CHUNK_ELEMS // 256 // wide)  # rows per piece
-    inside, near = np.empty(step * wide, dtype=bool), np.empty(step * wide, dtype=bool)
-    mask32 = np.empty(step * wide, dtype=np.float32)
-    grid = [(k, float(st.radii[k]), cols.size if ends is None else int(ends[k])) for k in np.flatnonzero(st.radii > 0)]
+    nn = st.weighting is Weighting.ONE_NEAREST_NEIGHBOR
+    wide = cols.size if nn else min(cols.size, _EXACT_COLS)  # columns per piece
+    step = min(qpos.size, max(1, _PIECE_CELLS // wide))  # rows per piece, scratch sized to the block
+    if not nn:
+        w = np.ones((cols.size, 1 + len(group)), dtype=np.float32)
+        w[:, 1:] = votes.votes[cols][:, [t.source for t in group]]
+        wi = w.astype(np.int64)
+        inside, mask32 = np.empty(step * wide, dtype=bool), np.empty(step * wide, dtype=np.float32)
+        grid = [(k, float(st.radii[k]), cols.size if ends is None else int(ends[k]))
+                for k in np.flatnonzero(st.radii > 0)]
+    mask = np.empty(step * wide, dtype=bool)
     for a in range(0, qpos.size, step):
-        res = np.zeros((min(step, qpos.size - a), st.radii.size, w.shape[1]), dtype=np.int64)
+        rows = qpos[a : a + step]
+        if nn:
+            part = sub[a : a + step]
+            top = part.max(axis=1)[:, None] - space.tau  # float32, as the scores
+            hit = np.greater_equal(part, top, out=mask[: part.size].reshape(part.shape))
+            rr, cc = np.divmod(np.flatnonzero(hit), wide)
+            grp, dist, cid = _refine_first_per_group(emb, metric, rr, qids[a + rr], cols[cc])
+            st.best_dist[rows[grp]] = dist
+            st.best_col[rows[grp]] = cid
+            continue
+        res = np.zeros((rows.size, st.radii.size, w.shape[1]), dtype=np.int64)
         for k, radius, e in grid:
             lo_s, hi_s = space.band(radius)
             for c in range(0, e, wide):  # one piece unless the support is wider than _EXACT_COLS
@@ -446,14 +433,13 @@ def _scan_chunk(space, votes, group, qpos, cpos, ends, buf):
                 fl = mask32[: part.size].reshape(part.shape)
                 fl[...] = ins
                 res[:, k] += (fl @ w[c : c + part.shape[1]]).astype(np.int64)
-                nr = np.greater_equal(part, lo_s, out=near[: part.size].reshape(part.shape))
-                nr ^= ins
-                rr, cc = _split_flat(np.flatnonzero(nr), part.shape[1])
-                cc += c
+                hit = np.greater_equal(part, lo_s, out=mask[: part.size].reshape(part.shape))
+                hit ^= ins
+                rr, cc = np.divmod(np.flatnonzero(hit), part.shape[1])
                 if rr.size:
+                    cc += c
                     keep = paired_distances(emb, qids[a + rr], cols[cc], metric) <= radius
                     np.add.at(res[:, k], rr[keep], wi[cc[keep]])
-        rows = qpos[a : a + step]
         st.in_count[rows] = res[:, :, 0]
         for i, t in enumerate(group):
             t.vote_sum[rows] = res[:, :, 1 + i]
@@ -583,8 +569,20 @@ def _run_tasks(tasks, threads, cells):
             f.result()
 
 
-def _scan_sources(emb, votes, grids, weighting, metric, threads):
-    """Check each grid of ``grids`` (source -> radii), then fill one table per source.
+def neighbor_tables(
+    emb: EmbeddingSet,
+    votes: VoteMatrix,
+    grids: dict,
+    weighting: Weighting = Weighting.ONE_NEAREST_NEIGHBOR,
+    metric: Metric = Metric.COSINE,
+    threads: int | None = None,
+) -> dict:
+    """One scan per source of ``grids`` (source -> radii) in one pool.
+
+    Returns a ``NeighborTable`` per source, whose ``column(votes, r)``
+    is that source's column as ``extend_votes`` extends it at radius
+    ``r`` (for wsum, ``r`` must be on the grid).  Each grid is sorted and
+    deduplicated and must be finite and nonnegative (else ``DataError``).
 
     Sources with equal supports and grids form one group, planned, scored
     and folded once; its first table owns the scan's ``cells`` (the others
@@ -599,6 +597,7 @@ def _scan_sources(emb, votes, grids, weighting, metric, threads):
     largest block.  A wsum group without a positive radius has nothing to
     fold.
     """
+    weighting = Weighting(weighting)
     if emb.n != votes.n:
         raise ValueError(f"embeddings have {emb.n} rows but votes have {votes.n}")
     tables, groups = {}, {}
@@ -642,24 +641,6 @@ def _scan_sources(emb, votes, grids, weighting, metric, threads):
     return tables
 
 
-def neighbor_tables(
-    emb: EmbeddingSet,
-    votes: VoteMatrix,
-    grids: dict,
-    weighting: Weighting = Weighting.ONE_NEAREST_NEIGHBOR,
-    metric: Metric = Metric.COSINE,
-    threads: int | None = None,
-) -> dict:
-    """One scan per source of ``grids`` (source -> radii) in one pool.
-
-    Returns a ``NeighborTable`` per source, whose ``column(votes, r)``
-    is that source's column as ``extend_votes`` extends it at radius
-    ``r`` (for wsum, ``r`` must be on the grid).  Each grid is sorted and
-    deduplicated and must be finite and nonnegative (else ``DataError``).
-    """
-    return _scan_sources(emb, votes, grids, Weighting(weighting), metric, threads)
-
-
 def extend_votes(
     emb: EmbeddingSet,
     votes: VoteMatrix,
@@ -677,7 +658,7 @@ def extend_votes(
     if config.radii.shape[0] != votes.m:
         raise ValueError(f"config has {config.radii.shape[0]} radii for {votes.m} sources")
     grids = {j: config.radii[j : j + 1] for j in range(votes.m) if config.radii[j] > 0.0}
-    tables = _scan_sources(emb, votes, grids, config.weighting, metric, threads)
+    tables = neighbor_tables(emb, votes, grids, config.weighting, metric, threads)
     return extend_from_tables(votes, config, tables)
 
 

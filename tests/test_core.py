@@ -100,6 +100,16 @@ class TestPairwiseDistances:
             pairs = paired_distances(emb, np.repeat(idx, idx.size), np.tile(idx, idx.size), metric)
             assert np.array_equal(block, pairs.reshape(block.shape)), d
 
+    def test_cosine_keeps_near_duplicates_apart(self):
+        # rows at angles 1e-12..1e-6 from (1, 0): 1 - cos(t) = 2 sin(t/2)^2
+        # is far below the 1.1e-16 rounding of 1 - <a,b>, yet each distance
+        # keeps its relative precision, so the nearest one is the nearest
+        t = np.geomspace(1e-12, 1e-6, 25)
+        x = np.vstack([[1.0, 0.0], np.column_stack([np.cos(t), np.sin(t)]) * 3.0])
+        got = paired_distances(EmbeddingSet(x), np.zeros(t.size, dtype=int), np.arange(1, t.size + 1))
+        np.testing.assert_allclose(got, 2.0 * np.sin(t / 2) ** 2, rtol=1e-3)
+        assert (np.diff(got) > 0).all()
+
     @pytest.mark.parametrize("power", [-1000, -560, 560, 1000])
     def test_euclidean_scales_exactly_at_any_spread(self, power):
         # plain squares of these differences underflow or overflow

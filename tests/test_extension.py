@@ -34,12 +34,16 @@ from weakext.extension import (
 def brute_force_distances(x, metric="cosine"):
     """All pairwise float64 distances.
 
-    Each Euclidean difference is scaled by a power of two putting its
-    largest entry in [1/2, 1) before squaring, so no spread overflows.
+    Cosine distance is half the squared distance of the unit rows, which
+    keeps near duplicates apart where ``1 - u.v`` rounds to noise, summed
+    as ``paired_distances`` sums it, so a pair exactly at a radius taken
+    from these distances is inside it for the scan too.  Each Euclidean
+    difference is scaled by a power of two putting its largest entry in
+    [1/2, 1) before squaring, so no spread overflows.
     """
     if metric == "cosine":
-        u = x / np.linalg.norm(x, axis=1, keepdims=True)
-        return np.clip(1.0 - u @ u.T, 0.0, 2.0)
+        u = x / np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
+        return np.array([np.minimum(0.5 * np.einsum("ij,ij->i", u - row, u - row), 2.0) for row in u])
     out = []
     for row in x:
         diff = x - row
@@ -400,6 +404,10 @@ class TestNewlyLabeledRegionBound:
             assert lhs >= rhs - 0.05
 
 
+# score cells per fold piece: one row, or a few rows of a narrow support
+PIECE_SIZES = hst.sampled_from([1, 7, 64])
+
+
 @hst.composite
 def exact_instances(draw):
     """Instances whose distances are exact in float32 and float64 alike.
@@ -441,7 +449,7 @@ def exact_instances(draw):
     radii = rng.choice(np.unique(brute_force_distances(x, metric)), m)
     radii[rng.random(m) < 0.15] = 0.0
     chunk_elems = draw(hst.integers(1, 4000))
-    return x, votes, radii, metric, chunk_elems, draw(hst.sampled_from([1, 5, 16, 256]))
+    return x, votes, radii, metric, chunk_elems, draw(hst.sampled_from([1, 5, 16, 256])), draw(PIECE_SIZES)
 
 
 @hst.composite
@@ -476,19 +484,22 @@ def radius_shells(draw):
     votes = rng.choice([-1, 1], size=(n, m))
     votes[rng.random((n, m)) < draw(hst.floats(0.1, 0.5))] = 0
     radii = np.full(m, r)
-    return x, votes, radii, metric, draw(hst.integers(1, 4000)), draw(hst.sampled_from([1, 5, 16, 256]))
+    return (x, votes, radii, metric, draw(hst.integers(1, 4000)), draw(hst.sampled_from([1, 5, 16, 256])),
+            draw(PIECE_SIZES))
 
 
-def _check_against_oracles(x, votes, radii, metric, chunk_elems, tile_rows):
+def _check_against_oracles(x, votes, radii, metric, chunk_elems, tile_rows, piece_cells):
     # one more source votes on source 0's support, some votes flipped: the
     # two share one scan wherever their radii agree
     flip = np.random.default_rng(votes.shape[0]).choice([-1, 1], votes.shape[0])
     votes, radii = np.column_stack([votes, votes[:, 0] * flip]), np.append(radii, radii[0])
     emb, vm = EmbeddingSet(x), VoteMatrix(votes)
     m = votes.shape[1]
-    # tiny chunks, wsum fold pieces and tiles: every source splits into many
-    # query chunks at n ~ 200, and pruned tiles mix with whole ones
-    with mock.patch.multiple(extension, _CHUNK_ELEMS=chunk_elems, _MIN_CHUNK=1, _TILE_ROWS=tile_rows):
+    # tiny chunks, fold pieces and tiles: every source splits into many query
+    # chunks at n ~ 200, pruned tiles mix with whole ones, and a chunk's fold
+    # walks pieces of one row or several, its last one short
+    patches = dict(_CHUNK_ELEMS=chunk_elems, _MIN_CHUNK=1, _TILE_ROWS=tile_rows, _PIECE_CELLS=piece_cells)
+    with mock.patch.multiple(extension, **patches):
         for w in Weighting:
             expected = brute_force_extend(x, votes, radii, w.value, metric=metric)
             for threads in (1, 2, 4):
@@ -499,7 +510,7 @@ def _check_against_oracles(x, votes, radii, metric, chunk_elems, tile_rows):
             tables = neighbor_tables(emb, vm, dict.fromkeys(range(m), ()), metric=Metric(metric), threads=threads)
             for j, t in tables.items():
                 assert np.array_equal(t.queries, want[j][0]) and np.array_equal(t.best_col, want[j][2]), threads
-                # the oracle's matmul and the scan's pairwise dot differ in the last bits
+                # the oracle's Euclidean norms and the scan's may differ in the last bits
                 np.testing.assert_allclose(t.best_dist, want[j][1], rtol=1e-14, atol=1e-15)
 
 
@@ -599,7 +610,7 @@ class TestPrunedScan:
     def test_cosine_rows_on_a_circle(self):
         # angles k/2 degrees, offset by a third of a step for source 0's
         # voters and two thirds for source 1's, so no query lies midway
-        # between two voters (a tie the oracle's matmul could round apart);
+        # between two voters (a tie rounding could break either way);
         # duplicates at one angle, scaled by powers of two, tie exactly
         rng = np.random.default_rng(23)
         step = np.pi / 360
@@ -856,30 +867,42 @@ def test_scan_frees_its_block_buffer(weighting, metric):
     assert held <= own + slack, (held, own)
 
 
+@pytest.mark.parametrize("n", [1600, 6400])
 @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
-def test_all_duplicate_support_peak_is_one_block_and_two_index_arrays(metric):
+def test_all_duplicate_support_peak_is_one_block_and_one_piece(metric, n):
     # every support point is the same row, so each query ties with its
-    # whole support and every cell of the block is a 1nn band candidate
+    # whole support and every cell of the block is a 1nn band candidate;
+    # the fold re-decides them a piece at a time, so its scratch is one
+    # piece's whatever the block (16 times larger at 4n)
     rng = np.random.default_rng(19)
-    n = 1600
+    ns = n // 4
     x = rng.standard_normal((n, 3))
     votes = np.zeros((n, 1), dtype=int)
-    votes[:400, 0] = rng.choice([-1, 1], 400)
-    x[:400] = x[0]
+    votes[:ns, 0] = rng.choice([-1, 1], ns)
+    x[:ns] = x[0]
     emb, vm = EmbeddingSet(x), VoteMatrix(votes)
-    cells = 1200 * 400
-    with mock.patch.multiple(extension, _CHUNK_ELEMS=cells, _MIN_CHUNK=1):
+    cells = (n - ns) * ns
+    paired, rechecked = extension.paired_distances, []
+
+    def counted(emb, a, b, metric):  # keeps no pair, unlike a mock
+        rechecked.append(len(a))
+        return paired(emb, a, b, metric)
+
+    with mock.patch.multiple(extension, _CHUNK_ELEMS=cells, _MIN_CHUNK=1, _PIECE_CELLS=1024):
         scan = partial(nearest, emb, vm, 0, Metric(metric), threads=1)
-        with mock.patch.object(extension, "paired_distances", wraps=extension.paired_distances) as spy:
+        with mock.patch.object(extension, "paired_distances", counted):
             scan()  # also builds the set's lazy score mirrors
-        (queries, dist, best), _, peak = _traced(scan)  # the spy would keep every pair it saw
-    assert sum(len(call.args[1]) for call in spy.call_args_list) == cells
-    want = brute_force_nearest(x, votes, 0, metric)
-    assert np.array_equal(queries, want[0]) and np.array_equal(best, want[2])
-    np.testing.assert_allclose(dist, want[1], rtol=1e-14, atol=1e-15)
-    # slack: the table and one slice of the float64 re-check
-    block, index = 4 * cells, 2 * 8 * cells
-    assert peak <= 1.05 * (block + index), (peak, block + index)
+        (queries, dist, best), _, peak = _traced(scan)
+    assert sum(rechecked) == cells
+    # the oracle on the whole support and up to 1200 queries (all of them at n = 1600)
+    pick = np.sort(rng.choice(n - ns, min(n - ns, 1200), replace=False))
+    keep = np.concatenate([np.arange(ns), ns + pick])
+    want = brute_force_nearest(x[keep], votes[keep], 0, metric)
+    assert np.array_equal(queries, np.arange(ns, n)) and np.array_equal(best[pick], want[2])
+    np.testing.assert_allclose(dist[pick], want[1], rtol=1e-14, atol=1e-15)
+    # slack: the table, the scan plan and one piece of the float64 re-check
+    block = 4 * cells
+    assert peak <= 1.25 * block, (peak, block)
 
 
 class TestScoreSpace:
