@@ -261,19 +261,19 @@ class LabelModelParams:
 def cosine_distance(u, v) -> float:
     """Cosine distance ``1 - <u,v> / (|u||v|)`` in [0, 2].
 
-    Exactly 0 for identical vectors; raises on zero-norm input.
+    Computed as half the squared difference of the unit vectors, as
+    ``paired_distances`` does, so near duplicates keep their relative
+    precision.  Exactly 0 for identical vectors; raises on zero-norm input.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape or u.ndim != 1:
         raise ValueError(f"vectors must be 1-D and the same length, got {u.shape} and {v.shape}")
-    duu = float(np.dot(u, u))
-    dvv = float(np.dot(v, v))
-    if duu == 0.0 or dvv == 0.0:
+    norms = _scaled_norms(np.stack([u, v]))
+    if (norms == 0.0).any():
         raise ValueError("cosine distance undefined for zero-norm input")
-    sim = float(np.dot(u, v)) / float(np.sqrt(duu * dvv))
-    sim = min(1.0, max(-1.0, sim))
-    return 1.0 - sim
+    diff = u / norms[0] - v / norms[1]
+    return min(0.5 * float(diff @ diff), 2.0)
 
 
 def pairwise_distances(emb: EmbeddingSet, rows, cols, metric: Metric = Metric.COSINE) -> np.ndarray:

@@ -104,12 +104,22 @@ def _sample_pairs(n: int, budget: int, seed: int):
     return a, b, False
 
 
-def _rates_by_radius(order, dist_sorted, radii, flags):
+def _radius_bins(dist, radii):
+    """Each distance's bin: the first grid radius it lies within (``radii.size``: beyond all)."""
+    return np.searchsorted(radii, dist, side="left")
+
+
+def _within(bins, radii):
+    """Pairs within each grid radius."""
+    return np.cumsum(np.bincount(bins, minlength=radii.size + 1)[: radii.size])
+
+
+def _rates_by_radius(bins, radii, flags):
     """Disagreement rate among pairs within each radius; nan when empty."""
-    cuts = np.searchsorted(dist_sorted, radii, side="right")
-    csum = np.concatenate([[0], np.cumsum(flags[order], dtype=np.int64)])
+    cuts = _within(bins, radii)
+    flagged = _within(bins[flags], radii)
     with np.errstate(invalid="ignore", divide="ignore"):
-        rates = np.where(cuts > 0, csum[cuts] / np.maximum(cuts, 1), np.nan)
+        rates = np.where(cuts > 0, flagged / np.maximum(cuts, 1), np.nan)
     return rates, cuts
 
 
@@ -139,10 +149,8 @@ def estimate_profile(
     metric = Metric(metric)
 
     a, b, exhaustive = _sample_pairs(emb.n, budget, seed)
-    dist = paired_distances(emb, a, b, metric)
-    order = np.argsort(dist, kind="stable")
-    dist_sorted = dist[order]
-    cuts = np.searchsorted(dist_sorted, radii, side="right")
+    bins = _radius_bins(paired_distances(emb, a, b, metric), radii)
+    cuts = _within(bins, radii)
     pair_fraction = cuts / a.size
 
     support_rates = None
@@ -153,7 +161,7 @@ def estimate_profile(
         nz = votes.votes != 0
         for j in range(votes.m):
             flags = nz[a, j] != nz[b, j]
-            support_rates[j], _ = _rates_by_radius(order, dist_sorted, radii, flags)
+            support_rates[j], _ = _rates_by_radius(bins, radii, flags)
 
     label_rates = None
     label_counts = None
@@ -165,15 +173,13 @@ def estimate_profile(
         if labels.n < 2:
             raise ValueError("label disagreement needs at least 2 labeled points")
         if labels.n == emb.n:
-            la, lb, lo, ls = a, b, order, dist_sorted
+            la, lb, lbins = a, b, bins
             label_exh = exhaustive
         else:
             la, lb, label_exh = _sample_pairs(labels.n, budget, seed + 1)
-            ld = paired_distances(emb, la, lb, metric)
-            lo = np.argsort(ld, kind="stable")
-            ls = ld[lo]
+            lbins = _radius_bins(paired_distances(emb, la, lb, metric), radii)
         flags = labels.labels[la] != labels.labels[lb]
-        label_rates, label_counts = _rates_by_radius(lo, ls, radii, flags)
+        label_rates, label_counts = _rates_by_radius(lbins, radii, flags)
         label_sampled = la.size
 
     return LipschitzProfile(

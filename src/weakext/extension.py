@@ -21,9 +21,23 @@ fold walks the block in pieces of whole rows; each piece marks the cells
 near a threshold or a tie in one reused mask and re-evaluates them in
 float64, so results are identical to a pure float64 scan whatever the
 tiling, chunking, thread count, data offset or scale, and the fold's
-scratch is bounded by a piece.  Where nothing can prune
-(high-dimensional data), no tile is cut and the chunks are those of a
-plain scan.
+scratch is bounded by a piece.
+
+Where nothing can prune (high-dimensional data), no tile is cut, and the
+sources are scanned together (wsum: those of one radius grid) by
+vote-pattern class pairs (``_ClassPairs``): the score rows are sorted once by each point's
+pattern of votes over those sources, and each chunk of one class's rows
+is scored in one GEMM against the rows of every higher class, so a point
+pair is scored once for all the sources it is a query/support pair of
+(and a pair within a class, a pair of none, not at all).  Each column
+slice of such a block is folded for the sources the rows abstain on and
+the columns vote on, and with the columns as queries for those the
+columns abstain on and the rows vote on.  1nn keeps per-source maxima
+and the cells within ``tau`` of them, and re-decides the survivors of
+each source's final threshold in one float64 pass; wsum adds both sides'
+voter counts and vote sums into per-worker integer arrays.  Every merge
+is a maximum, an integer sum or a least (distance, point id), so the
+tables are those of a scan per source at any thread count.
 
 A scan fills one ``NeighborTable`` per source for a whole radius grid
 (wsum folds each block once per grid radius with one skinny float32 GEMM
@@ -32,12 +46,13 @@ once), and ``column`` reads an extended column from it: extension scans
 one-radius grids, while tuning and refinement scan each source once over
 every radius they will try, and diagnose's 1nn tables serve both its
 extension and its accuracy curves.  Sources with equal supports and
-grids share one scan, so stacked vote variants fill all their tables in
-one pass.
+grids share one scan (one bit of a class-pair key), so stacked vote
+variants fill all their tables in one pass.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 from collections import deque
@@ -77,6 +92,7 @@ _PROJ_DIMS = 4  # principal directions the tile bounds are taken in
 _SLACK = 2.0**-22  # error of a bounded distance; see _ScoreSpace.reach
 _PIECE_CELLS = 2**17  # score cells per fold piece of whole rows (at least one row)
 _EXACT_COLS = 2**24  # widest wsum fold piece whose float32 vote sums are exact
+_CLASS_SOURCES = 6  # groups keyed per class-pair scan: at most 2**6 vote-pattern classes
 
 
 @dataclass(frozen=True)
@@ -252,15 +268,23 @@ class _ScoreSpace:
         np.maximum(resid, 0.0, out=resid)
         return proj, np.sqrt(resid + (rows.shape[1] + 4) * 2.0**-48, out=resid)
 
-    def block(self, rows: np.ndarray, cols: np.ndarray, buf: np.ndarray) -> np.ndarray:
-        """float32 scores of every (row, col) pair of point indices, in the front of ``buf``."""
-        out = buf[: rows.size * cols.size].reshape(rows.size, cols.size)
-        np.matmul(self.rows[rows], self.rows[cols].T, out=out)
+    def block(self, rows, cols, buf: np.ndarray) -> np.ndarray:
+        """float32 scores of every (row, col) pair of ``rows`` indices or slices, in the front of ``buf``."""
+        a, b = self.rows[rows], self.rows[cols]
+        out = buf[: a.shape[0] * b.shape[0]].reshape(a.shape[0], b.shape[0])
+        np.matmul(a, b.T, out=out)
         if self.sq is None:  # cosine
             return out
         out *= 2
         out -= self.sq[rows][:, None]
         out -= self.sq[cols][None, :]
+        return out
+
+    def permuted(self, order: np.ndarray) -> "_ScoreSpace":
+        """This space with its score rows copied in ``order``: ``block`` takes positions in it."""
+        out = copy.copy(self)
+        out.rows = self.rows[order]
+        out.sq = None if self.sq is None else self.sq[order]
         return out
 
     def score_at_radius(self, r: float) -> float:
@@ -315,9 +339,11 @@ class NeighborTable:
     1nn keeps every abstainer's nearest support point, which answers any
     radius; wsum keeps, per grid radius, the count and signed sum of the
     voters inside it.  Rows follow ``queries``.  ``cells`` counts the
-    (query, support) pairs the scan scored (0 for a table sharing an
-    earlier source's scan); it is deterministic and kept out of every
-    artifact.
+    score cells of the table's scan: the (query, support) pairs of its
+    tiles and chunks, or for a class-pair scan (owned by the batch's first
+    table) every pair of points with different vote patterns over the
+    batch, ``(n^2 - sum of class sizes^2) / 2``.  It is 0 for a table
+    sharing another's scan, deterministic, and kept out of every artifact.
     """
 
     source: int
@@ -361,8 +387,8 @@ class NeighborTable:
 def _refine_first_per_group(emb, metric, groups, qids, cids):
     """Exact distances for candidate pairs; keep the best per group.
 
-    Returns (group index, distance, support id) of each group's winner,
-    ties resolved to the smallest support id.
+    Returns the positions of each group's winner among the candidates
+    and its distance, ties resolved to the smallest support id.
     """
     dist = paired_distances(emb, qids, cids, metric)
     order = np.lexsort((cids, dist, groups))
@@ -371,7 +397,7 @@ def _refine_first_per_group(emb, metric, groups, qids, cids):
     first[0] = True
     first[1:] = gs[1:] != gs[:-1]
     pick = order[first]
-    return groups[pick], dist[pick], cids[pick]
+    return pick, dist[pick]
 
 
 def _scan_chunk(space, votes, group, qpos, cpos, ends, buf):
@@ -420,9 +446,9 @@ def _scan_chunk(space, votes, group, qpos, cpos, ends, buf):
             top = part.max(axis=1)[:, None] - space.tau  # float32, as the scores
             hit = np.greater_equal(part, top, out=mask[: part.size].reshape(part.shape))
             rr, cc = np.divmod(np.flatnonzero(hit), wide)
-            grp, dist, cid = _refine_first_per_group(emb, metric, rr, qids[a + rr], cols[cc])
-            st.best_dist[rows[grp]] = dist
-            st.best_col[rows[grp]] = cid
+            pick, dist = _refine_first_per_group(emb, metric, rr, qids[a + rr], cols[cc])
+            st.best_dist[rows[rr[pick]]] = dist
+            st.best_col[rows[rr[pick]]] = cols[cc[pick]]
             continue
         res = np.zeros((rows.size, st.radii.size, w.shape[1]), dtype=np.int64)
         for k, radius, e in grid:
@@ -481,24 +507,24 @@ def _box_distances(lo, hi, pts):
 
 
 def _tile_tasks(space, st, step):
-    """Score tasks ``(query positions, support positions, ends)`` of one table.
+    """Score tasks ``(query positions, support positions, ends)`` of one table, or None.
 
-    The queries are cut into k-d tiles on ``space.proj``.  A tile drops
+    None when nothing could prune: one ball about the support's mean
+    holds every query and support point within the least cut a tile
+    could have (such tables are scanned by ``_ClassPairs``).  Otherwise
+    the queries are cut into k-d tiles on ``space.proj``.  A tile drops
     every support column whose distance from the tile's projected box is
     beyond ``space.reach`` of a score the fold rejects without a float64
     check: for wsum, the outward band edge of the grid's largest radius;
     for 1nn, the ``space.floor`` of every tile row's threshold, from an
     upper bound on each row's distance to the support point nearest the
     tile's centre.  So a pruned tile's fold sees the same candidates as a
-    full scan.  Nothing is tiled when one ball about the support's mean
-    holds every query and support point within the least cut a tile
-    could have.  A wsum tile orders its kept columns by bound, and
+    full scan.  A wsum tile orders its kept columns by bound, and
     ``ends[k]`` counts those grid radius ``k`` may reach, the only ones
     it folds.  Tiles keeping every column are joined, in ascending query
     order, into chunks of ``step`` rows (support positions and ends
-    None), which are an unpruned scan's chunks where nothing prunes; the
-    others are scored alone.  A wsum tile keeping no column has no task,
-    so a plan may have none.
+    None); the others are scored alone.  A wsum tile keeping no column
+    has no task, so a plan may have none.
     """
     pq, ps = space.proj[st.queries], space.proj[st.support]
     wsum = st.weighting is Weighting.THRESHOLDED_WEIGHTED_SUM
@@ -510,63 +536,287 @@ def _tile_tasks(space, st, step):
     spread, centre = 0.0, ps.mean(axis=0)
     for x in (pq - centre, ps - centre):
         spread += np.sqrt(np.einsum("ij,ij->i", x, x).max())
-    full, tasks = [], []
     if spread <= least:  # every (query, support) pair is within any cut
-        full.append(np.arange(st.queries.size))
-    else:
-        qpos, starts = _kd_tiles(pq)
-        pq = pq[qpos]
-        lo, hi = np.minimum.reduceat(pq, starts), np.maximum.reduceat(pq, starts)
-        group = max(1, 2**20 // ps.shape[0])  # tiles per (tiles, support) scratch array
-        if wsum:
-            cuts = np.full(starts.size, least)
-        else:  # every row's best pair is within `far` of it
-            mid, sq = (lo + hi) / 2, np.einsum("ij,ij->i", ps, ps)
-            near = [(sq - 2 * (mid[g : g + group] @ ps.T)).argmin(axis=1) for g in range(0, mid.shape[0], group)]
-            near = np.repeat(np.concatenate(near), np.diff([*starts, qpos.size]))
-            gap = pq - ps[near]
-            far2 = np.einsum("ij,ij->i", gap, gap) + (space.resid[st.queries[qpos]] + space.resid[st.support[near]]) ** 2
-            cuts = np.array([space.reach(space.floor(u)) for u in np.sqrt(np.maximum.reduceat(far2, starts)).tolist()])
-        tiles = np.split(qpos, starts[1:])
-        for g in range(0, starts.size, group):
-            for t, bound in zip(range(g, g + group), _box_distances(lo[g : g + group], hi[g : g + group], ps)):
-                keep = np.flatnonzero(bound <= cuts[t])
-                if keep.size == bound.size:
-                    full.append(tiles[t])
-                elif wsum and keep.size:
-                    keep = keep[np.argsort(bound[keep], kind="stable")]
-                    tasks.append((tiles[t], keep, np.searchsorted(bound[keep], reach, side="right")))
-                elif keep.size:
-                    tasks.append((tiles[t], keep, None))
+        return None
+    full, tasks = [], []
+    qpos, starts = _kd_tiles(pq)
+    pq = pq[qpos]
+    lo, hi = np.minimum.reduceat(pq, starts), np.maximum.reduceat(pq, starts)
+    group = max(1, 2**20 // ps.shape[0])  # tiles per (tiles, support) scratch array
+    if wsum:
+        cuts = np.full(starts.size, least)
+    else:  # every row's best pair is within `far` of it
+        mid, sq = (lo + hi) / 2, np.einsum("ij,ij->i", ps, ps)
+        near = [(sq - 2 * (mid[g : g + group] @ ps.T)).argmin(axis=1) for g in range(0, mid.shape[0], group)]
+        near = np.repeat(np.concatenate(near), np.diff([*starts, qpos.size]))
+        gap = pq - ps[near]
+        far2 = np.einsum("ij,ij->i", gap, gap) + (space.resid[st.queries[qpos]] + space.resid[st.support[near]]) ** 2
+        cuts = np.array([space.reach(space.floor(u)) for u in np.sqrt(np.maximum.reduceat(far2, starts)).tolist()])
+    tiles = np.split(qpos, starts[1:])
+    for g in range(0, starts.size, group):
+        for t, bound in zip(range(g, g + group), _box_distances(lo[g : g + group], hi[g : g + group], ps)):
+            keep = np.flatnonzero(bound <= cuts[t])
+            if keep.size == bound.size:
+                full.append(tiles[t])
+            elif wsum and keep.size:
+                keep = keep[np.argsort(bound[keep], kind="stable")]
+                tasks.append((tiles[t], keep, np.searchsorted(bound[keep], reach, side="right")))
+            elif keep.size:
+                tasks.append((tiles[t], keep, None))
     run = np.sort(np.concatenate(full)) if full else np.empty(0, dtype=np.int64)
     return [(run[i : i + step], None, None) for i in range(0, run.size, step)] + tasks
+
+
+class _ClassPairs:
+    """One scan of up to ``_CLASS_SOURCES`` groups (wsum: of one grid) that no tile could prune.
+
+    Each point is keyed by its vote pattern over the groups' supports (bit
+    ``b``: it votes on group ``b``) and the score rows are copied in key
+    order once, so each class is a run of positions.  Two points of one
+    class are never a query/support pair of any group; two of different
+    classes are one of at least one.  A task scores a chunk of class
+    ``a``'s rows against the rows of every higher class in one GEMM, so
+    each such pair is scored once and none within a class.  The highest
+    bit in which ``a < b`` differ is set in ``b``, so the rows are queries
+    of some group in every class ``b`` slice of columns (the row side);
+    where ``a`` votes on a group ``b`` abstains on, the columns are its
+    queries too (the column side).  Tasks write to their worker's own
+    store (``local``), and ``finish`` merges the stores into the tables
+    by integer sums (wsum) or by maxima and least ``(distance, point
+    id)`` (1nn), so no table depends on which worker ran which task.
+    """
+
+    def __init__(self, space, votes, batch):
+        self.space, self.batch, n = space, batch, votes.n
+        key = np.zeros(n, dtype=np.int64)
+        for b, g in enumerate(batch):
+            key |= (votes.votes[:, g[0].source] != 0).astype(np.int64) << b
+        self.order = np.argsort(key, kind="stable")
+        self.key = key[self.order]
+        self.starts = np.searchsorted(self.key, np.arange(2 ** len(batch) + 1))
+        self.bits = (np.arange(2 ** len(batch))[:, None] >> np.arange(len(batch))) & 1 == 1  # (class, group)
+        self.view = space.permuted(self.order)
+        self.plan = []  # (class, first row, end row): a chunk of rows against every higher class
+        for a in range(2 ** len(batch)):
+            lo, c0 = self.starts[a], self.starts[a + 1]
+            if lo < c0 < n:
+                step = max(_MIN_CHUNK, _CHUNK_ELEMS // (n - c0))
+                self.plan += [(a, r, min(r + step, c0)) for r in range(lo, c0, step)]
+        batch[0][0].cells = sum(self.cells(task) for task in self.plan)
+        self.w = None
+        if batch[0][0].weighting is Weighting.THRESHOLDED_WEIGHTED_SUM:
+            # in key order: each group's voter indicator, then every table's votes
+            v = votes.votes[self.order]
+            w = np.empty((n, len(batch) + sum(map(len, batch))), dtype=np.float32)
+            w[:, : len(batch)] = self.bits[self.key]
+            w[:, len(batch) :] = v[:, [t.source for g in batch for t in g]]
+            self.w, self.wi = w, w.astype(np.int32)
+            self.owner = np.array([b for b, g in enumerate(batch) for _ in g])  # each table's group
+            self.grid = [(k, float(r)) for k, r in enumerate(batch[0][0].radii) if r > 0]
+
+    def cells(self, task):
+        a, r0, r1 = task
+        return int((r1 - r0) * (self.key.size - self.starts[a + 1]))
+
+    def local(self):
+        n, lead = self.key.size, self.batch[0][0]
+        if self.w is None:  # per (position, group) best float32 score, and (query, partner, score) candidates
+            return np.full((n, len(self.batch)), -np.inf, dtype=np.float32), []
+        return np.zeros((n, lead.radii.size, self.w.shape[1]), dtype=np.int32)
+
+    def __call__(self, a, r0, r1, buf, own):
+        if self not in own:
+            own[self] = self.local()
+        c0 = self.starts[a + 1]
+        sub = self.view.block(slice(r0, r1), slice(c0, None), buf)
+        cls = np.flatnonzero(np.diff(self.starts[a + 1 :]) > 0) + a + 1  # the column slices' classes
+        ls = self.starts[cls] - c0
+        colq = (self.bits[a] & ~self.bits[cls]).any(axis=1)  # per slice: its columns are queries too
+        if self.w is None:
+            self._nearest(a, r0, c0, sub, own[self], cls, ls, colq)
+        else:
+            self._weighted(a, r0, c0, sub, own[self], cls, ls, colq.any())
+
+    def _winners(self, groups, q, p):
+        """Positions of each group's float64 nearest pair (query ``q``, partner ``p``, in key order)."""
+        return _refine_first_per_group(self.space.emb, self.space.metric, groups, self.order[q], self.order[p])[0]
+
+    def _nearest(self, a, r0, c0, sub, own, cls, ls, colq):
+        """1nn fold: per-group row maxima, column maxima and the cells within ``tau`` of them.
+
+        Row side, per piece: each row's best score over the slices voting
+        on each group it abstains on, and the cells within ``tau`` of the
+        least such threshold a slice answers to.  Column side, after the
+        rows: each column's best over the block and the cells within
+        ``tau`` of it.  A local best never exceeds the group's, so the
+        cells kept hold every cell the final threshold keeps.  Pieces
+        keeping more cells than (row, slice) pairs, or column passes
+        keeping more than two per column, keep one float64 winner per
+        pair (the group's nearest is its winner wherever it lies), so the
+        store stays within a few entries per query and class.
+        """
+        best, found = own
+        tau, (rows, width) = self.space.tau, sub.shape
+        vote = self.bits[cls] & ~self.bits[a]  # (slice, group): the slice votes where the rows abstain
+        used = np.flatnonzero(vote.any(axis=0))
+        vote = vote[:, used]
+        step = max(1, _PIECE_CELLS // width)
+        mask = np.empty(min(rows, step) * width, dtype=bool)
+        live = np.repeat(colq, np.diff([*ls, width]))  # columns that are queries of some group
+        lo, hi = (int(i) for i in np.flatnonzero(live)[[0, -1]] + [0, 1]) if live.any() else (0, 0)
+        colmax = np.full(hi - lo, -np.inf, dtype=np.float32)
+        hits = []  # (query, partner, score) per piece, in key order
+        for p in range(0, rows, step):
+            part = sub[p : p + step]
+            q = slice(r0 + p, r0 + p + part.shape[0])
+            top = np.where(vote, np.maximum.reduceat(part, ls, axis=1)[:, :, None], -np.inf).max(axis=1)
+            thr = top - tau  # float32, as the scores
+            cut = np.where(vote, thr[:, None, :], np.inf).min(axis=2)  # (row, slice)
+            hit = np.greater_equal(part, thr.min(axis=1)[:, None], out=mask[: part.size].reshape(part.shape))
+            rr, cc = np.divmod(np.flatnonzero(hit), width)
+            sl = np.searchsorted(ls, cc, side="right") - 1
+            sc = part[rr, cc]
+            keep = sc >= cut[rr, sl]
+            rr, cc, sl, sc = rr[keep], cc[keep], sl[keep], sc[keep]
+            if rr.size > cut.size:
+                pick = self._winners(rr * ls.size + sl, q.start + rr, c0 + cc)
+                rr, cc, sc = rr[pick], cc[pick], sc[pick]
+            hits.append((q.start + rr, c0 + cc, sc))
+            best[q, used] = np.maximum(best[q, used], top)
+            if hi > lo:
+                np.maximum(colmax, part[:, lo:hi].max(axis=0), out=colmax)
+        if hi > lo:
+            for g in np.flatnonzero(self.bits[a]):  # the columns abstaining on a group the rows vote on
+                on = ~np.repeat(self.bits[cls, g], np.diff([*ls, width]))[lo:hi]
+                at = c0 + lo + np.flatnonzero(on)
+                best[at, g] = np.maximum(best[at, g], colmax[on])
+            cut = colmax - tau
+            cut[~live[lo:hi]] = np.inf
+            cols, kept = [], 0
+            for p in range(0, rows, step):
+                part = sub[p : p + step, lo:hi]
+                hit = np.greater_equal(part, cut, out=mask[: part.size].reshape(part.shape))
+                rr, cc = np.divmod(np.flatnonzero(hit), hi - lo)
+                cols.append((c0 + lo + cc, r0 + p + rr, part[rr, cc]))
+                kept += rr.size
+                if kept > 2 * (hi - lo):
+                    cq, cp, sc = (np.concatenate(x) for x in zip(*cols))
+                    pick = self._winners(cq, cq, cp)
+                    cols, kept = [(cq[pick], cp[pick], sc[pick])], pick.size
+            hits += cols
+        q, p, sc = (np.concatenate(x) for x in zip(*hits))
+        found.append((q.astype(np.int32), p.astype(np.int32), sc))
+
+    def _weighted(self, a, r0, c0, sub, acc, cls, ls, both):
+        """wsum fold: each inside mask counts and sums votes for the rows and, if ``both``, the columns.
+
+        Per piece and positive grid radius, the inside mask (float32 0/1)
+        gives each row's inside cells per column slice (``reduceat``),
+        hence its voter count for every group the rows abstain on, and
+        times those groups' vote columns, its vote sums; the columns' ones
+        and vote sums for the groups the rows vote on come from the rows'
+        ``[1, votes]`` times the mask.  Entries of a point for a group it
+        votes on are never read.  Band cells are re-decided in float64
+        once for both sides.  Sums stay exact as in ``_scan_chunk``: at
+        most ``_EXACT_COLS`` columns and ``_PIECE_CELLS`` rows per piece.
+        """
+        emb, metric, order, groups = self.space.emb, self.space.metric, self.order, len(self.batch)
+        rows, width = sub.shape
+        wide = min(width, _EXACT_COLS)
+        step = max(1, _PIECE_CELLS // wide)
+        ga, gv = np.flatnonzero(~self.bits[a]), np.flatnonzero(self.bits[a])  # groups: rows abstain, vote
+        ta, tv = (groups + np.flatnonzero(np.isin(self.owner, x)) for x in (ga, gv))  # their tables' columns
+        counts = self.bits[cls][:, ga].astype(np.float32)  # (slice, group the rows abstain on): votes
+        wc = self.w[c0:, ta]
+        wr = np.ones((rows, 1 + tv.size), dtype=np.float32)
+        wr[:, 1:] = self.w[r0 : r0 + rows, tv]
+        wri, wci = self.wi[r0 : r0 + rows], self.wi[c0:]
+        size = min(rows, step) * wide
+        inside, mask32, mask = np.empty(size, dtype=bool), np.empty(size, dtype=np.float32), np.empty(size, dtype=bool)
+        for p in range(0, rows, step):
+            for c in range(0, width, wide):
+                part = sub[p : p + step, c : c + wide]
+                q, s = slice(r0 + p, r0 + p + part.shape[0]), slice(c0 + c, c0 + c + part.shape[1])
+                first = np.searchsorted(ls, c, side="right") - 1  # the slices the piece's columns are in
+                cuts = np.maximum(ls[first : np.searchsorted(ls, c + part.shape[1])] - c, 0)
+                for k, radius in self.grid:
+                    lo_s, hi_s = self.space.band(radius)
+                    ins = np.greater(part, hi_s, out=inside[: part.size].reshape(part.shape))
+                    fl = mask32[: part.size].reshape(part.shape)
+                    fl[...] = ins
+                    per_slice = np.add.reduceat(fl, cuts, axis=1)
+                    acc[q, k, ga] += (per_slice @ counts[first : first + cuts.size]).astype(np.int32)
+                    acc[q, k, ta] += (fl @ wc[c : c + part.shape[1]]).astype(np.int32)
+                    if both:
+                        col = (wr[p : p + part.shape[0]].T @ fl).T.astype(np.int32)
+                        acc[s, k, gv] += col[:, :1]
+                        acc[s, k, tv] += col[:, 1:]
+                    hit = np.greater_equal(part, lo_s, out=mask[: part.size].reshape(part.shape))
+                    hit ^= ins
+                    if hit.any():
+                        rr, cc = np.divmod(np.flatnonzero(hit), part.shape[1])
+                        keep = paired_distances(emb, order[q][rr], order[s][cc], metric) <= radius
+                        rr, cc = rr[keep], cc[keep]
+                        np.add.at(acc[q, k], rr, wci[c + cc])
+                        if both:
+                            np.add.at(acc[s, k], cc, wri[p + rr])
+
+    def finish(self, owns):
+        """Merge the workers' stores into the batch's tables."""
+        n, groups = self.key.size, len(self.batch)
+        if self.w is not None:
+            acc = owns[0].astype(np.int64)
+            for o in owns[1:]:
+                acc += o
+            at = np.empty(n, dtype=np.int64)
+            at[self.order] = np.arange(n)
+            cols = iter(range(groups, self.w.shape[1]))
+            for b, g in enumerate(self.batch):
+                pos = at[g[0].queries]
+                g[0].in_count[...] = acc[pos, :, b]
+                for t in g:
+                    t.vote_sum[...] = acc[pos, :, next(cols)]
+            return
+        best = owns[0][0]
+        for o in owns[1:]:
+            np.maximum(best, o[0], out=best)
+        q, p, sc = (np.concatenate(x) for x in zip(*[f for o in owns for f in o[1]]))
+        for b, g in enumerate(self.batch):
+            st = g[0]
+            thr = best[:, b] - self.space.tau  # float32, as in _scan_chunk
+            sel = np.flatnonzero(~self.bits[self.key[q], b] & self.bits[self.key[p], b] & (sc >= thr[q]))
+            qid, pid = self.order[q[sel]], self.order[p[sel]]
+            pos = np.searchsorted(st.queries, qid)
+            pick, dist = _refine_first_per_group(self.space.emb, self.space.metric, pos, qid, pid)
+            st.best_dist[pos[pick]] = dist
+            st.best_col[pos[pick]] = pid[pick]
 
 
 def _run_tasks(tasks, threads, cells):
     """Run ``tasks`` on up to ``threads`` worker loops that take them in order.
 
     Each worker owns one float32 buffer of ``cells`` (the largest block
-    of the scan) and passes it to every task it runs, so chunks reuse
-    their block's memory; the buffers are freed when the workers return.
+    of the scan) and one dict, and passes both to every task it runs, so
+    chunks reuse their block's memory and class-pair tasks keep their
+    results per worker; the buffers are freed when the workers return.
+    Returns the workers' dicts.
     """
     queue = deque(tasks)
 
     def work():
-        buf = np.empty(cells, dtype=np.float32)
+        buf, own = np.empty(cells, dtype=np.float32), {}
         while True:
             try:
                 task = queue.popleft()
             except IndexError:  # drained
-                return
-            task(buf)
+                return own
+            task(buf, own)
 
     workers = min(threads, len(tasks))
     if workers <= 1:
-        work()
-        return
+        return [work()]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for f in [pool.submit(work) for _ in range(workers)]:
-            f.result()
+        return [f.result() for f in [pool.submit(work) for _ in range(workers)]]
 
 
 def neighbor_tables(
@@ -577,7 +827,7 @@ def neighbor_tables(
     metric: Metric = Metric.COSINE,
     threads: int | None = None,
 ) -> dict:
-    """One scan per source of ``grids`` (source -> radii) in one pool.
+    """Scan every source of ``grids`` (source -> radii) in one pool.
 
     Returns a ``NeighborTable`` per source, whose ``column(votes, r)``
     is that source's column as ``extend_votes`` extends it at radius
@@ -585,17 +835,21 @@ def neighbor_tables(
     deduplicated and must be finite and nonnegative (else ``DataError``).
 
     Sources with equal supports and grids form one group, planned, scored
-    and folded once; its first table owns the scan's ``cells`` (the others
-    count 0).  Each group's queries are cut into k-d tiles of at most
-    ``_TILE_ROWS`` rows, and each tile drops the support columns that
-    exact distance bounds prove its fold would reject (``_tile_tasks``).
-    Tiles keeping every column are joined into chunks of about
-    ``_CHUNK_ELEMS`` score cells (at least ``_MIN_CHUNK`` rows); the
-    others are scored alone.  Every chunk or tile is one score block and
-    one fold (``_scan_chunk``), and all groups' blocks run on one pool of
-    ``threads`` workers, each scoring into its own buffer sized for the
-    largest block.  A wsum group without a positive radius has nothing to
-    fold.
+    and folded once.  Each group's queries are cut into k-d tiles of at
+    most ``_TILE_ROWS`` rows, and each tile drops the support columns
+    that exact distance bounds prove its fold would reject
+    (``_tile_tasks``).  Tiles keeping every column are joined into chunks
+    of about ``_CHUNK_ELEMS`` score cells (at least ``_MIN_CHUNK`` rows);
+    the others are scored alone, each one block and one fold
+    (``_scan_chunk``).  Groups where no tile could prune (under wsum,
+    those of one grid) are scanned together, up to ``_CLASS_SOURCES`` at
+    a time, by vote-pattern class pairs (``_ClassPairs``): each point pair
+    that is a query/support pair of any of them is scored once, in chunks
+    of about ``_CHUNK_ELEMS`` cells.  All blocks run on one pool of ``threads``
+    workers, each scoring into its own buffer sized for the largest
+    block.  A group's first table, or a class-pair scan's first, owns its
+    scan's ``cells`` (the others count 0).  A wsum group without a
+    positive radius has nothing to fold.
     """
     weighting = Weighting(weighting)
     if emb.n != votes.n:
@@ -626,18 +880,30 @@ def neighbor_tables(
     scans = [g for g in groups.values() if g[0].queries.size and g[0].support.size]
     if weighting is Weighting.THRESHOLDED_WEIGHTED_SUM:  # a grid without a positive radius has nothing to fold
         scans = [g for g in scans if (g[0].radii > 0).any()]
-    if scans:
-        space = _ScoreSpace(emb, metric)
-        tasks = []
-        for g in scans:
-            st = g[0]
-            plan = _tile_tasks(space, st, max(_MIN_CHUNK, _CHUNK_ELEMS // st.support.size))
-            st.cells = sum(q.size * (st.support.size if c is None else c.size) for q, c, _ in plan)
-            tasks += [(g, *task) for task in plan]
-        if tasks:  # none when every tile is beyond a wsum scan's largest radius
-            threads = min(4, os.cpu_count() or 1) if threads is None else max(1, int(threads))
-            cells = max(q.size * (g[0].support.size if c is None else c.size) for g, q, c, _ in tasks)
-            _run_tasks([partial(_scan_chunk, space, votes, *task) for task in tasks], threads, cells)
+    if not scans:
+        return tables
+    space, tasks, untiled = _ScoreSpace(emb, metric), [], {}
+    for g in scans:
+        st = g[0]
+        plan = _tile_tasks(space, st, max(_MIN_CHUNK, _CHUNK_ELEMS // st.support.size))
+        if plan is None:  # a 1nn table answers every radius: its scan ignores the grid
+            wsum = weighting is Weighting.THRESHOLDED_WEIGHTED_SUM
+            untiled.setdefault(st.radii.tobytes() if wsum else b"", []).append(g)
+            continue
+        sizes = [q.size * (st.support.size if c is None else c.size) for q, c, _ in plan]
+        st.cells = sum(sizes)
+        # a tiled block writes its own rows of the tables: no per-worker store
+        tasks += [(size, lambda buf, own, task=(g, *t): _scan_chunk(space, votes, *task, buf))
+                  for size, t in zip(sizes, plan)]
+    pairs = [_ClassPairs(space, votes, same[i : i + _CLASS_SOURCES])
+             for same in untiled.values() for i in range(0, len(same), _CLASS_SOURCES)]
+    for cp in pairs:
+        tasks += [(cp.cells(task), partial(cp, *task)) for task in cp.plan]
+    if tasks:  # none when every tile is beyond a wsum scan's largest radius
+        threads = min(4, os.cpu_count() or 1) if threads is None else max(1, int(threads))
+        owns = _run_tasks([task for _, task in tasks], threads, max(size for size, _ in tasks))
+        for cp in pairs:
+            cp.finish([own[cp] for own in owns if cp in own])
     return tables
 
 

@@ -145,8 +145,9 @@ def test_c2_triplet_recovery_and_rate():
 
 
 def _brute_force_nearest(x, votes, radii):
+    # cosine distance as half the squared difference of the unit rows
     u = x / np.linalg.norm(x, axis=1, keepdims=True)
-    dist = np.clip(1.0 - u @ u.T, 0.0, 2.0)
+    dist = np.array([np.minimum(0.5 * np.einsum("ij,ij->i", u - row, u - row), 2.0) for row in u])
     out = votes.copy()
     for j in range(votes.shape[1]):
         if radii[j] <= 0:

@@ -68,6 +68,13 @@ class TestCosineDistance:
             u, v = rng.standard_normal(4), rng.standard_normal(4)
             assert 0.0 <= cosine_distance(u, v) <= 2.0
 
+    @pytest.mark.parametrize("t", [1e-10, 3e-9])
+    def test_near_duplicates_keep_their_distance(self, t):
+        # 2 sin^2(t/2): 5.0e-21 and 4.5e-18, where 1 - cos t rounds to 0
+        want = 2.0 * math.sin(t / 2) ** 2
+        got = cosine_distance([1.0, 0.0], [math.cos(t), math.sin(t)])
+        assert abs(got - want) <= 1e-3 * want, (got, want)
+
     def test_zero_norm_rejected(self):
         with pytest.raises(ValueError, match="zero-norm"):
             cosine_distance([0.0, 0.0], [1.0, 0.0])

@@ -526,6 +526,138 @@ def test_chunked_scan_matches_oracles_inside_float32_band(instance):
     _check_against_oracles(*instance)
 
 
+def _class_pair_cells(votes, sources):
+    """Cells of one class-pair scan of ``sources``: pairs of points with different vote patterns."""
+    key = sum((votes[:, j] != 0).astype(np.int64) << b for b, j in enumerate(sources))
+    sizes = np.bincount(key)
+    return (votes.shape[0] ** 2 - int((sizes**2).sum())) // 2
+
+
+def _check_class_pairs(x, votes, grid, metric, chunk_elems, piece_cells):
+    """Every table of one scan equals its one-source scan and the oracles; cells per batch."""
+    emb, vm = EmbeddingSet(x), VoteMatrix(votes)
+    n, m = votes.shape
+    expected = {(w, r): brute_force_extend(x, votes, np.full(m, r), w.value, metric) for w in Weighting for r in grid}
+    nearest_want = [brute_force_nearest(x, votes, j, metric) for j in range(m)]
+    # sources with queries and support, in batches of _CLASS_SOURCES
+    scanned = [j for j in range(m) if 0 < (votes[:, j] != 0).sum() < n]
+    batches = [scanned[i : i + extension._CLASS_SOURCES] for i in range(0, len(scanned), extension._CLASS_SOURCES)]
+    with mock.patch.multiple(extension, _CHUNK_ELEMS=chunk_elems, _MIN_CHUNK=1, _PIECE_CELLS=piece_cells):
+        for w in Weighting:
+            alone = {j: neighbor_tables(emb, vm, {j: grid}, w, Metric(metric), 1)[j] for j in range(m)}
+            for threads in (1, 2, 4):
+                tables = neighbor_tables(emb, vm, dict.fromkeys(range(m), grid), w, Metric(metric), threads)
+                for j, t in tables.items():
+                    for name in ("best_dist", "best_col", "in_count", "vote_sum"):
+                        a, b = getattr(t, name), getattr(alone[j], name)
+                        assert (a is None and b is None) or np.array_equal(a, b), (w, j, name, threads)
+                    for r in grid:
+                        assert np.array_equal(t.column(vm, r), expected[w, r][:, j]), (w, j, r, threads)
+                    if w is Weighting.ONE_NEAREST_NEIGHBOR:
+                        assert np.array_equal(t.best_col, nearest_want[j][2]), (j, threads)
+                        np.testing.assert_allclose(t.best_dist, nearest_want[j][1], rtol=1e-14, atol=1e-15)
+                # a wsum grid without a positive radius has nothing to scan
+                live = batches if w is Weighting.ONE_NEAREST_NEIGHBOR or max(grid) > 0 else []
+                for batch in live:
+                    assert tables[batch[0]].cells == _class_pair_cells(votes, batch) > 0, (w, batch)
+                assert all(tables[j].cells == 0 for j in set(range(m)) - {batch[0] for batch in live})
+
+
+@hst.composite
+def untiled_instances(draw, m):
+    """Rows on a sphere in 96 dims, where no tile can prune, with ``m`` sources.
+
+    Each source votes on 15-70% of the points; one point votes on every
+    source but a last one with no support, added when drawn.  The grid
+    holds 0 and radii between distances near quantiles up to the median,
+    so every wsum scan is untiled too.
+    """
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    metric = draw(hst.sampled_from(["cosine", "euclidean"]))
+    n = draw(hst.integers(80, 200))
+    x = rng.standard_normal((n, 96))
+    x *= 3.0 / np.linalg.norm(x, axis=1, keepdims=True)
+    votes = np.zeros((n, m), dtype=int)
+    for j in range(m):
+        on = rng.random(n) < rng.uniform(0.15, 0.7)
+        votes[on, j] = rng.choice([-1, 1], on.sum())
+    votes[rng.integers(n)] = rng.choice([-1, 1], m)
+    if draw(hst.booleans()):
+        votes = np.column_stack([votes, np.zeros(n, dtype=int)])
+    values = np.unique(brute_force_distances(x, metric))
+    k = (np.array([0.002, 0.05, 0.5]) * values.size).astype(int)
+    grid = np.concatenate([[0.0], (values[k] + values[k + 1]) / 2])  # between occurring distances
+    return x, votes, grid, metric, draw(hst.integers(1, 3000)), draw(PIECE_SIZES)
+
+
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_class_pair_scan_matches_one_source_scans_and_oracles(m):
+    # 8 sources take two batches of at most _CLASS_SOURCES = 6; up to 4
+    # workers switch often, and the stores they fill must merge into the
+    # same tables
+    plans = []
+
+    def tile_tasks(space, st, step):
+        plans.append(plan(space, st, step))
+        return plans[-1]
+
+    plan = extension._tile_tasks
+
+    @settings(max_examples=6, deadline=None, derandomize=True, database=None)
+    @given(untiled_instances(m))
+    def check(instance):
+        with mock.patch.object(extension, "_tile_tasks", tile_tasks):
+            _check_class_pairs(*instance)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        check()
+    finally:
+        sys.setswitchinterval(switch)
+    assert plans and all(p is None for p in plans)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(exact_instances())
+def test_class_pair_scan_matches_oracles_on_exact_ties(instance):
+    # low-dimensional instances would be tiled; scanning them by class
+    # pairs anyway puts exact ties, duplicates and on-radius pairs there
+    x, votes, radii, metric, chunk_elems, _, piece_cells = instance
+    grid = np.unique(np.append(radii, 0.0))
+    with mock.patch.object(extension, "_tile_tasks", lambda space, st, step: None):
+        _check_class_pairs(x, votes, grid, metric, chunk_elems, piece_cells)
+
+
+def test_class_pair_scan_joins_1nn_sources_of_any_grid():
+    # a 1nn table answers every radius, so 1nn sources on different grids
+    # share one class-pair scan, even two with one support (one bit twice);
+    # wsum scans each grid apart
+    rng = np.random.default_rng(28)
+    n = 300
+    x = rng.standard_normal((n, 96))
+    votes = np.zeros((n, 3), dtype=int)
+    for j in range(2):
+        on = rng.random(n) < 0.4
+        votes[on, j] = rng.choice([-1, 1], on.sum())
+    votes[:, 2] = -votes[:, 0]
+    emb, vm = EmbeddingSet(x), VoteMatrix(votes)
+    grids = {0: [0.5], 1: [0.7], 2: [0.9]}
+    owned = {Weighting.ONE_NEAREST_NEIGHBOR: [_class_pair_cells(votes, [0, 1, 2]), 0, 0],
+             Weighting.THRESHOLDED_WEIGHTED_SUM: [_class_pair_cells(votes, [j]) for j in range(3)]}
+    for w in Weighting:
+        for threads in (1, 2):
+            tables = neighbor_tables(emb, vm, grids, w, Metric.COSINE, threads)
+            assert [t.cells for t in tables.values()] == owned[w], (w, threads)
+            for j, t in tables.items():
+                alone = neighbor_tables(emb, vm, {j: grids[j]}, w, Metric.COSINE, 1)[j]
+                for name in ("best_dist", "best_col", "in_count", "vote_sum"):
+                    a, b = getattr(t, name), getattr(alone, name)
+                    assert (a is None and b is None) or np.array_equal(a, b), (w, j, name, threads)
+                r = grids[j][0]
+                assert np.array_equal(t.column(vm, r), brute_force_extend(x, votes, np.full(3, r), w.value)[:, j])
+
+
 def _scan_kinds(fn):
     """``(fn(), kinds)``: the scan's blocks as ``"pruned"`` (a tile on some columns) or ``"whole"``."""
     kinds = []
@@ -546,6 +678,11 @@ def _rechecked(fn):
     return sorted(pair for call in spy.call_args_list for pair in zip(call.args[1].tolist(), call.args[2].tolist()))
 
 
+def _no_bound(lo, hi, pts):
+    """Box-to-point distances of 0: every tile keeps every column."""
+    return np.zeros((lo.shape[0], pts.shape[0]))
+
+
 def _check_pruned_scan(x, votes, grid, metric, tile_rows=8, chunk_elems=2000):
     """Tables of every weighting and thread count match the oracles, on scans that prune."""
     emb, vm = EmbeddingSet(x), VoteMatrix(votes)
@@ -557,8 +694,9 @@ def _check_pruned_scan(x, votes, grid, metric, tile_rows=8, chunk_elems=2000):
     with mock.patch.multiple(extension, _TILE_ROWS=tile_rows, _CHUNK_ELEMS=chunk_elems, _MIN_CHUNK=1):
         for w in Weighting:
             # a dropped column is one the fold rejects without a float64 check
+            # (the reference: the same tiles, each keeping every column)
             pruned = _rechecked(partial(neighbor_tables, emb, vm, grids, w, Metric(metric), 1))
-            with mock.patch.object(extension._ScoreSpace, "reach", lambda self, score: np.inf):
+            with mock.patch.object(extension, "_box_distances", _no_bound):
                 whole = _rechecked(partial(neighbor_tables, emb, vm, grids, w, Metric(metric), 1))
             assert pruned == whole, w
             for threads in (1, 2, 4):
@@ -660,7 +798,10 @@ class TestScoredCells:
 
     @pytest.mark.parametrize("weighting", list(Weighting), ids=lambda w: w.value)
     def test_high_dimensional_gaussian_scores_every_cell_in_unpruned_chunks(self, weighting):
-        # the C7 shape: nothing prunes, so the chunks are an unpruned scan's
+        # the C7 shape: nothing prunes, so both sources are scanned by class
+        # pairs; each block is a chunk of one vote-pattern class's rows
+        # against every higher class, so each pair of points with different
+        # patterns is scored once and no pair within a class
         rng = np.random.default_rng(25)
         n, m = 3000, 2
         x = rng.standard_normal((n, 128))
@@ -669,23 +810,29 @@ class TestScoredCells:
             on = rng.random(n) < 0.3
             votes[on, j] = rng.choice([-1, 1], on.sum())
         emb, vm = EmbeddingSet(x), VoteMatrix(votes)
-        shapes = []
+        blocks, tiled = [], []
 
         def spy(space, votes, group, qpos, cpos, ends, buf):
-            shapes.append((group[0].source, qpos.tolist(), cpos))
-            return scan_chunk(space, votes, group, qpos, cpos, ends, buf)
+            tiled.append(qpos.size)
 
-        scan_chunk = extension._scan_chunk
+        def pairs(self, a, r0, r1, buf, own):
+            blocks.append((a, r0, r1))
+            return call(self, a, r0, r1, buf, own)
+
+        call = extension._ClassPairs.__call__
         with mock.patch.multiple(extension, _CHUNK_ELEMS=100_000, _scan_chunk=spy):
-            tables = neighbor_tables(emb, vm, {j: [0.7] for j in range(m)}, weighting, Metric.COSINE, threads=2)
-        for j, t in tables.items():
-            nq, ns = t.queries.size, t.support.size
-            assert t.cells == nq * ns
-            step = max(64, 100_000 // ns)
-            want = [list(range(lo, min(lo + step, nq))) for lo in range(0, nq, step)]
-            assert sorted(q for s, q, c in shapes if s == j) == want
-            assert all(c is None for s, q, c in shapes if s == j)
-
+            with mock.patch.object(extension._ClassPairs, "__call__", pairs):
+                tables = neighbor_tables(emb, vm, {j: [0.7] for j in range(m)}, weighting, Metric.COSINE, threads=2)
+        assert not tiled
+        sizes = np.bincount((votes[:, 0] != 0) + 2 * (votes[:, 1] != 0), minlength=4)
+        starts = np.concatenate([[0], np.cumsum(sizes)])
+        want = []
+        for a in range(3):  # the last class has no higher one
+            step = max(64, 100_000 // (n - starts[a + 1]))
+            want += [(a, r, min(r + step, starts[a + 1])) for r in range(starts[a], starts[a + 1], step)]
+        assert sorted(blocks) == want
+        assert tables[0].cells == sum((r1 - r0) * (n - starts[a + 1]) for a, r0, r1 in want)
+        assert tables[0].cells == (n * n - int((sizes**2).sum())) // 2 and tables[1].cells == 0
 
     @pytest.mark.parametrize("exact_cols", [2**24, 37], ids=["one-piece", "column-pieces"])
     @pytest.mark.parametrize("weighting", list(Weighting), ids=lambda w: w.value)
@@ -873,7 +1020,8 @@ def test_all_duplicate_support_peak_is_one_block_and_one_piece(metric, n):
     # every support point is the same row, so each query ties with its
     # whole support and every cell of the block is a 1nn band candidate;
     # the fold re-decides them a piece at a time, so its scratch is one
-    # piece's whatever the block (16 times larger at 4n)
+    # piece's whatever the block (16 times larger at 4n); so does a class-pair
+    # scan of two such sources
     rng = np.random.default_rng(19)
     ns = n // 4
     x = rng.standard_normal((n, 3))
@@ -902,6 +1050,29 @@ def test_all_duplicate_support_peak_is_one_block_and_one_piece(metric, n):
     np.testing.assert_allclose(dist[pick], want[1], rtol=1e-14, atol=1e-15)
     # slack: the table, the scan plan and one piece of the float64 re-check
     block = 4 * cells
+    assert peak <= 1.25 * block, (peak, block)
+
+    # two sources with different all-duplicate supports, scanned by class
+    # pairs (forced: these rows would be tiled); every cell of both folds'
+    # sides is a candidate, and the store keeps a few per query and class
+    x[ns : 2 * ns] = x[ns]
+    votes = np.column_stack([votes[:, 0], np.zeros(n, dtype=int)])
+    votes[ns : 2 * ns, 1] = rng.choice([-1, 1], ns)
+    emb, vm = EmbeddingSet(x), VoteMatrix(votes)
+    block = n * n  # bytes: the n/2 points voting on neither against the n/2 voting on one
+    with mock.patch.multiple(extension, _CHUNK_ELEMS=block // 4, _MIN_CHUNK=1, _PIECE_CELLS=1024,
+                             _tile_tasks=lambda space, st, step: None):
+        scan = partial(neighbor_tables, emb, vm, {0: (), 1: ()}, Weighting.ONE_NEAREST_NEIGHBOR, Metric(metric), 1)
+        scan()
+        tables, _, peak = _traced(scan)
+    assert tables[0].cells == _class_pair_cells(votes, [0, 1]) == 5 * n * n // 16
+    pick = np.sort(rng.choice(np.arange(2 * ns, n), min(n - 2 * ns, 1200), replace=False))
+    keep = np.concatenate([np.arange(2 * ns), pick])
+    for j, t in tables.items():
+        q, d, b = brute_force_nearest(x[keep], votes[keep], j, metric)
+        at = np.searchsorted(t.queries, keep[q])
+        assert np.array_equal(t.best_col[at], keep[b]), j
+        np.testing.assert_allclose(t.best_dist[at], d, rtol=1e-14, atol=1e-15)
     assert peak <= 1.25 * block, (peak, block)
 
 
