@@ -7,37 +7,39 @@ by an exhaustive scan over the source's support, and a weighting rule
 into a vote; points with an empty neighborhood keep abstaining.  Newly
 labeled points never seed further extension.
 
-The scan is exact in float64.  Each source's abstainers are cut into
-k-d tiles of about 256 rows on a cached low-dimensional projection of
-the score rows, and exact float64 bounds drop, per tile, the support
-columns whose scores the fold would reject without a float64 check
-(wsum: beyond the grid's largest radius; 1nn: beyond every tile row's
-best score).  Tiles keeping every column are joined into query chunks;
-each chunk or pruned tile is scored against its columns in one float32
-GEMM block (the only score path; Euclidean rows are centered and scaled
-by a power of two), written into a buffer that each scan worker owns and
-reuses for every block it runs, and folded into per-query results.  The
-fold walks the block in pieces of whole rows; each piece marks the cells
-near a threshold or a tie in one reused mask and re-evaluates them in
-float64, so results are identical to a pure float64 scan whatever the
-tiling, chunking, thread count, data offset or scale, and the fold's
-scratch is bounded by a piece.
+The scan is exact in float64, and every scan runs through one fold
+(``_ClassPairs``).  Each point is keyed by its pattern of votes over the
+scanned sources, the float32 score rows (Euclidean rows centered and
+scaled by a power of two) are copied in key order, and each task scores
+a run of one class's rows against columns of higher classes in one GEMM
+block, written into a buffer that each scan worker owns and reuses.  Two
+points of one class are never a query/support pair of any source, so no
+such pair is scored.  Each source's abstainers are first cut into k-d
+tiles of about 256 rows on a cached low-dimensional projection, and
+exact float64 bounds drop, per tile, the support columns whose scores
+the fold would reject without a float64 check (wsum: beyond the grid's
+largest radius; 1nn: beyond every tile row's best score).  Where some
+tile prunes, the source's group is a batch of its own with two classes,
+abstainers and voters: tiles keeping every column are joined into
+chunks against the whole support, and each other tile is scored
+against its kept columns.  Where nothing can prune (high-dimensional
+data), the sources are scanned together (wsum: those of one radius
+grid), and each chunk of a class's rows is scored against the rows of
+every higher class, so a point pair is scored once for all the sources
+it is a query/support pair of.
 
-Where nothing can prune (high-dimensional data), no tile is cut, and the
-sources are scanned together (wsum: those of one radius grid) by
-vote-pattern class pairs (``_ClassPairs``): the score rows are sorted once by each point's
-pattern of votes over those sources, and each chunk of one class's rows
-is scored in one GEMM against the rows of every higher class, so a point
-pair is scored once for all the sources it is a query/support pair of
-(and a pair within a class, a pair of none, not at all).  Each column
-slice of such a block is folded for the sources the rows abstain on and
-the columns vote on, and with the columns as queries for those the
-columns abstain on and the rows vote on.  1nn keeps per-source maxima
-and the cells within ``tau`` of them, and re-decides the survivors of
-each source's final threshold in one float64 pass; wsum adds both sides'
+Each column slice of a block is folded for the sources the rows abstain
+on and the columns vote on, and with the columns as queries for those
+the columns abstain on and the rows vote on.  The fold walks the block
+in pieces of whole rows; each piece marks the cells near a threshold or
+a tie in one reused mask, so its scratch is bounded by a piece.  1nn
+keeps per-source maxima and the cells within ``tau`` of them, and
+re-decides the survivors of each source's final threshold in one float64
+call; wsum re-decides its band cells in float64 and adds both sides'
 voter counts and vote sums into per-worker integer arrays.  Every merge
 is a maximum, an integer sum or a least (distance, point id), so the
-tables are those of a scan per source at any thread count.
+tables are those of a pure float64 scan per source whatever the tiling,
+chunking, thread count, data offset or scale.
 
 A scan fills one ``NeighborTable`` per source for a whole radius grid
 (wsum folds each block once per grid radius with one skinny float32 GEMM
@@ -55,6 +57,7 @@ from __future__ import annotations
 import copy
 import math
 import os
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -339,11 +342,12 @@ class NeighborTable:
     1nn keeps every abstainer's nearest support point, which answers any
     radius; wsum keeps, per grid radius, the count and signed sum of the
     voters inside it.  Rows follow ``queries``.  ``cells`` counts the
-    score cells of the table's scan: the (query, support) pairs of its
-    tiles and chunks, or for a class-pair scan (owned by the batch's first
-    table) every pair of points with different vote patterns over the
-    batch, ``(n^2 - sum of class sizes^2) / 2``.  It is 0 for a table
-    sharing another's scan, deterministic, and kept out of every artifact.
+    score cells of the scan the table's class-pair batch owns (kept by its
+    first table): for a tiled group, the (query, support) pairs of its
+    chunks and the kept pairs of its pruned tiles; for an untiled batch,
+    every pair of points with different vote patterns over the batch,
+    ``(n^2 - sum of class sizes^2) / 2``.  It is 0 for a table sharing
+    another's scan, deterministic, and kept out of every artifact.
     """
 
     source: int
@@ -384,93 +388,6 @@ class NeighborTable:
         return col
 
 
-def _refine_first_per_group(emb, metric, groups, qids, cids):
-    """Exact distances for candidate pairs; keep the best per group.
-
-    Returns the positions of each group's winner among the candidates
-    and its distance, ties resolved to the smallest support id.
-    """
-    dist = paired_distances(emb, qids, cids, metric)
-    order = np.lexsort((cids, dist, groups))
-    gs = groups[order]
-    first = np.empty(gs.size, dtype=bool)
-    first[0] = True
-    first[1:] = gs[1:] != gs[:-1]
-    pick = order[first]
-    return pick, dist[pick]
-
-
-def _scan_chunk(space, votes, group, qpos, cpos, ends, buf):
-    """Score queries ``qpos`` of ``group`` against its support (positions ``cpos``; None: all) and fold.
-
-    ``group`` holds the tables of sources sharing one support and grid;
-    the first stands for all, and they share its nearest arrays (1nn) or
-    voter counts (wsum).  The block goes into the front of the worker's
-    ``buf``; tasks of one group cover disjoint query positions, so each
-    writes its own result rows without locking.  Both folds walk the
-    block in pieces of whole rows of about ``_PIECE_CELLS`` cells, each
-    marking its float64 candidates in one reused bool mask, so scratch is
-    bounded by a piece, not by the block or its band; a row's decision
-    depends on that row alone, so the pieces change no result.  1nn marks
-    the cells within ``tau`` of each row's best score and keeps each
-    row's float64 nearest among them.  wsum folds each positive grid
-    radius ``k`` over the first ``ends[k]`` columns (None: all): a piece's
-    inside mask, as float32 in a reused buffer, times ``[ones, vote
-    columns...]`` in one GEMM gives the count and every source's vote
-    sum.  Each term is 0 or +-1, so every partial sum BLAS forms, in any
-    order, is an integer no larger than the piece's width, which
-    ``_EXACT_COLS`` (2^24; wider supports fold in column pieces) keeps
-    exact in float32.  The band cells are re-decided in float64 and
-    added, all columns in one ``np.add.at``.
-    """
-    st = group[0]
-    qids = st.queries[qpos]
-    cols = st.support if cpos is None else st.support[cpos]
-    sub = space.block(qids, cols, buf)
-    emb, metric = space.emb, space.metric
-    nn = st.weighting is Weighting.ONE_NEAREST_NEIGHBOR
-    wide = cols.size if nn else min(cols.size, _EXACT_COLS)  # columns per piece
-    step = min(qpos.size, max(1, _PIECE_CELLS // wide))  # rows per piece, scratch sized to the block
-    if not nn:
-        w = np.ones((cols.size, 1 + len(group)), dtype=np.float32)
-        w[:, 1:] = votes.votes[cols][:, [t.source for t in group]]
-        wi = w.astype(np.int64)
-        inside, mask32 = np.empty(step * wide, dtype=bool), np.empty(step * wide, dtype=np.float32)
-        grid = [(k, float(st.radii[k]), cols.size if ends is None else int(ends[k]))
-                for k in np.flatnonzero(st.radii > 0)]
-    mask = np.empty(step * wide, dtype=bool)
-    for a in range(0, qpos.size, step):
-        rows = qpos[a : a + step]
-        if nn:
-            part = sub[a : a + step]
-            top = part.max(axis=1)[:, None] - space.tau  # float32, as the scores
-            hit = np.greater_equal(part, top, out=mask[: part.size].reshape(part.shape))
-            rr, cc = np.divmod(np.flatnonzero(hit), wide)
-            pick, dist = _refine_first_per_group(emb, metric, rr, qids[a + rr], cols[cc])
-            st.best_dist[rows[rr[pick]]] = dist
-            st.best_col[rows[rr[pick]]] = cols[cc[pick]]
-            continue
-        res = np.zeros((rows.size, st.radii.size, w.shape[1]), dtype=np.int64)
-        for k, radius, e in grid:
-            lo_s, hi_s = space.band(radius)
-            for c in range(0, e, wide):  # one piece unless the support is wider than _EXACT_COLS
-                part = sub[a : a + step, c : min(e, c + wide)]
-                ins = np.greater(part, hi_s, out=inside[: part.size].reshape(part.shape))
-                fl = mask32[: part.size].reshape(part.shape)
-                fl[...] = ins
-                res[:, k] += (fl @ w[c : c + part.shape[1]]).astype(np.int64)
-                hit = np.greater_equal(part, lo_s, out=mask[: part.size].reshape(part.shape))
-                hit ^= ins
-                rr, cc = np.divmod(np.flatnonzero(hit), part.shape[1])
-                if rr.size:
-                    cc += c
-                    keep = paired_distances(emb, qids[a + rr], cols[cc], metric) <= radius
-                    np.add.at(res[:, k], rr[keep], wi[cc[keep]])
-        st.in_count[rows] = res[:, :, 0]
-        for i, t in enumerate(group):
-            t.vote_sum[rows] = res[:, :, 1 + i]
-
-
 def _kd_tiles(p):
     """``(order, starts)``: ``p``'s rows in k-d order, cut into tiles of ``_TILE_ROWS`` at ``starts``.
 
@@ -507,24 +424,27 @@ def _box_distances(lo, hi, pts):
 
 
 def _tile_tasks(space, st, step):
-    """Score tasks ``(query positions, support positions, ends)`` of one table, or None.
+    """The tiled plan ``(rows, tasks)`` of one table, or None.
 
     None when nothing could prune: one ball about the support's mean
     holds every query and support point within the least cut a tile
-    could have (such tables are scanned by ``_ClassPairs``).  Otherwise
-    the queries are cut into k-d tiles on ``space.proj``.  A tile drops
-    every support column whose distance from the tile's projected box is
-    beyond ``space.reach`` of a score the fold rejects without a float64
-    check: for wsum, the outward band edge of the grid's largest radius;
-    for 1nn, the ``space.floor`` of every tile row's threshold, from an
-    upper bound on each row's distance to the support point nearest the
-    tile's centre.  So a pruned tile's fold sees the same candidates as a
-    full scan.  A wsum tile orders its kept columns by bound, and
-    ``ends[k]`` counts those grid radius ``k`` may reach, the only ones
-    it folds.  Tiles keeping every column are joined, in ascending query
-    order, into chunks of ``step`` rows (support positions and ends
-    None); the others are scored alone.  A wsum tile keeping no column
-    has no task, so a plan may have none.
+    could have (such tables are scanned with others by vote-pattern class
+    pairs).  Otherwise the queries are cut into k-d tiles on
+    ``space.proj``.  A tile drops every support column whose distance
+    from the tile's projected box is beyond ``space.reach`` of a score
+    the fold rejects without a float64 check: for wsum, the outward band
+    edge of the grid's largest radius; for 1nn, the ``space.floor`` of
+    every tile row's threshold, from an upper bound on each row's
+    distance to the support point nearest the tile's centre.  So a pruned
+    tile's fold sees the same candidates as a full scan.
+
+    ``rows`` orders the query positions: whole tiles first, joined in
+    ascending order, then the others.  A task ``(first row, end row,
+    support positions, ends)`` is a chunk of ``step`` joined rows against
+    the whole support (positions and ends None) or a pruned tile against
+    its kept columns; a wsum tile orders those by bound, and ``ends[k]``
+    counts the ones grid radius ``k`` may reach.  A wsum tile keeping no
+    column has no task, so a plan may have none.
     """
     pq, ps = space.proj[st.queries], space.proj[st.support]
     wsum = st.weighting is Weighting.THRESHOLDED_WEIGHTED_SUM
@@ -538,7 +458,7 @@ def _tile_tasks(space, st, step):
         spread += np.sqrt(np.einsum("ij,ij->i", x, x).max())
     if spread <= least:  # every (query, support) pair is within any cut
         return None
-    full, tasks = [], []
+    full, pruned, idle = [], [], []
     qpos, starts = _kd_tiles(pq)
     pq = pq[qpos]
     lo, hi = np.minimum.reduceat(pq, starts), np.maximum.reduceat(pq, starts)
@@ -558,114 +478,187 @@ def _tile_tasks(space, st, step):
             keep = np.flatnonzero(bound <= cuts[t])
             if keep.size == bound.size:
                 full.append(tiles[t])
-            elif wsum and keep.size:
+            elif not keep.size:
+                idle.append(tiles[t])
+            elif wsum:
                 keep = keep[np.argsort(bound[keep], kind="stable")]
-                tasks.append((tiles[t], keep, np.searchsorted(bound[keep], reach, side="right")))
-            elif keep.size:
-                tasks.append((tiles[t], keep, None))
+                pruned.append((tiles[t], keep, np.searchsorted(bound[keep], reach, side="right")))
+            else:
+                pruned.append((tiles[t], keep, None))
     run = np.sort(np.concatenate(full)) if full else np.empty(0, dtype=np.int64)
-    return [(run[i : i + step], None, None) for i in range(0, run.size, step)] + tasks
+    tasks, at = [(i, min(i + step, run.size), None, None) for i in range(0, run.size, step)], run.size
+    for tile, keep, ends in pruned:
+        tasks.append((at, at + tile.size, keep, ends))
+        at += tile.size
+    return np.concatenate([run, *(tile for tile, _, _ in pruned), *idle]), tasks
+
+
+def _merged(parts):
+    """One tuple of arrays from a list of tuples of arrays, each array joined with its kin."""
+    return parts[0] if len(parts) == 1 else tuple(np.concatenate(x) for x in zip(*parts))
 
 
 class _ClassPairs:
-    """One scan of up to ``_CLASS_SOURCES`` groups (wsum: of one grid) that no tile could prune.
+    """One scan of up to ``_CLASS_SOURCES`` groups (wsum: of one grid): the fold of every scan.
 
     Each point is keyed by its vote pattern over the groups' supports (bit
     ``b``: it votes on group ``b``) and the score rows are copied in key
-    order once, so each class is a run of positions.  Two points of one
-    class are never a query/support pair of any group; two of different
-    classes are one of at least one.  A task scores a chunk of class
-    ``a``'s rows against the rows of every higher class in one GEMM, so
-    each such pair is scored once and none within a class.  The highest
-    bit in which ``a < b`` differ is set in ``b``, so the rows are queries
-    of some group in every class ``b`` slice of columns (the row side);
-    where ``a`` votes on a group ``b`` abstains on, the columns are its
-    queries too (the column side).  Tasks write to their worker's own
-    store (``local``), and ``finish`` merges the stores into the tables
-    by integer sums (wsum) or by maxima and least ``(distance, point
-    id)`` (1nn), so no table depends on which worker ran which task.
+    order, so each class is a run of positions.  Two points of one class
+    are never a query/support pair of any group; two of different classes
+    are one of at least one.  A task scores a run of class ``a``'s rows
+    against columns of higher classes in one GEMM: untiled, a chunk of
+    rows against every higher class, so each such pair is scored once; a
+    tiled group (``tiles``) is a batch of its own, its queries class 0 in
+    the plan's row order and its support class 1.  The highest bit in which ``a < b`` differ is set in ``b``, so the rows
+    are queries of some group in every class ``b`` slice of columns (the
+    row side); where ``a`` votes on a group ``b`` abstains on, the columns
+    are its queries too (the column side).  Tasks write to their worker's
+    own store (``local``), and the batch's last task to finish merges the
+    stores into the tables (``finish``) by integer sums (wsum) or by
+    maxima and least ``(distance, point id)`` (1nn), so no table depends
+    on which worker ran which task.  The sorted copy of the score rows
+    (and wsum's weights) is built by the batch's first task and dropped,
+    with the stores, after its last, so a scan holds them for the batches
+    in flight, not for every batch.
     """
 
-    def __init__(self, space, votes, batch):
-        self.space, self.batch, n = space, batch, votes.n
+    def __init__(self, space, votes, batch, tiles=None):
+        self.space, self.votes, self.batch, n = space, votes, batch, votes.n
         key = np.zeros(n, dtype=np.int64)
         for b, g in enumerate(batch):
             key |= (votes.votes[:, g[0].source] != 0).astype(np.int64) << b
-        self.order = np.argsort(key, kind="stable")
+        if tiles is None:
+            self.order = np.argsort(key, kind="stable")
+        else:  # one group: its queries in the plan's row order, then its support
+            self.order = np.concatenate([batch[0][0].queries[tiles[0]], batch[0][0].support])
         self.key = key[self.order]
         self.starts = np.searchsorted(self.key, np.arange(2 ** len(batch) + 1))
         self.bits = (np.arange(2 ** len(batch))[:, None] >> np.arange(len(batch))) & 1 == 1  # (class, group)
-        self.view = space.permuted(self.order)
-        self.plan = []  # (class, first row, end row): a chunk of rows against every higher class
-        for a in range(2 ** len(batch)):
-            lo, c0 = self.starts[a], self.starts[a + 1]
-            if lo < c0 < n:
-                step = max(_MIN_CHUNK, _CHUNK_ELEMS // (n - c0))
-                self.plan += [(a, r, min(r + step, c0)) for r in range(lo, c0, step)]
+        self.plan = []  # (class, first row, end row, columns: a slice or positions, wsum ends or None)
+        if tiles is None:
+            for a in range(2 ** len(batch)):
+                lo, c0 = self.starts[a], self.starts[a + 1]
+                if lo < c0 < n:
+                    step = max(_MIN_CHUNK, _CHUNK_ELEMS // (n - c0))
+                    self.plan += [(a, r, min(r + step, c0), slice(c0, None), None) for r in range(lo, c0, step)]
+        else:
+            c0 = self.starts[1]
+            self.plan = [(0, r0, r1, slice(c0, None) if keep is None else c0 + keep, ends)
+                         for r0, r1, keep, ends in tiles[1]]
         batch[0][0].cells = sum(self.cells(task) for task in self.plan)
-        self.w = None
-        if batch[0][0].weighting is Weighting.THRESHOLDED_WEIGHTED_SUM:
-            # in key order: each group's voter indicator, then every table's votes
-            v = votes.votes[self.order]
-            w = np.empty((n, len(batch) + sum(map(len, batch))), dtype=np.float32)
-            w[:, : len(batch)] = self.bits[self.key]
-            w[:, len(batch) :] = v[:, [t.source for g in batch for t in g]]
-            self.w, self.wi = w, w.astype(np.int32)
-            self.owner = np.array([b for b, g in enumerate(batch) for _ in g])  # each table's group
-            self.grid = [(k, float(r)) for k, r in enumerate(batch[0][0].radii) if r > 0]
+        self.wsum = batch[0][0].weighting is Weighting.THRESHOLDED_WEIGHTED_SUM
+        self.owner = np.array([b for b, g in enumerate(batch) for _ in g])  # each table's group
+        self.grid = [(k, float(r)) for k, r in enumerate(batch[0][0].radii) if r > 0]
+        self.sides = {a: self._side(a) for a in {task[0] for task in self.plan}}
+        self.lock, self.left, self.stores, self.view, self.w, self.wi = threading.Lock(), len(self.plan), {}, None, None, None
+
+    def _side(self, a):
+        """The fold arguments every task of row class ``a`` shares (see ``_nearest`` and ``_weighted``)."""
+        cls = np.flatnonzero(np.diff(self.starts[a + 1 :]) > 0) + a + 1
+        colq = (self.bits[a] & ~self.bits[cls]).any(axis=1)
+        if not self.wsum:
+            vote = self.bits[cls] & ~self.bits[a]
+            used = np.flatnonzero(vote.any(axis=0))
+            return cls, self.starts[cls] - self.starts[a + 1], colq, vote[:, used], used
+        ga = ~self.bits[a]
+        into = np.flatnonzero(np.concatenate([ga, ga[self.owner]]))
+        if into[-1] - into[0] + 1 == into.size:
+            into = slice(into[0], into[-1] + 1)
+        return colq.any(), into, np.flatnonzero(~ga), len(self.batch) + np.flatnonzero(~ga[self.owner])
 
     def cells(self, task):
-        a, r0, r1 = task
-        return int((r1 - r0) * (self.key.size - self.starts[a + 1]))
+        _, r0, r1, cols, _ = task
+        return int((r1 - r0) * (self.key.size - cols.start if isinstance(cols, slice) else cols.size))
+
+    def _open(self):
+        """The sorted score rows and, for wsum, the weights in key order: each group's voter indicator, then every table's votes."""
+        self.view = self.space.permuted(self.order)
+        if self.wsum:
+            groups = len(self.batch)
+            w = np.empty((self.key.size, groups + sum(map(len, self.batch))), dtype=np.float32)
+            w[:, :groups] = self.bits[self.key]
+            w[:, groups:] = self.votes.votes[:, [t.source for g in self.batch for t in g]][self.order]
+            self.w, self.wi = w, w.astype(np.int32)
 
     def local(self):
         n, lead = self.key.size, self.batch[0][0]
-        if self.w is None:  # per (position, group) best float32 score, and (query, partner, score) candidates
-            return np.full((n, len(self.batch)), -np.inf, dtype=np.float32), []
-        return np.zeros((n, lead.radii.size, self.w.shape[1]), dtype=np.int32)
+        if self.wsum:
+            return np.zeros((n, lead.radii.size, self.w.shape[1]), dtype=np.int32)
+        # per (position, group) best float32 score, and (query, partner, score, distance) candidates
+        return np.full((n, len(self.batch)), -np.inf, dtype=np.float32), []
 
-    def __call__(self, a, r0, r1, buf, own):
-        if self not in own:
-            own[self] = self.local()
-        c0 = self.starts[a + 1]
-        sub = self.view.block(slice(r0, r1), slice(c0, None), buf)
-        cls = np.flatnonzero(np.diff(self.starts[a + 1 :]) > 0) + a + 1  # the column slices' classes
-        ls = self.starts[cls] - c0
-        colq = (self.bits[a] & ~self.bits[cls]).any(axis=1)  # per slice: its columns are queries too
-        if self.w is None:
-            self._nearest(a, r0, c0, sub, own[self], cls, ls, colq)
+    def __call__(self, a, r0, r1, cols, ends, buf):
+        with self.lock:  # the batch's first task builds its copies, a worker's first task its store
+            if self.view is None:
+                self._open()
+            own = self.stores.get(threading.get_ident())
+            if own is None:
+                own = self.stores[threading.get_ident()] = self.local()
+        sub = self.view.block(slice(r0, r1), cols, buf)
+        if self.wsum:
+            self._weighted(r0, cols, ends, sub, own, *self.sides[a])
         else:
-            self._weighted(a, r0, c0, sub, own[self], cls, ls, colq.any())
+            pos = cols if isinstance(cols, np.ndarray) else np.arange(cols.start, self.key.size)
+            self._nearest(a, r0, pos, sub, own, *self.sides[a])
+        with self.lock:
+            self.left -= 1
+            last = not self.left
+        if last:  # every task has folded into the stores: merge them and drop the batch's copies
+            self.finish(list(self.stores.values()))
+            self.view = self.w = self.wi = self.stores = None
 
-    def _winners(self, groups, q, p):
-        """Positions of each group's float64 nearest pair (query ``q``, partner ``p``, in key order)."""
-        return _refine_first_per_group(self.space.emb, self.space.metric, groups, self.order[q], self.order[p])[0]
+    def _winners(self, groups, q, p, dist, every=True):
+        """Positions of each group's least (float64 distance, partner id) among candidate pairs.
 
-    def _nearest(self, a, r0, c0, sub, own, cls, ls, colq):
+        Queries ``q`` and partners ``p`` are positions in key order.  The
+        NaN entries of ``dist`` (distances not yet known) are filled in
+        place in one float64 call: all of them, or without ``every`` only
+        those of groups with a choice to make, since a lone candidate wins
+        its group unmeasured.  A pair listed twice wins twice.
+        """
+        pid = self.order[p]
+        need = np.isnan(dist)
+        if not every:
+            need &= np.bincount(groups)[groups] > 1
+        need = np.flatnonzero(need)
+        if need.size:
+            dist[need] = paired_distances(self.space.emb, self.order[q[need]], pid[need], self.space.metric)
+        size = int(groups.max()) + 1 if groups.size else 0
+        least = np.full(size, np.inf)
+        np.fmin.at(least, groups, dist)
+        tie = np.flatnonzero(~(dist > least[groups]))  # the least distances, and the lone unmeasured
+        first = np.full(size, self.key.size)
+        np.minimum.at(first, groups[tie], pid[tie])
+        return tie[pid[tie] == first[groups[tie]]]
+
+    def _nearest(self, a, r0, pos, sub, own, cls, ls, colq, vote, used):
         """1nn fold: per-group row maxima, column maxima and the cells within ``tau`` of them.
 
-        Row side, per piece: each row's best score over the slices voting
-        on each group it abstains on, and the cells within ``tau`` of the
-        least such threshold a slice answers to.  Column side, after the
-        rows: each column's best over the block and the cells within
-        ``tau`` of it.  A local best never exceeds the group's, so the
-        cells kept hold every cell the final threshold keeps.  Pieces
-        keeping more cells than (row, slice) pairs, or column passes
-        keeping more than two per column, keep one float64 winner per
-        pair (the group's nearest is its winner wherever it lies), so the
-        store stays within a few entries per query and class.
+        ``pos`` holds the block columns' positions.  Row side, per piece:
+        each row's best score over the slices voting on each group it
+        abstains on, and the cells within ``tau`` of the least such
+        threshold a slice answers to.  Column side, after the rows: each
+        column's best over the block and the cells within ``tau`` of it.
+        A local best never exceeds the group's, so the cells kept hold
+        every cell the final threshold keeps.  Where a piece keeps more
+        than two cells per (row, slice) pair, or the column pass more than
+        two per column, only each pair's or column's float64 winner stays
+        (the group's nearest is its winner wherever it lies), so the store
+        holds a few entries per query and class; a lone cell stays
+        unmeasured, for ``finish`` to re-decide.
         """
         best, found = own
         tau, (rows, width) = self.space.tau, sub.shape
-        vote = self.bits[cls] & ~self.bits[a]  # (slice, group): the slice votes where the rows abstain
-        used = np.flatnonzero(vote.any(axis=0))
-        vote = vote[:, used]
         step = max(1, _PIECE_CELLS // width)
         mask = np.empty(min(rows, step) * width, dtype=bool)
-        live = np.repeat(colq, np.diff([*ls, width]))  # columns that are queries of some group
-        lo, hi = (int(i) for i in np.flatnonzero(live)[[0, -1]] + [0, 1]) if live.any() else (0, 0)
+        lo = hi = 0  # the span of the columns that are queries of some group
+        if ls.size > 1 or colq[0]:  # else one class of columns, all of them partners only
+            of = np.repeat(np.arange(ls.size), np.diff([*ls, width]))  # each column's slice
+            live = colq[of]
+            if live.any():
+                lo, hi = (int(i) for i in np.flatnonzero(live)[[0, -1]] + [0, 1])
         colmax = np.full(hi - lo, -np.inf, dtype=np.float32)
-        hits = []  # (query, partner, score) per piece, in key order
+        hits = []  # (query, partner, score, distance or NaN) per piece, in key order
         for p in range(0, rows, step):
             part = sub[p : p + step]
             q = slice(r0 + p, r0 + p + part.shape[0])
@@ -674,21 +667,25 @@ class _ClassPairs:
             cut = np.where(vote, thr[:, None, :], np.inf).min(axis=2)  # (row, slice)
             hit = np.greater_equal(part, thr.min(axis=1)[:, None], out=mask[: part.size].reshape(part.shape))
             rr, cc = np.divmod(np.flatnonzero(hit), width)
-            sl = np.searchsorted(ls, cc, side="right") - 1
-            sc = part[rr, cc]
-            keep = sc >= cut[rr, sl]
-            rr, cc, sl, sc = rr[keep], cc[keep], sl[keep], sc[keep]
-            if rr.size > cut.size:
-                pick = self._winners(rr * ls.size + sl, q.start + rr, c0 + cc)
-                rr, cc, sc = rr[pick], cc[pick], sc[pick]
-            hits.append((q.start + rr, c0 + cc, sc))
+            sc, sl = part[rr, cc], 0
+            if ls.size > 1:  # a cell answers to its own slice's threshold only
+                sl = of[cc]
+                keep = sc >= cut[rr, sl]
+                rr, cc, sl, sc = rr[keep], cc[keep], sl[keep], sc[keep]
+            dist = np.full(rr.size, np.nan)
+            if rr.size > 2 * cut.size:
+                pick = self._winners(rr * ls.size + sl, q.start + rr, pos[cc], dist, every=False)
+                rr, cc, sc, dist = rr[pick], cc[pick], sc[pick], dist[pick]
+            hits.append((q.start + rr, pos[cc], sc, dist))
+            if len(hits) > 64:  # a few arrays, not a few per piece
+                hits = [_merged(hits)]
             best[q, used] = np.maximum(best[q, used], top)
             if hi > lo:
                 np.maximum(colmax, part[:, lo:hi].max(axis=0), out=colmax)
         if hi > lo:
             for g in np.flatnonzero(self.bits[a]):  # the columns abstaining on a group the rows vote on
-                on = ~np.repeat(self.bits[cls, g], np.diff([*ls, width]))[lo:hi]
-                at = c0 + lo + np.flatnonzero(on)
+                on = ~self.bits[cls[of[lo:hi]], g]
+                at = pos[lo:hi][on]
                 best[at, g] = np.maximum(best[at, g], colmax[on])
             cut = colmax - tau
             cut[~live[lo:hi]] = np.inf
@@ -697,65 +694,65 @@ class _ClassPairs:
                 part = sub[p : p + step, lo:hi]
                 hit = np.greater_equal(part, cut, out=mask[: part.size].reshape(part.shape))
                 rr, cc = np.divmod(np.flatnonzero(hit), hi - lo)
-                cols.append((c0 + lo + cc, r0 + p + rr, part[rr, cc]))
+                cols.append((pos[lo + cc], r0 + p + rr, part[rr, cc], np.full(rr.size, np.nan)))
                 kept += rr.size
                 if kept > 2 * (hi - lo):
-                    cq, cp, sc = (np.concatenate(x) for x in zip(*cols))
-                    pick = self._winners(cq, cq, cp)
-                    cols, kept = [(cq[pick], cp[pick], sc[pick])], pick.size
+                    cq, cp, sc, dist = _merged(cols)
+                    pick = self._winners(cq, cq, cp, dist, every=False)
+                    cols, kept = [(cq[pick], cp[pick], sc[pick], dist[pick])], pick.size
             hits += cols
-        q, p, sc = (np.concatenate(x) for x in zip(*hits))
-        found.append((q.astype(np.int32), p.astype(np.int32), sc))
+        q, p, sc, dist = _merged(hits)
+        found.append((q.astype(np.int32), p.astype(np.int32), sc, dist))
 
-    def _weighted(self, a, r0, c0, sub, acc, cls, ls, both):
+    def _weighted(self, r0, cols, ends, sub, acc, both, into, gv, tv):
         """wsum fold: each inside mask counts and sums votes for the rows and, if ``both``, the columns.
 
-        Per piece and positive grid radius, the inside mask (float32 0/1)
-        gives each row's inside cells per column slice (``reduceat``),
-        hence its voter count for every group the rows abstain on, and
-        times those groups' vote columns, its vote sums; the columns' ones
-        and vote sums for the groups the rows vote on come from the rows'
-        ``[1, votes]`` times the mask.  Entries of a point for a group it
-        votes on are never read.  Band cells are re-decided in float64
-        once for both sides.  Sums stay exact as in ``_scan_chunk``: at
-        most ``_EXACT_COLS`` columns and ``_PIECE_CELLS`` rows per piece.
+        Per piece and positive grid radius ``k``, over the task's first
+        ``ends[k]`` columns (None: all), the inside mask as float32 0/1
+        times the columns' weights ``into`` (voter indicators of the groups
+        the rows abstain on, then those groups' tables' votes) gives each
+        row's counts and sums in one GEMM.  The rows' ones and votes of the
+        tables ``tv`` of the groups ``gv`` they vote on, times the mask, give
+        the columns' (only class-pair tasks, whose columns are a slice, have
+        a column side).  Band cells are re-decided in float64 once for both
+        sides.  Each term is 0 or +-1, so every partial sum BLAS forms, in
+        any order, is an integer no larger than the piece's width (at most
+        ``_EXACT_COLS``, 2^24; wider blocks fold in column pieces) or row
+        count (at most ``_PIECE_CELLS``), which float32 holds exactly.
         """
-        emb, metric, order, groups = self.space.emb, self.space.metric, self.order, len(self.batch)
+        emb, metric, order = self.space.emb, self.space.metric, self.order
         rows, width = sub.shape
         wide = min(width, _EXACT_COLS)
         step = max(1, _PIECE_CELLS // wide)
-        ga, gv = np.flatnonzero(~self.bits[a]), np.flatnonzero(self.bits[a])  # groups: rows abstain, vote
-        ta, tv = (groups + np.flatnonzero(np.isin(self.owner, x)) for x in (ga, gv))  # their tables' columns
-        counts = self.bits[cls][:, ga].astype(np.float32)  # (slice, group the rows abstain on): votes
-        wc = self.w[c0:, ta]
+        wc, wci, pid = self.w[cols][:, into], self.wi[cols], order[cols]
         wr = np.ones((rows, 1 + tv.size), dtype=np.float32)
         wr[:, 1:] = self.w[r0 : r0 + rows, tv]
-        wri, wci = self.wi[r0 : r0 + rows], self.wi[c0:]
+        wri = self.wi[r0 : r0 + rows]
         size = min(rows, step) * wide
         inside, mask32, mask = np.empty(size, dtype=bool), np.empty(size, dtype=np.float32), np.empty(size, dtype=bool)
         for p in range(0, rows, step):
+            q = slice(r0 + p, r0 + min(p + step, rows))
             for c in range(0, width, wide):
-                part = sub[p : p + step, c : c + wide]
-                q, s = slice(r0 + p, r0 + p + part.shape[0]), slice(c0 + c, c0 + c + part.shape[1])
-                first = np.searchsorted(ls, c, side="right") - 1  # the slices the piece's columns are in
-                cuts = np.maximum(ls[first : np.searchsorted(ls, c + part.shape[1])] - c, 0)
                 for k, radius in self.grid:
+                    e = min(c + wide, width if ends is None else int(ends[k]))
+                    if e <= c:
+                        continue
+                    part = sub[p : p + step, c:e]
                     lo_s, hi_s = self.space.band(radius)
                     ins = np.greater(part, hi_s, out=inside[: part.size].reshape(part.shape))
                     fl = mask32[: part.size].reshape(part.shape)
                     fl[...] = ins
-                    per_slice = np.add.reduceat(fl, cuts, axis=1)
-                    acc[q, k, ga] += (per_slice @ counts[first : first + cuts.size]).astype(np.int32)
-                    acc[q, k, ta] += (fl @ wc[c : c + part.shape[1]]).astype(np.int32)
+                    acc[q, k, into] += (fl @ wc[c:e]).astype(np.int32)
                     if both:
+                        s = slice(cols.start + c, cols.start + e)
                         col = (wr[p : p + part.shape[0]].T @ fl).T.astype(np.int32)
                         acc[s, k, gv] += col[:, :1]
                         acc[s, k, tv] += col[:, 1:]
                     hit = np.greater_equal(part, lo_s, out=mask[: part.size].reshape(part.shape))
                     hit ^= ins
                     if hit.any():
-                        rr, cc = np.divmod(np.flatnonzero(hit), part.shape[1])
-                        keep = paired_distances(emb, order[q][rr], order[s][cc], metric) <= radius
+                        rr, cc = np.divmod(np.flatnonzero(hit), e - c)
+                        keep = paired_distances(emb, order[q][rr], pid[c + cc], metric) <= radius
                         rr, cc = rr[keep], cc[keep]
                         np.add.at(acc[q, k], rr, wci[c + cc])
                         if both:
@@ -764,13 +761,13 @@ class _ClassPairs:
     def finish(self, owns):
         """Merge the workers' stores into the batch's tables."""
         n, groups = self.key.size, len(self.batch)
-        if self.w is not None:
-            acc = owns[0].astype(np.int64)
+        if self.wsum:
+            acc = owns[0]  # each cell is folded once, so every sum stays within n
             for o in owns[1:]:
                 acc += o
             at = np.empty(n, dtype=np.int64)
             at[self.order] = np.arange(n)
-            cols = iter(range(groups, self.w.shape[1]))
+            cols = iter(range(groups, acc.shape[2]))
             for b, g in enumerate(self.batch):
                 pos = at[g[0].queries]
                 g[0].in_count[...] = acc[pos, :, b]
@@ -780,43 +777,44 @@ class _ClassPairs:
         best = owns[0][0]
         for o in owns[1:]:
             np.maximum(best, o[0], out=best)
-        q, p, sc = (np.concatenate(x) for x in zip(*[f for o in owns for f in o[1]]))
+        q, p, sc, dist = _merged([f for o in owns for f in o[1]])
+        row = np.empty(n, dtype=np.int64)
         for b, g in enumerate(self.batch):
             st = g[0]
-            thr = best[:, b] - self.space.tau  # float32, as in _scan_chunk
+            row[st.queries] = np.arange(st.queries.size)  # each query's row of the table
+            thr = best[:, b] - self.space.tau  # float32, as the scores
             sel = np.flatnonzero(~self.bits[self.key[q], b] & self.bits[self.key[p], b] & (sc >= thr[q]))
-            qid, pid = self.order[q[sel]], self.order[p[sel]]
-            pos = np.searchsorted(st.queries, qid)
-            pick, dist = _refine_first_per_group(self.space.emb, self.space.metric, pos, qid, pid)
-            st.best_dist[pos[pick]] = dist
-            st.best_col[pos[pick]] = pid[pick]
+            qs, ps, d = q[sel], p[sel], dist[sel]
+            pick = self._winners(qs, qs, ps, d)
+            pos = row[self.order[qs[pick]]]
+            st.best_dist[pos] = d[pick]
+            st.best_col[pos] = self.order[ps[pick]]
 
 
 def _run_tasks(tasks, threads, cells):
     """Run ``tasks`` on up to ``threads`` worker loops that take them in order.
 
     Each worker owns one float32 buffer of ``cells`` (the largest block
-    of the scan) and one dict, and passes both to every task it runs, so
-    chunks reuse their block's memory and class-pair tasks keep their
-    results per worker; the buffers are freed when the workers return.
-    Returns the workers' dicts.
+    of the scan) and passes it to every task it runs, so tasks reuse
+    their block's memory; the buffers are freed when the workers return.
     """
     queue = deque(tasks)
 
     def work():
-        buf, own = np.empty(cells, dtype=np.float32), {}
+        buf = np.empty(cells, dtype=np.float32)
         while True:
             try:
                 task = queue.popleft()
             except IndexError:  # drained
-                return own
-            task(buf, own)
+                return
+            task(buf)
 
     workers = min(threads, len(tasks))
     if workers <= 1:
-        return [work()]
+        return work()
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return [f.result() for f in [pool.submit(work) for _ in range(workers)]]
+        for f in [pool.submit(work) for _ in range(workers)]:
+            f.result()
 
 
 def neighbor_tables(
@@ -838,18 +836,18 @@ def neighbor_tables(
     and folded once.  Each group's queries are cut into k-d tiles of at
     most ``_TILE_ROWS`` rows, and each tile drops the support columns
     that exact distance bounds prove its fold would reject
-    (``_tile_tasks``).  Tiles keeping every column are joined into chunks
-    of about ``_CHUNK_ELEMS`` score cells (at least ``_MIN_CHUNK`` rows);
-    the others are scored alone, each one block and one fold
-    (``_scan_chunk``).  Groups where no tile could prune (under wsum,
-    those of one grid) are scanned together, up to ``_CLASS_SOURCES`` at
-    a time, by vote-pattern class pairs (``_ClassPairs``): each point pair
-    that is a query/support pair of any of them is scored once, in chunks
-    of about ``_CHUNK_ELEMS`` cells.  All blocks run on one pool of ``threads``
-    workers, each scoring into its own buffer sized for the largest
-    block.  A group's first table, or a class-pair scan's first, owns its
-    scan's ``cells`` (the others count 0).  A wsum group without a
-    positive radius has nothing to fold.
+    (``_tile_tasks``).  A group where some tile prunes is a class-pair
+    batch of its own: tiles keeping every column are joined into chunks
+    of about ``_CHUNK_ELEMS`` score cells (at least ``_MIN_CHUNK`` rows),
+    and the others are scored alone.  Groups where no tile could prune
+    (under wsum, those of one grid) are batched together, up to
+    ``_CLASS_SOURCES`` at a time, so each point pair that is a
+    query/support pair of any of them is scored once, in chunks of about
+    ``_CHUNK_ELEMS`` cells.  Every batch folds through ``_ClassPairs``, and
+    all its blocks run on one pool of ``threads`` workers, each scoring
+    into its own buffer sized for the largest block.  A batch's first
+    table owns its scan's ``cells`` (the others count 0).  A wsum group
+    without a positive radius has nothing to fold.
     """
     weighting = Weighting(weighting)
     if emb.n != votes.n:
@@ -882,28 +880,21 @@ def neighbor_tables(
         scans = [g for g in scans if (g[0].radii > 0).any()]
     if not scans:
         return tables
-    space, tasks, untiled = _ScoreSpace(emb, metric), [], {}
+    space, untiled, pairs = _ScoreSpace(emb, metric), {}, []
     for g in scans:
         st = g[0]
-        plan = _tile_tasks(space, st, max(_MIN_CHUNK, _CHUNK_ELEMS // st.support.size))
-        if plan is None:  # a 1nn table answers every radius: its scan ignores the grid
+        tiles = _tile_tasks(space, st, max(_MIN_CHUNK, _CHUNK_ELEMS // st.support.size))
+        if tiles is not None:
+            pairs.append(_ClassPairs(space, votes, [g], tiles))
+        else:  # a 1nn table answers every radius: its scan ignores the grid
             wsum = weighting is Weighting.THRESHOLDED_WEIGHTED_SUM
             untiled.setdefault(st.radii.tobytes() if wsum else b"", []).append(g)
-            continue
-        sizes = [q.size * (st.support.size if c is None else c.size) for q, c, _ in plan]
-        st.cells = sum(sizes)
-        # a tiled block writes its own rows of the tables: no per-worker store
-        tasks += [(size, lambda buf, own, task=(g, *t): _scan_chunk(space, votes, *task, buf))
-                  for size, t in zip(sizes, plan)]
-    pairs = [_ClassPairs(space, votes, same[i : i + _CLASS_SOURCES])
-             for same in untiled.values() for i in range(0, len(same), _CLASS_SOURCES)]
-    for cp in pairs:
-        tasks += [(cp.cells(task), partial(cp, *task)) for task in cp.plan]
+    pairs += [_ClassPairs(space, votes, same[i : i + _CLASS_SOURCES])
+              for same in untiled.values() for i in range(0, len(same), _CLASS_SOURCES)]
+    tasks = [(cp.cells(task), partial(cp, *task)) for cp in pairs for task in cp.plan]
     if tasks:  # none when every tile is beyond a wsum scan's largest radius
         threads = min(4, os.cpu_count() or 1) if threads is None else max(1, int(threads))
-        owns = _run_tasks([task for _, task in tasks], threads, max(size for size, _ in tasks))
-        for cp in pairs:
-            cp.finish([own[cp] for own in owns if cp in own])
+        _run_tasks([task for _, task in tasks], threads, max(size for size, _ in tasks))
     return tables
 
 

@@ -30,6 +30,9 @@ from weakext.extension import (
     neighbors_in_support,
 )
 
+# the fold's GEMMs take 0/1 masks and small integers: a RuntimeWarning there is a fault
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def brute_force_distances(x, metric="cosine"):
     """All pairwise float64 distances.
@@ -662,12 +665,12 @@ def _scan_kinds(fn):
     """``(fn(), kinds)``: the scan's blocks as ``"pruned"`` (a tile on some columns) or ``"whole"``."""
     kinds = []
 
-    def spy(space, votes, group, qpos, cpos, ends, buf):
-        kinds.append("whole" if cpos is None else "pruned")
-        return scan_chunk(space, votes, group, qpos, cpos, ends, buf)
+    def spy(self, a, r0, r1, cols, ends, buf):
+        kinds.append("whole" if isinstance(cols, slice) else "pruned")
+        return call(self, a, r0, r1, cols, ends, buf)
 
-    scan_chunk = extension._scan_chunk
-    with mock.patch.object(extension, "_scan_chunk", spy):
+    call = extension._ClassPairs.__call__
+    with mock.patch.object(extension._ClassPairs, "__call__", spy):
         return fn(), kinds
 
 
@@ -703,6 +706,13 @@ def _check_pruned_scan(x, votes, grid, metric, tile_rows=8, chunk_elems=2000):
                 scan = partial(neighbor_tables, emb, vm, grids, w, Metric(metric), threads)
                 tables, kinds = _scan_kinds(scan)
                 assert "pruned" in kinds and sum(t.cells for t in tables.values()) < full, (w, kinds)
+                # planned untiled, by class pairs, the one fold gives the same tables bit for bit
+                with mock.patch.object(extension, "_tile_tasks", lambda space, st, step: None):
+                    untiled = scan()
+                for j, table in tables.items():
+                    for name in ("best_dist", "best_col", "in_count", "vote_sum"):
+                        a, b = getattr(table, name), getattr(untiled[j], name)
+                        assert (a is None and b is None) or a.tobytes() == b.tobytes(), (w, j, name, threads)
                 for j, table in tables.items():
                     if w is Weighting.ONE_NEAREST_NEIGHBOR:
                         assert np.array_equal(table.best_col, nearest_want[j][2]), (j, threads)
@@ -810,27 +820,29 @@ class TestScoredCells:
             on = rng.random(n) < 0.3
             votes[on, j] = rng.choice([-1, 1], on.sum())
         emb, vm = EmbeddingSet(x), VoteMatrix(votes)
-        blocks, tiled = [], []
+        blocks, plans = [], []
 
-        def spy(space, votes, group, qpos, cpos, ends, buf):
-            tiled.append(qpos.size)
+        def tile_tasks(space, st, step):
+            plans.append(plan(space, st, step))
+            return plans[-1]
 
-        def pairs(self, a, r0, r1, buf, own):
-            blocks.append((a, r0, r1))
-            return call(self, a, r0, r1, buf, own)
+        def pairs(self, a, r0, r1, cols, ends, buf):
+            blocks.append((a, r0, r1, cols.start, cols.stop, ends))
+            return call(self, a, r0, r1, cols, ends, buf)
 
-        call = extension._ClassPairs.__call__
-        with mock.patch.multiple(extension, _CHUNK_ELEMS=100_000, _scan_chunk=spy):
+        plan, call = extension._tile_tasks, extension._ClassPairs.__call__
+        with mock.patch.multiple(extension, _CHUNK_ELEMS=100_000, _tile_tasks=tile_tasks):
             with mock.patch.object(extension._ClassPairs, "__call__", pairs):
                 tables = neighbor_tables(emb, vm, {j: [0.7] for j in range(m)}, weighting, Metric.COSINE, threads=2)
-        assert not tiled
+        assert plans == [None, None]  # no tiled task
         sizes = np.bincount((votes[:, 0] != 0) + 2 * (votes[:, 1] != 0), minlength=4)
         starts = np.concatenate([[0], np.cumsum(sizes)])
         want = []
         for a in range(3):  # the last class has no higher one
             step = max(64, 100_000 // (n - starts[a + 1]))
             want += [(a, r, min(r + step, starts[a + 1])) for r in range(starts[a], starts[a + 1], step)]
-        assert sorted(blocks) == want
+        # each block's columns: every higher class, to the end
+        assert sorted(blocks) == [(a, r0, r1, starts[a + 1], None, None) for a, r0, r1 in want]
         assert tables[0].cells == sum((r1 - r0) * (n - starts[a + 1]) for a, r0, r1 in want)
         assert tables[0].cells == (n * n - int((sizes**2).sum())) // 2 and tables[1].cells == 0
 
@@ -858,13 +870,14 @@ class TestScoredCells:
             for threads in (1, 2, 4):
                 scored = []
 
-                def spy(space, votes, group, qpos, cpos, ends, buf):
-                    scored.append(qpos.size * (group[0].support.size if cpos is None else cpos.size))
-                    return scan_chunk(space, votes, group, qpos, cpos, ends, buf)
+                def spy(self, a, r0, r1, cols, ends, buf):
+                    scored.append((r1 - r0) * np.arange(self.key.size)[cols].size)
+                    return call(self, a, r0, r1, cols, ends, buf)
 
-                scan_chunk = extension._scan_chunk
-                with mock.patch.multiple(extension, _scan_chunk=spy, _EXACT_COLS=exact_cols):
-                    tables = neighbor_tables(task.embeddings, vm, grids, weighting, Metric.EUCLIDEAN, threads)
+                call = extension._ClassPairs.__call__
+                with mock.patch.object(extension._ClassPairs, "__call__", spy):
+                    with mock.patch.object(extension, "_EXACT_COLS", exact_cols):
+                        tables = neighbor_tables(task.embeddings, vm, grids, weighting, Metric.EUCLIDEAN, threads)
                 assert sum(t.cells for t in tables.values()) == sum(scored)
                 assert tables[2].cells == 0 and tables[0].cells == alone[0].cells > 0
                 assert tables[3].cells == alone[3].cells > 0  # another grid: its own scan
@@ -1012,6 +1025,31 @@ def test_scan_frees_its_block_buffer(weighting, metric):
     slack = 16 * 1024  # the dict and table objects
     assert 4 * chunk_elems > 8 * slack  # a kept block buffer would show
     assert held <= own + slack, (held, own)
+
+
+def test_class_pair_sorted_copies_do_not_pile_up():
+    # six sources on distinct wsum grids are six class-pair batches, each
+    # with its own float32 copy of the score rows in key order; a batch
+    # builds it at its first task and drops it after its last, so at one
+    # thread the scan's peak holds one copy, however many batches
+    rng = np.random.default_rng(29)
+    n, d, m = 1000, 256, 6
+    x = rng.standard_normal((n, d))
+    votes = np.zeros((n, m), dtype=int)
+    for j in range(m):
+        on = rng.random(n) < 0.3
+        votes[on, j] = rng.choice([-1, 1], on.sum())
+    emb, vm = EmbeddingSet(x), VoteMatrix(votes)
+    peaks = {}
+    with mock.patch.object(extension, "_CHUNK_ELEMS", 20_000):
+        for k in (1, m):
+            grids = {j: [0.9 + 0.01 * j] for j in range(k)}
+            scan = partial(neighbor_tables, emb, vm, grids, Weighting.THRESHOLDED_WEIGHTED_SUM, Metric.COSINE, 1)
+            scan()  # builds the set's lazy score mirrors, which it keeps
+            tables, _, peaks[k] = _traced(scan)
+            assert [t.cells for t in tables.values()] == [_class_pair_cells(votes, [j]) for j in range(k)]
+    copy = 4 * n * d
+    assert peaks[m] - peaks[1] < copy / 2, (peaks, copy)
 
 
 @pytest.mark.parametrize("n", [1600, 6400])
