@@ -432,15 +432,18 @@ def measured_accuracy_curves(
 ):
     """Extended and new-region accuracy of one source at every radius.
 
-    ``table`` is the source's 1nn ``NeighborTable`` (any grid).  Measured
-    on the labeled prefix under 1-nearest-neighbor extension; nan where
-    no labeled point is reached.  Returns ``(extended_accuracy,
-    new_region_accuracy)`` arrays over ``radii``.
+    ``table`` is the source's 1nn ``NeighborTable``, whose cap (if any)
+    must hold every radius (else ``ValueError``).  Measured on the labeled
+    prefix under 1-nearest-neighbor extension; nan where no labeled point
+    is reached.  Returns ``(extended_accuracy, new_region_accuracy)``
+    arrays over ``radii``.
     """
     if table.weighting is not Weighting.ONE_NEAREST_NEIGHBOR:
         raise ValueError("accuracy curves read a 1nn table")
     source = table.source
     radii = np.asarray(radii, dtype=np.float64)
+    if table.cap is not None and (radii > table.cap).any():
+        raise ValueError(f"radii beyond the cap {table.cap} of source {source}'s table")
     nd = dev_labels.n
     col = votes.votes[:nd, source]
     voted = col != 0

@@ -32,24 +32,34 @@ Each column slice of a block is folded for the sources the rows abstain
 on and the columns vote on, and with the columns as queries for those
 the columns abstain on and the rows vote on.  The fold walks the block
 in pieces of whole rows; each piece marks the cells near a threshold or
-a tie in one reused mask, so its scratch is bounded by a piece.  1nn
-keeps per-source maxima and the cells within ``tau`` of them, and
-re-decides the survivors of each source's final threshold in one float64
-call; wsum re-decides its band cells in float64 and adds both sides'
-voter counts and vote sums into per-worker integer arrays.  Every merge
-is a maximum, an integer sum or a least (distance, point id), so the
-tables are those of a pure float64 scan per source whatever the tiling,
-chunking, thread count, data offset or scale.
+a tie in one reused mask, so its scratch is bounded by a piece.  No
+output reads a neighbor beyond the widest radius of the scan (a 1nn
+table keeps nearest points only within its grid's largest radius, its
+cap), so the fold first lists the block's hits, the cells scoring at or
+above that radius's band.  Where they are few (at most two per row and
+class slice plus two per column, the bound the dense 1nn fold keeps its
+store to), the block is folded from its hits alone: 1nn stores each as
+a candidate in both orientations, and wsum decides each per grid radius.
+Other blocks, and 1nn scans with an uncapped table, are folded densely:
+1nn keeps per-source maxima and the cells within ``tau`` of them.  1nn
+re-decides the survivors of each source's final threshold, taken from
+those maxima and the candidates' own scores, in one float64 call and
+drops winners beyond the table's cap; wsum re-decides its band cells in
+float64 and adds both sides' voter counts and vote sums into per-worker
+integer arrays.  Every merge is a maximum, an integer sum or a least
+(distance, point id), so the tables are those of a pure float64 scan
+per source whatever the tiling, chunking, folding, thread count, data
+offset or scale.
 
 A scan fills one ``NeighborTable`` per source for a whole radius grid
 (wsum folds each block once per grid radius with one skinny float32 GEMM
 per piece of rows, which counts the voters and sums every vote column at
 once), and ``column`` reads an extended column from it: extension scans
 one-radius grids, while tuning and refinement scan each source once over
-every radius they will try, and diagnose's 1nn tables serve both its
-extension and its accuracy curves.  Sources with equal supports and
-grids share one scan (one bit of a class-pair key), so stacked vote
-variants fill all their tables in one pass.
+every radius they will try, and diagnose's uncapped 1nn tables (empty
+grids) serve both its extension and its accuracy curves.  Sources with
+equal supports and grids share one scan (one bit of a class-pair key),
+so stacked vote variants fill all their tables in one pass.
 """
 
 from __future__ import annotations
@@ -96,6 +106,7 @@ _SLACK = 2.0**-22  # error of a bounded distance; see _ScoreSpace.reach
 _PIECE_CELLS = 2**17  # score cells per fold piece of whole rows (at least one row)
 _EXACT_COLS = 2**24  # widest wsum fold piece whose float32 vote sums are exact
 _CLASS_SOURCES = 6  # groups keyed per class-pair scan: at most 2**6 vote-pattern classes
+_SPARSE_HITS = 2  # hits per (row, class slice) pair and per column a block may have to be folded from its hits
 
 
 @dataclass(frozen=True)
@@ -302,8 +313,9 @@ class _ScoreSpace:
         A block score above ``hi`` is inside radius ``r``, one below ``lo``
         outside, one in ``[lo, hi]`` needs a float64 check; each bound is
         rounded one ulp outward, so the band is never narrower than ``tau``.
-        Kept per radius: ``_tile_tasks`` fills it for every grid radius on
-        the calling thread, so scan workers only read it.
+        Kept per radius: ``_tile_tasks`` and ``_ClassPairs`` fill it for
+        every grid radius on the calling thread, so scan workers only read
+        it.
         """
         if r not in self._bands:
             sthr, f = self.score_at_radius(r), np.float32
@@ -339,13 +351,17 @@ class _ScoreSpace:
 class NeighborTable:
     """One source's scan results over its ascending radius grid.
 
-    1nn keeps every abstainer's nearest support point, which answers any
-    radius; wsum keeps, per grid radius, the count and signed sum of the
-    voters inside it.  Rows follow ``queries``.  ``cells`` counts the
-    score cells of the scan the table's class-pair batch owns (kept by its
-    first table): for a tiled group, the (query, support) pairs of its
-    chunks and the kept pairs of its pruned tiles; for an untiled batch,
-    every pair of points with different vote patterns over the batch,
+    1nn keeps each abstainer's nearest support point within ``cap``, the
+    grid's largest radius, and ``(inf, n)`` where none lies within it, so
+    it answers any radius up to ``cap`` (an empty grid has no cap: every
+    abstainer's nearest point, at any distance); wsum keeps, per grid
+    radius, the count and signed sum of the voters inside it.  A radius
+    beyond the cap, or off a wsum grid, raises ``ValueError``.  Rows
+    follow ``queries``.  ``cells`` counts the score cells of the scan the
+    table's class-pair batch owns (kept by its first table): for a tiled
+    group, the (query, support) pairs of its chunks and the kept pairs of
+    its pruned tiles; for an untiled batch, every pair of points with
+    different vote patterns over the batch,
     ``(n^2 - sum of class sizes^2) / 2``.  It is 0 for a table sharing
     another's scan, deterministic, and kept out of every artifact.
     """
@@ -358,6 +374,7 @@ class NeighborTable:
     # 1nn results
     best_dist: np.ndarray | None = None
     best_col: np.ndarray | None = None
+    cap: float | None = None
     # wsum results, one column per grid radius
     in_count: np.ndarray | None = None
     vote_sum: np.ndarray | None = None
@@ -374,11 +391,13 @@ class NeighborTable:
         if radius <= 0:
             return np.zeros(self.queries.size, dtype=bool)
         if self.weighting is Weighting.ONE_NEAREST_NEIGHBOR:
+            if self.cap is not None and radius > self.cap:
+                raise ValueError(f"radius {radius} is beyond the cap {self.cap} of source {self.source}'s table")
             return self.best_dist <= radius
         return self.in_count[:, self._grid_index(radius)] > 0
 
     def column(self, votes: VoteMatrix, radius: float) -> np.ndarray:
-        """The source's column extended to ``radius`` (wsum: a grid radius; <= 0: as is)."""
+        """The source's column extended to ``radius`` (1nn: at most ``cap``; wsum: a grid radius; <= 0: as is)."""
         col = np.array(votes.votes[:, self.source], copy=True)
         member = self.reached(radius)
         if self.weighting is Weighting.ONE_NEAREST_NEIGHBOR:
@@ -516,10 +535,12 @@ class _ClassPairs:
     own store (``local``), and the batch's last task to finish merges the
     stores into the tables (``finish``) by integer sums (wsum) or by
     maxima and least ``(distance, point id)`` (1nn), so no table depends
-    on which worker ran which task.  The sorted copy of the score rows
-    (and wsum's weights) is built by the batch's first task and dropped,
-    with the stores, after its last, so a scan holds them for the batches
-    in flight, not for every batch.
+    on which worker ran which task.  Where every table of the batch has a
+    cap (wsum: always, its largest radius), a block with few cells within
+    the widest is folded from those cells alone (``_hits``).  The sorted
+    copy of the score rows (and wsum's weights) is built by the batch's
+    first task and dropped, with the stores, after its last, so a scan
+    holds them for the batches in flight, not for every batch.
     """
 
     def __init__(self, space, votes, batch, tiles=None):
@@ -548,8 +569,13 @@ class _ClassPairs:
         batch[0][0].cells = sum(self.cells(task) for task in self.plan)
         self.wsum = batch[0][0].weighting is Weighting.THRESHOLDED_WEIGHTED_SUM
         self.owner = np.array([b for b, g in enumerate(batch) for _ in g])  # each table's group
-        self.grid = [(k, float(r)) for k, r in enumerate(batch[0][0].radii) if r > 0]
+        # bands are filled here, on the calling thread, so scan workers only read them
+        self.grid = [(k, float(r), *space.band(float(r))) for k, r in enumerate(batch[0][0].radii) if r > 0]
+        caps = [g[0].radii[-1] if self.wsum else g[0].cap for g in batch]
+        self.floor = None if None in caps else space.band(float(max(caps)))[0]
+        self.store_rows = n if tiles is None else self.starts[1]  # tiled: only the abstainers (class 0) are written
         self.sides = {a: self._side(a) for a in {task[0] for task in self.plan}}
+        self.slices = {a: int(np.count_nonzero(np.diff(self.starts[a + 1 :]))) for a in self.sides}
         self.lock, self.left, self.stores, self.view, self.w, self.wi = threading.Lock(), len(self.plan), {}, None, None, None
 
     def _side(self, a):
@@ -581,11 +607,11 @@ class _ClassPairs:
             self.w, self.wi = w, w.astype(np.int32)
 
     def local(self):
-        n, lead = self.key.size, self.batch[0][0]
         if self.wsum:
-            return np.zeros((n, lead.radii.size, self.w.shape[1]), dtype=np.int32)
-        # per (position, group) best float32 score, and (query, partner, score, distance) candidates
-        return np.full((n, len(self.batch)), -np.inf, dtype=np.float32), []
+            return np.zeros((self.store_rows, self.batch[0][0].radii.size, self.w.shape[1]), dtype=np.int32)
+        # per (position, group) best float32 score, (query, partner, score) candidates not yet
+        # measured, and measured ones with their float64 distance
+        return np.full((self.key.size, len(self.batch)), -np.inf, dtype=np.float32), [], []
 
     def __call__(self, a, r0, r1, cols, ends, buf):
         with self.lock:  # the batch's first task builds its copies, a worker's first task its store
@@ -595,7 +621,17 @@ class _ClassPairs:
             if own is None:
                 own = self.stores[threading.get_ident()] = self.local()
         sub = self.view.block(slice(r0, r1), cols, buf)
-        if self.wsum:
+        hits = None
+        if self.floor is not None:  # at most two hits per (row, class slice) pair and two per column
+            hits = self._hits(sub, _SPARSE_HITS * ((r1 - r0) * self.slices[a] + sub.shape[1]))
+        if hits is not None:
+            rr, cc, sc = hits
+            p = cols[cc] if isinstance(cols, np.ndarray) else cols.start + cc
+            if self.wsum:
+                self._weighted_hits(r0 + rr, p, sc, own, self.sides[a][0])
+            else:
+                self._nearest_hits(r0 + rr, p, cc, sc, own, *self.sides[a][1:3])
+        elif self.wsum:
             self._weighted(r0, cols, ends, sub, own, *self.sides[a])
         else:
             pos = cols if isinstance(cols, np.ndarray) else np.arange(cols.start, self.key.size)
@@ -606,6 +642,29 @@ class _ClassPairs:
         if last:  # every task has folded into the stores: merge them and drop the batch's copies
             self.finish(list(self.stores.values()))
             self.view = self.w = self.wi = self.stores = None
+
+    def _hits(self, sub, limit):
+        """``(row, column, score)`` of the block's cells scoring at least ``floor``, or None past ``limit`` of them.
+
+        Each piece of whole rows is compared into one reused mask, counted,
+        then listed, so a block past the limit stops at the piece that
+        passes it.
+        """
+        rows, width = sub.shape
+        step = max(1, _PIECE_CELLS // width)
+        mask = np.empty(min(rows, step) * width, dtype=bool)
+        found, count = [], 0
+        for p in range(0, rows, step):
+            part = sub[p : p + step]
+            hit = np.greater_equal(part, self.floor, out=mask[: part.size].reshape(part.shape))
+            k = np.count_nonzero(hit)
+            count += k
+            if count > limit:
+                return None
+            if k:
+                found.append(np.flatnonzero(hit) + p * width)
+        flat = np.concatenate(found) if found else np.empty(0, dtype=np.int64)
+        return *np.divmod(flat, width), sub.reshape(-1)[flat]
 
     def _winners(self, groups, q, p, dist, every=True):
         """Positions of each group's least (float64 distance, partner id) among candidate pairs.
@@ -632,8 +691,10 @@ class _ClassPairs:
         return tie[pid[tie] == first[groups[tie]]]
 
     def _nearest(self, a, r0, pos, sub, own, cls, ls, colq, vote, used):
-        """1nn fold: per-group row maxima, column maxima and the cells within ``tau`` of them.
+        """Dense 1nn fold: per-group row maxima, column maxima and the cells within ``tau`` of them.
 
+        It folds the blocks of a batch with an uncapped table and those
+        with too many hits to fold from them alone (``_nearest_hits``).
         ``pos`` holds the block columns' positions.  Row side, per piece:
         each row's best score over the slices voting on each group it
         abstains on, and the cells within ``tau`` of the least such
@@ -645,9 +706,10 @@ class _ClassPairs:
         two per column, only each pair's or column's float64 winner stays
         (the group's nearest is its winner wherever it lies), so the store
         holds a few entries per query and class; a lone cell stays
-        unmeasured, for ``finish`` to re-decide.
+        unmeasured, for ``finish`` to re-decide; the store keeps a float64
+        distance only for the measured.
         """
-        best, found = own
+        best, found, measured = own
         tau, (rows, width) = self.space.tau, sub.shape
         step = max(1, _PIECE_CELLS // width)
         mask = np.empty(min(rows, step) * width, dtype=bool)
@@ -702,10 +764,27 @@ class _ClassPairs:
                     cols, kept = [(cq[pick], cp[pick], sc[pick], dist[pick])], pick.size
             hits += cols
         q, p, sc, dist = _merged(hits)
-        found.append((q.astype(np.int32), p.astype(np.int32), sc, dist))
+        q, p, known = q.astype(np.int32), p.astype(np.int32), ~np.isnan(dist)
+        found.append((q[~known], p[~known], sc[~known]))
+        measured.append((q[known], p[known], sc[known], dist[known]))
+
+    def _nearest_hits(self, q, p, cc, sc, own, ls, colq):
+        """1nn fold of a block's hits, at positions ``q`` (rows) and ``p`` (block columns ``cc``).
+
+        Each hit is an unmeasured candidate with its row as query and, where
+        its column's slice is a query of some group the rows vote on
+        (``colq``), with its column as query too; ``finish`` takes each
+        group's threshold from the candidates' own scores.
+        """
+        side = colq[np.searchsorted(ls, cc, side="right") - 1]
+        q, p = q.astype(np.int32), p.astype(np.int32)
+        own[1].append((np.concatenate([q, p[side]]), np.concatenate([p, q[side]]), np.concatenate([sc, sc[side]])))
 
     def _weighted(self, r0, cols, ends, sub, acc, both, into, gv, tv):
-        """wsum fold: each inside mask counts and sums votes for the rows and, if ``both``, the columns.
+        """Dense wsum fold: each inside mask counts and sums votes for the rows and, if ``both``, the columns.
+
+        It folds the blocks with too many hits to fold from them alone
+        (``_weighted_hits``, which decides every cell as this does).
 
         Per piece and positive grid radius ``k``, over the task's first
         ``ends[k]`` columns (None: all), the inside mask as float32 0/1
@@ -733,12 +812,11 @@ class _ClassPairs:
         for p in range(0, rows, step):
             q = slice(r0 + p, r0 + min(p + step, rows))
             for c in range(0, width, wide):
-                for k, radius in self.grid:
+                for k, radius, lo_s, hi_s in self.grid:
                     e = min(c + wide, width if ends is None else int(ends[k]))
                     if e <= c:
                         continue
                     part = sub[p : p + step, c:e]
-                    lo_s, hi_s = self.space.band(radius)
                     ins = np.greater(part, hi_s, out=inside[: part.size].reshape(part.shape))
                     fl = mask32[: part.size].reshape(part.shape)
                     fl[...] = ins
@@ -758,8 +836,37 @@ class _ClassPairs:
                         if both:
                             np.add.at(acc[s, k], cc, wri[p + rr])
 
+    def _weighted_hits(self, q, p, sc, acc, both):
+        """wsum fold of a block's hits, at positions ``q`` (rows) and ``p`` (columns).
+
+        Per grid radius, a hit above its band is inside and one in it is
+        re-decided in float64; each inside hit adds the column's weights to
+        the row and, if ``both``, the row's to the column.  Unlike the dense
+        fold it adds every weight column, also to the store entries of
+        groups the position votes on, which ``finish`` never reads.
+        """
+        for k, radius, lo, hi in self.grid:
+            inside = sc > hi
+            band = np.flatnonzero(sc >= lo)
+            band = band[~inside[band]]
+            if band.size:
+                d = paired_distances(self.space.emb, self.order[q[band]], self.order[p[band]], self.space.metric)
+                inside[band] = d <= radius
+            qi, pi = q[inside], p[inside]
+            np.add.at(acc[:, k], qi, self.wi[pi])
+            if both:
+                np.add.at(acc[:, k], pi, self.wi[qi])
+
     def finish(self, owns):
-        """Merge the workers' stores into the batch's tables."""
+        """Merge the workers' stores into the batch's tables.
+
+        1nn: each group's threshold is its float32 best, from the dense
+        folds' maxima and the candidates' own scores (a block folded from
+        its hits holds its best among them, if within the widest cap),
+        minus ``tau``; the candidates at or above it are re-decided in one
+        float64 call, and a winner beyond the table's cap is dropped, so
+        such queries keep ``(inf, n)``.
+        """
         n, groups = self.key.size, len(self.batch)
         if self.wsum:
             acc = owns[0]  # each cell is folded once, so every sum stays within n
@@ -777,15 +884,25 @@ class _ClassPairs:
         best = owns[0][0]
         for o in owns[1:]:
             np.maximum(best, o[0], out=best)
-        q, p, sc, dist = _merged([f for o in owns for f in o[1]])
+        # the unmeasured candidates, then the measured ones, whose distances are `known`
+        q, p, sc = _merged([f for o in owns for f in o[1]] + [f[:3] for o in owns for f in o[2]])
+        known = np.concatenate([np.empty(0), *(f[3] for o in owns for f in o[2])])
+        first = q.size - known.size
+        kq, kp = self.key[q], self.key[p]
         row = np.empty(n, dtype=np.int64)
         for b, g in enumerate(self.batch):
             st = g[0]
             row[st.queries] = np.arange(st.queries.size)  # each query's row of the table
-            thr = best[:, b] - self.space.tau  # float32, as the scores
-            sel = np.flatnonzero(~self.bits[self.key[q], b] & self.bits[self.key[p], b] & (sc >= thr[q]))
-            qs, ps, d = q[sel], p[sel], dist[sel]
+            ok = np.flatnonzero(~self.bits[kq, b] & self.bits[kp, b])
+            qo, so, top = q[ok], sc[ok], best[:, b]
+            np.maximum.at(top, qo, so)  # a hit-folded block's best is among its hits
+            sel = ok[so >= (top - self.space.tau)[qo]]  # float32, as the scores
+            qs, ps, d = q[sel], p[sel], np.full(sel.size, np.nan)
+            was = sel >= first
+            d[was] = known[sel[was] - first]
             pick = self._winners(qs, qs, ps, d)
+            if st.cap is not None:  # only winners within the table's own cap stay
+                pick = pick[d[pick] <= st.cap]
             pos = row[self.order[qs[pick]]]
             st.best_dist[pos] = d[pick]
             st.best_col[pos] = self.order[ps[pick]]
@@ -829,8 +946,10 @@ def neighbor_tables(
 
     Returns a ``NeighborTable`` per source, whose ``column(votes, r)``
     is that source's column as ``extend_votes`` extends it at radius
-    ``r`` (for wsum, ``r`` must be on the grid).  Each grid is sorted and
-    deduplicated and must be finite and nonnegative (else ``DataError``).
+    ``r`` (for 1nn, ``r`` must not exceed the grid's largest radius,
+    unless the grid is empty; for wsum, ``r`` must be on the grid).  Each
+    grid is sorted and deduplicated and must be finite and nonnegative
+    (else ``DataError``).
 
     Sources with equal supports and grids form one group, planned, scored
     and folded once.  Each group's queries are cut into k-d tiles of at
@@ -840,10 +959,14 @@ def neighbor_tables(
     batch of its own: tiles keeping every column are joined into chunks
     of about ``_CHUNK_ELEMS`` score cells (at least ``_MIN_CHUNK`` rows),
     and the others are scored alone.  Groups where no tile could prune
-    (under wsum, those of one grid) are batched together, up to
-    ``_CLASS_SOURCES`` at a time, so each point pair that is a
-    query/support pair of any of them is scored once, in chunks of about
-    ``_CHUNK_ELEMS`` cells.  Every batch folds through ``_ClassPairs``, and
+    (under wsum, those of one grid; under 1nn, all of them, whatever
+    their grids) are batched together, up to ``_CLASS_SOURCES`` at a
+    time, so each point pair that is a query/support pair of any of them
+    is scored once, in chunks of about ``_CHUNK_ELEMS`` cells.  A 1nn
+    table is capped at its grid's largest radius (an empty grid: no cap),
+    and a batch whose tables all have caps, like every wsum batch, folds
+    each block with few cells within its widest radius from those cells
+    alone.  Every batch folds through ``_ClassPairs``, and
     all its blocks run on one pool of ``threads`` workers, each scoring
     into its own buffer sized for the largest block.  A batch's first
     table owns its scan's ``cells`` (the others count 0).  A wsum group
@@ -870,6 +993,7 @@ def neighbor_tables(
             if weighting is Weighting.ONE_NEAREST_NEIGHBOR:
                 t.best_dist = np.full(queries.size, np.inf)
                 t.best_col = np.full(queries.size, votes.n, dtype=np.int64)
+                t.cap = float(radii[-1]) if radii.size else None
             else:
                 t.in_count = np.zeros((queries.size, radii.size), dtype=np.int64)
                 t.vote_sum = np.zeros((queries.size, radii.size), dtype=np.int64)
@@ -886,7 +1010,7 @@ def neighbor_tables(
         tiles = _tile_tasks(space, st, max(_MIN_CHUNK, _CHUNK_ELEMS // st.support.size))
         if tiles is not None:
             pairs.append(_ClassPairs(space, votes, [g], tiles))
-        else:  # a 1nn table answers every radius: its scan ignores the grid
+        else:  # a 1nn scan takes any caps: each table drops the winners beyond its own
             wsum = weighting is Weighting.THRESHOLDED_WEIGHTED_SUM
             untiled.setdefault(st.radii.tobytes() if wsum else b"", []).append(g)
     pairs += [_ClassPairs(space, votes, same[i : i + _CLASS_SOURCES])

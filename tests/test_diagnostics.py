@@ -382,6 +382,21 @@ class TestMeasuredAccuracyCurves:
             if mask_new.any():
                 assert abs(a_new[k] - (col[mask_new] == task.gold.labels[mask_new]).mean()) < 1e-15
 
+    def test_radii_beyond_the_table_cap_are_refused(self):
+        # a capped table knows no nearest point beyond its cap; within it, the
+        # curves equal the uncapped table's
+        from weakext.experiments import generate_checkerboard
+
+        task = generate_checkerboard(800, 6, 3, (0.85, 0.8, 0.8), (0.2, 0.9, 0.9), seed=13)
+        radii = np.array([0.05, 0.15, 0.4])
+        capped = neighbor_tables(task.embeddings, task.votes, {0: radii[:2]}, metric=Metric.EUCLIDEAN)[0]
+        whole = neighbor_tables(task.embeddings, task.votes, {0: ()}, metric=Metric.EUCLIDEAN)[0]
+        for got, want in zip(measured_accuracy_curves(capped, task.votes, task.gold, radii[:2]),
+                             measured_accuracy_curves(whole, task.votes, task.gold, radii[:2])):
+            np.testing.assert_array_equal(got, want)
+        with pytest.raises(ValueError, match="beyond the cap"):
+            measured_accuracy_curves(capped, task.votes, task.gold, radii)
+
 
 class TestLiftBoundCurve:
     def test_zero_pair_radii_give_zero(self):

@@ -82,8 +82,8 @@ def brute_force_extend(x, votes, radii, weighting, metric="cosine"):
     return out
 
 
-def brute_force_nearest(x, votes, source, metric="cosine"):
-    """Reference for a 1nn table: first minimum over the support."""
+def brute_force_nearest(x, votes, source, metric="cosine", cap=None):
+    """Reference for a 1nn table: first minimum over the support; ``(inf, n)`` where it lies beyond ``cap``."""
     n = votes.shape[0]
     dist = brute_force_distances(x, metric)
     queries = np.flatnonzero(votes[:, source] == 0)
@@ -91,7 +91,10 @@ def brute_force_nearest(x, votes, source, metric="cosine"):
     if supp.size == 0:
         return queries, np.full(queries.size, np.inf), np.full(queries.size, n)
     k = dist[np.ix_(queries, supp)].argmin(axis=1)
-    return queries, dist[queries, supp[k]], supp[k]
+    best, col = dist[queries, supp[k]], supp[k]
+    if cap is not None:
+        best, col = np.where(best <= cap, best, np.inf), np.where(best <= cap, col, n)
+    return queries, best, col
 
 
 def nearest(emb, vm, source, metric=Metric.COSINE, threads=None):
@@ -354,6 +357,22 @@ class TestNeighborTables:
         with pytest.raises(ValueError, match="not on the grid"):
             table.column(vm, 0.3)
 
+    def test_1nn_radius_beyond_the_cap_is_refused(self):
+        rng = np.random.default_rng(16)
+        x, votes, _ = random_instance(rng)
+        emb, vm = EmbeddingSet(x), VoteMatrix(votes)
+        table = neighbor_tables(emb, vm, {0: [0.5, 0.2]}, Weighting.ONE_NEAREST_NEIGHBOR)[0]
+        assert table.cap == 0.5
+        m = votes.shape[1]
+        for r in (0.0, 0.3, 0.5):  # any radius up to the cap, on the grid or not
+            assert np.array_equal(table.column(vm, r), brute_force_extend(x, votes, np.full(m, r), "1nn")[:, 0])
+        for read in (table.reached, partial(table.column, vm)):
+            with pytest.raises(ValueError, match="beyond the cap"):
+                read(0.6)
+        whole = neighbor_tables(emb, vm, {0: ()}, Weighting.ONE_NEAREST_NEIGHBOR)[0]
+        assert whole.cap is None
+        assert np.array_equal(whole.column(vm, 2.0), brute_force_extend(x, votes, np.full(m, 2.0), "1nn")[:, 0])
+
     @pytest.mark.parametrize("grid", [[-0.1, 0.2], [0.2, np.nan], [np.inf]], ids=["negative", "nan", "inf"])
     def test_bad_grid_is_data_error(self, grid):
         x = np.eye(3)
@@ -529,6 +548,21 @@ def test_chunked_scan_matches_oracles_inside_float32_band(instance):
     _check_against_oracles(*instance)
 
 
+def _same_on_both_folds(scan, tables, label):
+    """``scan()`` with every block folded densely, then with every block folded from its hits, gives ``tables``.
+
+    A ``_SPARSE_HITS`` of -1 sends every block to the dense fold; a huge one
+    folds every block of a scan with a floor from its hits.
+    """
+    for limit in (-1, 10**9):
+        with mock.patch.object(extension, "_SPARSE_HITS", limit):
+            again = scan()
+        for j, t in tables.items():
+            for name in ("best_dist", "best_col", "in_count", "vote_sum"):
+                a, b = getattr(t, name), getattr(again[j], name)
+                assert (a is None and b is None) or a.tobytes() == b.tobytes(), (label, limit, j, name)
+
+
 def _class_pair_cells(votes, sources):
     """Cells of one class-pair scan of ``sources``: pairs of points with different vote patterns."""
     key = sum((votes[:, j] != 0).astype(np.int64) << b for b, j in enumerate(sources))
@@ -541,7 +575,7 @@ def _check_class_pairs(x, votes, grid, metric, chunk_elems, piece_cells):
     emb, vm = EmbeddingSet(x), VoteMatrix(votes)
     n, m = votes.shape
     expected = {(w, r): brute_force_extend(x, votes, np.full(m, r), w.value, metric) for w in Weighting for r in grid}
-    nearest_want = [brute_force_nearest(x, votes, j, metric) for j in range(m)]
+    nearest_want = [brute_force_nearest(x, votes, j, metric, cap=max(grid)) for j in range(m)]
     # sources with queries and support, in batches of _CLASS_SOURCES
     scanned = [j for j in range(m) if 0 < (votes[:, j] != 0).sum() < n]
     batches = [scanned[i : i + extension._CLASS_SOURCES] for i in range(0, len(scanned), extension._CLASS_SOURCES)]
@@ -549,7 +583,9 @@ def _check_class_pairs(x, votes, grid, metric, chunk_elems, piece_cells):
         for w in Weighting:
             alone = {j: neighbor_tables(emb, vm, {j: grid}, w, Metric(metric), 1)[j] for j in range(m)}
             for threads in (1, 2, 4):
-                tables = neighbor_tables(emb, vm, dict.fromkeys(range(m), grid), w, Metric(metric), threads)
+                scan = partial(neighbor_tables, emb, vm, dict.fromkeys(range(m), grid), w, Metric(metric), threads)
+                tables = scan()
+                _same_on_both_folds(scan, tables, (w, threads))
                 for j, t in tables.items():
                     for name in ("best_dist", "best_col", "in_count", "vote_sum"):
                         a, b = getattr(t, name), getattr(alone[j], name)
@@ -661,6 +697,73 @@ def test_class_pair_scan_joins_1nn_sources_of_any_grid():
                 assert np.array_equal(t.column(vm, r), brute_force_extend(x, votes, np.full(3, r), w.value)[:, j])
 
 
+def _folds(fn):
+    """``(fn(), folds)``: each block's fold, ``"hits"`` or ``"dense"``."""
+    folds, spies = [], {}
+    for name in ("_nearest", "_weighted", "_nearest_hits", "_weighted_hits"):
+        kind = "hits" if name.endswith("_hits") else "dense"
+        def spy(self, *args, real=getattr(extension._ClassPairs, name), kind=kind):
+            folds.append(kind)
+            return real(self, *args)
+        spies[name] = spy
+    with mock.patch.multiple(extension._ClassPairs, **spies):
+        return fn(), folds
+
+
+@pytest.mark.parametrize("weighting", list(Weighting), ids=lambda w: w.value)
+def test_high_dimensional_scan_folds_hits_and_a_wide_planar_one_folds_densely(weighting):
+    # at d=128 few cells lie within cosine radius 0.7, so every block is
+    # folded from its hits; a planar radius beyond the data's spread makes
+    # every cell a hit, so every block is folded densely
+    rng = np.random.default_rng(30)
+    n, m = 1500, 3
+    votes = np.zeros((n, m), dtype=int)
+    for j in range(m):
+        on = rng.random(n) < 0.3
+        votes[on, j] = rng.choice([-1, 1], on.sum())
+    vm = VoteMatrix(votes)
+    for x, metric, r, kind in [(rng.standard_normal((n, 128)), "cosine", 0.7, "hits"),
+                               (rng.standard_normal((n, 2)), "euclidean", 100.0, "dense")]:
+        scan = partial(neighbor_tables, EmbeddingSet(x), vm, dict.fromkeys(range(m), [r]), weighting, Metric(metric), 2)
+        tables, folds = _folds(scan)
+        assert folds and set(folds) == {kind}, (metric, set(folds))
+        want = brute_force_extend(x, votes, np.full(m, r), weighting.value, metric)
+        for j, t in tables.items():
+            assert np.array_equal(t.column(vm, r), want[:, j]), (metric, j)
+
+
+def test_one_1nn_batch_holds_tables_of_different_caps():
+    # three caps share one class-pair scan whose hits lie within the widest;
+    # each table keeps only the nearest points within its own cap; an uncapped
+    # table in the batch sends every block to the dense fold
+    rng = np.random.default_rng(31)
+    n, m = 400, 4
+    x = rng.standard_normal((n, 96))
+    votes = np.zeros((n, m), dtype=int)
+    for j in range(m):
+        on = rng.random(n) < 0.4
+        votes[on, j] = rng.choice([-1, 1], on.sum())
+    emb, vm = EmbeddingSet(x), VoteMatrix(votes)
+    values = np.unique(brute_force_distances(x))
+    k = (np.array([0.0005, 0.003, 0.01]) * values.size).astype(int)
+    caps = (values[k] + values[k + 1]) / 2  # between occurring distances
+    for grids, kind in [({0: [caps[0]], 1: [caps[1]], 2: [caps[2]]}, "hits"),
+                        ({0: [caps[0]], 1: [caps[1]], 2: [caps[2]], 3: ()}, "dense")]:
+        for threads in (1, 2):
+            tables, folds = _folds(partial(neighbor_tables, emb, vm, grids, Weighting.ONE_NEAREST_NEIGHBOR,
+                                           Metric.COSINE, threads))
+            assert folds and set(folds) == {kind}, (kind, set(folds))
+            assert tables[0].cells == _class_pair_cells(votes, list(grids)) > 0
+            assert all(tables[j].cells == 0 for j in list(grids)[1:])
+            for j, t in tables.items():
+                cap = grids[j][0] if grids[j] else None
+                assert t.cap == cap
+                q, d, b = brute_force_nearest(x, votes, j, cap=cap)
+                assert np.array_equal(t.queries, q) and np.array_equal(t.best_col, b), (kind, j, threads)
+                np.testing.assert_allclose(t.best_dist, d, rtol=1e-14, atol=1e-15)
+                assert np.isinf(t.best_dist).any() != (cap is None), (kind, j)  # a cap leaves some unreached
+
+
 def _scan_kinds(fn):
     """``(fn(), kinds)``: the scan's blocks as ``"pruned"`` (a tile on some columns) or ``"whole"``."""
     kinds = []
@@ -692,7 +795,7 @@ def _check_pruned_scan(x, votes, grid, metric, tile_rows=8, chunk_elems=2000):
     m = votes.shape[1]
     full = sum(int((votes[:, j] == 0).sum() * (votes[:, j] != 0).sum()) for j in range(m))
     extended = {(w, r): brute_force_extend(x, votes, np.full(m, r), w.value, metric) for w in Weighting for r in grid}
-    nearest_want = [brute_force_nearest(x, votes, j, metric) for j in range(m)]
+    nearest_want = [brute_force_nearest(x, votes, j, metric, cap=max(grid)) for j in range(m)]
     grids = {j: grid for j in range(m)}
     with mock.patch.multiple(extension, _TILE_ROWS=tile_rows, _CHUNK_ELEMS=chunk_elems, _MIN_CHUNK=1):
         for w in Weighting:
@@ -706,6 +809,7 @@ def _check_pruned_scan(x, votes, grid, metric, tile_rows=8, chunk_elems=2000):
                 scan = partial(neighbor_tables, emb, vm, grids, w, Metric(metric), threads)
                 tables, kinds = _scan_kinds(scan)
                 assert "pruned" in kinds and sum(t.cells for t in tables.values()) < full, (w, kinds)
+                _same_on_both_folds(scan, tables, (w, threads))
                 # planned untiled, by class pairs, the one fold gives the same tables bit for bit
                 with mock.patch.object(extension, "_tile_tasks", lambda space, st, step: None):
                     untiled = scan()
@@ -930,7 +1034,7 @@ def test_high_dimensional_euclidean_agrees_with_brute_force(weighting):
 
 @pytest.mark.parametrize(
     "weighting, rechecked",
-    [(Weighting.ONE_NEAREST_NEIGHBOR, 1969), (Weighting.THRESHOLDED_WEIGHTED_SUM, 0)],
+    [(Weighting.ONE_NEAREST_NEIGHBOR, 89), (Weighting.THRESHOLDED_WEIGHTED_SUM, 0)],
     ids=["1nn", "wsum"],
 )
 def test_translation_does_not_widen_the_float64_band(weighting, rechecked):
@@ -971,7 +1075,7 @@ def test_chunks_of_different_shapes_share_a_worker_buffer(metric):
     for j in range(3):
         nq, ns = int((votes[:, j] == 0).sum()), int((votes[:, j] != 0).sum())
         assert nq > chunk_elems // ns and nq % (chunk_elems // ns) != 0
-    nearest_want = [brute_force_nearest(x, votes, j, metric) for j in range(3)]
+    nearest_want = [brute_force_nearest(x, votes, j, metric, cap=grid[-1]) for j in range(3)]
     expected = {
         (w, r): brute_force_extend(x, votes, np.full(3, r), w.value, metric) for w in Weighting for r in grid
     }
