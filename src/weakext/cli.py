@@ -496,6 +496,8 @@ def main(argv=None) -> int:
             for sub in parser.command_parsers.values():
                 sub.set_defaults(**defaults)  # subparsers re-apply their own defaults
         args = parser.parse_args(argv)
+        if getattr(args, "threads", None) is not None and args.threads < 1:  # also a --config value
+            raise UsageError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)

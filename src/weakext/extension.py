@@ -11,20 +11,26 @@ The scan is exact in float64, and every scan runs through one fold
 (``_ClassPairs``).  Each point is keyed by its pattern of votes over the
 scanned sources, the float32 score rows (Euclidean rows centered and
 scaled by a power of two) are copied in key order, and each task scores
-a run of one class's rows against columns of higher classes in one GEMM
-block, written into a buffer that each scan worker owns and reuses.  Two
-points of one class are never a query/support pair of any source, so no
-such pair is scored.  Each source's abstainers are first cut into k-d
-tiles of about 256 rows on a cached low-dimensional projection, and
-exact float64 bounds drop, per tile, the support columns whose scores
-the fold would reject without a float64 check (wsum: beyond the grid's
-largest radius; 1nn: beyond every tile row's best score).  Where some
-tile prunes, the source's group is a batch of its own with two classes,
-abstainers and voters: tiles keeping every column are joined into
-chunks against the whole support, and each other tile is scored
+a run of one class's rows against a range of columns of higher classes
+in one GEMM block, written into a buffer that each scan worker owns and
+reuses.  Blocks hold at most ``_CHUNK_ELEMS`` cells (8 MB): rows stay
+tall (``_BLOCK_ROWS`` or more where the class has them) and a wide block
+is cut by columns, so the buffers do not grow with queries x support, as
+in exact blocked search, which selects from each tile of scores in turn
+(Johnson, Douze & Jegou 2017).  While two or more workers run, the
+bundled OpenBLAS is held at one thread, so one worker's GEMM runs beside
+the other's fold (``_run_tasks``).  Two points of one class are never a
+query/support pair of any source, so no such pair is scored.  Each
+source's abstainers are first cut into k-d tiles of about 256 rows on a
+cached low-dimensional projection, and exact float64 bounds drop, per
+tile, the support columns whose scores the fold would reject without a
+float64 check (wsum: beyond the grid's largest radius; 1nn: beyond every
+tile row's best score).  Where some tile prunes, the source's group is a
+batch of its own with two classes, abstainers and voters: tiles keeping every column are joined and cut
+into blocks against the whole support, and each other tile is scored
 against its kept columns.  Where nothing can prune (high-dimensional
 data), the sources are scanned together (wsum: those of one radius
-grid), and each chunk of a class's rows is scored against the rows of
+grid), and each class's rows are scored in blocks against the rows of
 every higher class, so a point pair is scored once for all the sources
 it is a query/support pair of.
 
@@ -48,7 +54,7 @@ drops winners beyond the table's cap; wsum re-decides its band cells in
 float64 and adds both sides' voter counts and vote sums into per-worker
 integer arrays.  Every merge is a maximum, an integer sum or a least
 (distance, point id), so the tables are those of a pure float64 scan
-per source whatever the tiling, chunking, folding, thread count, data
+per source whatever the tiling, blocking, folding, thread count, data
 offset or scale.
 
 A scan fills one ``NeighborTable`` per source for a whole radius grid
@@ -98,8 +104,8 @@ __all__ = [
     "min_overlap",
 ]
 
-_CHUNK_ELEMS = 32 * 1024 * 1024  # score cells per query chunk
-_MIN_CHUNK = 64  # query rows per chunk, whatever the support size
+_CHUNK_ELEMS = 2**21  # score cells per scan block, at most (8 MB of float32): wide blocks are cut by columns
+_BLOCK_ROWS = 1024  # rows per scan block, unless its run of rows is shorter or the cap smaller
 _TILE_ROWS = 256  # query rows per pruning tile, at most
 _PROJ_DIMS = 4  # principal directions the tile bounds are taken in
 _SLACK = 2.0**-22  # error of a bounded distance; see _ScoreSpace.reach
@@ -442,7 +448,7 @@ def _box_distances(lo, hi, pts):
     return np.sqrt(acc, out=acc)
 
 
-def _tile_tasks(space, st, step):
+def _tile_tasks(space, st):
     """The tiled plan ``(rows, tasks)`` of one table, or None.
 
     None when nothing could prune: one ball about the support's mean
@@ -459,11 +465,12 @@ def _tile_tasks(space, st, step):
 
     ``rows`` orders the query positions: whole tiles first, joined in
     ascending order, then the others.  A task ``(first row, end row,
-    support positions, ends)`` is a chunk of ``step`` joined rows against
-    the whole support (positions and ends None) or a pruned tile against
-    its kept columns; a wsum tile orders those by bound, and ``ends[k]``
-    counts the ones grid radius ``k`` may reach.  A wsum tile keeping no
-    column has no task, so a plan may have none.
+    support positions, ends)`` is the run of joined rows against the
+    whole support (positions and ends None; ``_ClassPairs`` cuts it into
+    blocks) or a pruned tile against its kept columns; a wsum tile orders
+    those by bound, and ``ends[k]`` counts the ones grid radius ``k`` may
+    reach.  A wsum tile keeping no column has no task, so a plan may have
+    none.
     """
     pq, ps = space.proj[st.queries], space.proj[st.support]
     wsum = st.weighting is Weighting.THRESHOLDED_WEIGHTED_SUM
@@ -505,7 +512,7 @@ def _tile_tasks(space, st, step):
             else:
                 pruned.append((tiles[t], keep, None))
     run = np.sort(np.concatenate(full)) if full else np.empty(0, dtype=np.int64)
-    tasks, at = [(i, min(i + step, run.size), None, None) for i in range(0, run.size, step)], run.size
+    tasks, at = [(0, run.size, None, None)] if run.size else [], run.size
     for tile, keep, ends in pruned:
         tasks.append((at, at + tile.size, keep, ends))
         at += tile.size
@@ -517,6 +524,28 @@ def _merged(parts):
     return parts[0] if len(parts) == 1 else tuple(np.concatenate(x) for x in zip(*parts))
 
 
+def _cuts(lo, hi, most):
+    """Bounds cutting ``[lo, hi)`` into the fewest runs of at most ``most``, their lengths within one of each other."""
+    k = -(-(hi - lo) // most)
+    return [lo + (hi - lo) * i // k for i in range(k + 1)]
+
+
+def _blocks(r0, r1, c0, c1):
+    """Rows ``[r0, r1)`` against columns ``[c0, c1)`` as ``(first row, end row, first column, end column)`` blocks.
+
+    Each block holds at most ``_CHUNK_ELEMS`` cells.  Rows are cut as
+    tall as the cap allows across every column, but at least
+    ``_BLOCK_ROWS`` (fewer only in a shorter run or under a smaller cap);
+    the columns are then cut into ranges the cap allows beside them.  So a
+    wide run keeps tall blocks, whose GEMMs run at full rate, and no block
+    grows with the number of columns.
+    """
+    rows = _cuts(r0, r1, min(_CHUNK_ELEMS, max(_BLOCK_ROWS, _CHUNK_ELEMS // (c1 - c0))))
+    tallest = -(-(r1 - r0) // (len(rows) - 1))
+    cols = _cuts(c0, c1, _CHUNK_ELEMS // tallest)
+    return [(a, b, x, y) for a, b in zip(rows, rows[1:]) for x, y in zip(cols, cols[1:])]
+
+
 class _ClassPairs:
     """One scan of up to ``_CLASS_SOURCES`` groups (wsum: of one grid): the fold of every scan.
 
@@ -524,23 +553,32 @@ class _ClassPairs:
     ``b``: it votes on group ``b``) and the score rows are copied in key
     order, so each class is a run of positions.  Two points of one class
     are never a query/support pair of any group; two of different classes
-    are one of at least one.  A task scores a run of class ``a``'s rows
-    against columns of higher classes in one GEMM: untiled, a chunk of
-    rows against every higher class, so each such pair is scored once; a
-    tiled group (``tiles``) is a batch of its own, its queries class 0 in
-    the plan's row order and its support class 1.  The highest bit in which ``a < b`` differ is set in ``b``, so the rows
-    are queries of some group in every class ``b`` slice of columns (the
-    row side); where ``a`` votes on a group ``b`` abstains on, the columns
-    are its queries too (the column side).  Tasks write to their worker's
-    own store (``local``), and the batch's last task to finish merges the
-    stores into the tables (``finish``) by integer sums (wsum) or by
-    maxima and least ``(distance, point id)`` (1nn), so no table depends
-    on which worker ran which task.  Where every table of the batch has a
-    cap (wsum: always, its largest radius), a block with few cells within
-    the widest is folded from those cells alone (``_hits``).  The sorted
-    copy of the score rows (and wsum's weights) is built by the batch's
-    first task and dropped, with the stores, after its last, so a scan
-    holds them for the batches in flight, not for every batch.
+    are one of at least one.  A task ``(class, first row, end row,
+    columns, ends)`` scores a run of class ``a``'s rows against columns of
+    higher classes in one GEMM.  Untiled, each class's rows against every
+    higher class are cut into blocks of at most ``_CHUNK_ELEMS`` cells
+    (``_blocks``: tall runs of rows, each against a column range), so each
+    such pair is scored once.  A tiled group (``tiles``) is a batch of its
+    own, its queries class 0 in the plan's row order and its support class
+    1: its joined whole tiles are cut into blocks the same way, and each
+    pruned tile is one task on its kept positions, with wsum ``ends``.  A
+    column range may cut through a class, so the fold arguments a task
+    shares with others (``sides``: the class slices, each clipped to the
+    range, and the hit limit's slice count) are kept per (class, column
+    range).  The highest bit in which ``a < b`` differ is set in ``b``, so
+    the rows are queries of some group in every class ``b`` slice of
+    columns (the row side); where ``a`` votes on a group ``b`` abstains
+    on, the columns are its queries too (the column side).  Tasks write
+    to their worker's own store (``local``), and the batch's last task to
+    finish merges the stores into the tables (``finish``) by integer sums
+    (wsum) or by maxima and least ``(distance, point id)`` (1nn), so no
+    table depends on which worker ran which task.  Where every table of
+    the batch has a cap (wsum: always, its largest radius), a block with
+    few cells within the widest is folded from those cells alone
+    (``_hits``).  The sorted copy of the score rows (and wsum's weights)
+    is built by the batch's first task and dropped, with the stores,
+    after its last, so a scan holds them for the batches in flight, not
+    for every batch.
     """
 
     def __init__(self, space, votes, batch, tiles=None):
@@ -555,17 +593,17 @@ class _ClassPairs:
         self.key = key[self.order]
         self.starts = np.searchsorted(self.key, np.arange(2 ** len(batch) + 1))
         self.bits = (np.arange(2 ** len(batch))[:, None] >> np.arange(len(batch))) & 1 == 1  # (class, group)
-        self.plan = []  # (class, first row, end row, columns: a slice or positions, wsum ends or None)
-        if tiles is None:
-            for a in range(2 ** len(batch)):
-                lo, c0 = self.starts[a], self.starts[a + 1]
-                if lo < c0 < n:
-                    step = max(_MIN_CHUNK, _CHUNK_ELEMS // (n - c0))
-                    self.plan += [(a, r, min(r + step, c0), slice(c0, None), None) for r in range(lo, c0, step)]
-        else:
-            c0 = self.starts[1]
-            self.plan = [(0, r0, r1, slice(c0, None) if keep is None else c0 + keep, ends)
-                         for r0, r1, keep, ends in tiles[1]]
+        if tiles is None:  # each class's rows against every higher class
+            runs = [(a, self.starts[a], self.starts[a + 1], None, None) for a in range(2 ** len(batch))]
+        else:  # the joined whole tiles against the support, then each pruned tile against its kept columns
+            runs = [(0, *task) for task in tiles[1]]
+        self.plan = []  # (class, first row, end row, columns: a slice of positions or positions, wsum ends or None)
+        for a, r0, r1, keep, ends in runs:
+            c0 = self.starts[a + 1]
+            if keep is not None:
+                self.plan.append((a, r0, r1, c0 + keep, ends))
+            elif r0 < r1 and c0 < n:
+                self.plan += [(a, x0, x1, slice(y0, y1), None) for x0, x1, y0, y1 in _blocks(r0, r1, c0, n)]
         batch[0][0].cells = sum(self.cells(task) for task in self.plan)
         self.wsum = batch[0][0].weighting is Weighting.THRESHOLDED_WEIGHTED_SUM
         self.owner = np.array([b for b, g in enumerate(batch) for _ in g])  # each table's group
@@ -574,27 +612,37 @@ class _ClassPairs:
         caps = [g[0].radii[-1] if self.wsum else g[0].cap for g in batch]
         self.floor = None if None in caps else space.band(float(max(caps)))[0]
         self.store_rows = n if tiles is None else self.starts[1]  # tiled: only the abstainers (class 0) are written
-        self.sides = {a: self._side(a) for a in {task[0] for task in self.plan}}
-        self.slices = {a: int(np.count_nonzero(np.diff(self.starts[a + 1 :]))) for a in self.sides}
+        # (class, first column, end column) -> (class slices in the range, fold arguments)
+        self.sides = {k: self._side(*k) for k in {self._range(a, cols) for a, _, _, cols, _ in self.plan}}
         self.lock, self.left, self.stores, self.view, self.w, self.wi = threading.Lock(), len(self.plan), {}, None, None, None
 
-    def _side(self, a):
-        """The fold arguments every task of row class ``a`` shares (see ``_nearest`` and ``_weighted``)."""
-        cls = np.flatnonzero(np.diff(self.starts[a + 1 :]) > 0) + a + 1
+    def _range(self, a, cols):
+        """``(a, first column, end column)``: the column range of a task of row class ``a`` (positions: every higher class)."""
+        return (a, cols.start, cols.stop) if isinstance(cols, slice) else (a, int(self.starts[a + 1]), self.key.size)
+
+    def _side(self, a, c0, c1):
+        """``(slices, fold arguments)`` every task of row class ``a`` on columns ``[c0, c1)`` shares.
+
+        ``slices`` counts the classes the range holds (its class slices, each
+        clipped to the range); see ``_nearest`` and ``_weighted`` for the
+        arguments.
+        """
+        edges = np.clip(self.starts[a + 1 :], c0, c1)  # class a + 1 + i starts at edges[i] in the range
+        cls = np.flatnonzero(np.diff(edges) > 0) + a + 1
         colq = (self.bits[a] & ~self.bits[cls]).any(axis=1)
         if not self.wsum:
             vote = self.bits[cls] & ~self.bits[a]
             used = np.flatnonzero(vote.any(axis=0))
-            return cls, self.starts[cls] - self.starts[a + 1], colq, vote[:, used], used
+            return cls.size, (cls, edges[cls - a - 1] - c0, colq, vote[:, used], used)
         ga = ~self.bits[a]
         into = np.flatnonzero(np.concatenate([ga, ga[self.owner]]))
         if into[-1] - into[0] + 1 == into.size:
             into = slice(into[0], into[-1] + 1)
-        return colq.any(), into, np.flatnonzero(~ga), len(self.batch) + np.flatnonzero(~ga[self.owner])
+        return cls.size, (colq.any(), into, np.flatnonzero(~ga), len(self.batch) + np.flatnonzero(~ga[self.owner]))
 
     def cells(self, task):
         _, r0, r1, cols, _ = task
-        return int((r1 - r0) * (self.key.size - cols.start if isinstance(cols, slice) else cols.size))
+        return int((r1 - r0) * (cols.stop - cols.start if isinstance(cols, slice) else cols.size))
 
     def _open(self):
         """The sorted score rows and, for wsum, the weights in key order: each group's voter indicator, then every table's votes."""
@@ -621,21 +669,22 @@ class _ClassPairs:
             if own is None:
                 own = self.stores[threading.get_ident()] = self.local()
         sub = self.view.block(slice(r0, r1), cols, buf)
+        slices, side = self.sides[self._range(a, cols)]
         hits = None
         if self.floor is not None:  # at most two hits per (row, class slice) pair and two per column
-            hits = self._hits(sub, _SPARSE_HITS * ((r1 - r0) * self.slices[a] + sub.shape[1]))
+            hits = self._hits(sub, _SPARSE_HITS * ((r1 - r0) * slices + sub.shape[1]))
         if hits is not None:
             rr, cc, sc = hits
             p = cols[cc] if isinstance(cols, np.ndarray) else cols.start + cc
             if self.wsum:
-                self._weighted_hits(r0 + rr, p, sc, own, self.sides[a][0])
+                self._weighted_hits(r0 + rr, p, sc, own, side[0])
             else:
-                self._nearest_hits(r0 + rr, p, cc, sc, own, *self.sides[a][1:3])
+                self._nearest_hits(r0 + rr, p, cc, sc, own, *side[1:3])
         elif self.wsum:
-            self._weighted(r0, cols, ends, sub, own, *self.sides[a])
+            self._weighted(r0, cols, ends, sub, own, *side)
         else:
-            pos = cols if isinstance(cols, np.ndarray) else np.arange(cols.start, self.key.size)
-            self._nearest(a, r0, pos, sub, own, *self.sides[a])
+            pos = cols if isinstance(cols, np.ndarray) else np.arange(cols.start, cols.stop)
+            self._nearest(a, r0, pos, sub, own, *side)
         with self.lock:
             self.left -= 1
             last = not self.left
@@ -908,12 +957,72 @@ class _ClassPairs:
             st.best_col[pos] = self.order[ps[pick]]
 
 
+def _openblas():
+    """``(get, set)`` of the thread count of the OpenBLAS bundled with numpy, or None where it or a symbol is missing."""
+    import ctypes
+
+    libs = os.path.dirname(np.__file__) + ".libs"
+    names = sorted(f for f in os.listdir(libs) if f.startswith("libscipy_openblas")) if os.path.isdir(libs) else []
+    for name in names:
+        try:
+            lib = ctypes.CDLL(os.path.join(libs, name))
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+        return get, put
+    return None
+
+
+class _OneBlasThread:
+    """Holds the bundled OpenBLAS at one thread, process-wide, while any scan pool of two or more workers runs.
+
+    The library is looked up at the first such pool (``_openblas``), so
+    a run without one never loads ``ctypes``.  A count of running pools,
+    under a lock, lets the first pool to enter save the thread count and
+    set 1, and the last to leave restore it, so pools that overlap (scans
+    from concurrent caller threads) cannot leave the process at one
+    thread.  Where the library or a symbol is missing, it does nothing.
+    """
+
+    def __init__(self):
+        self.lock, self.calls, self.pools, self.saved = threading.Lock(), None, 0, 0
+
+    def __enter__(self):
+        with self.lock:
+            if self.calls is None:
+                self.calls = _openblas() or ()
+            if self.calls and not self.pools:
+                self.saved = self.calls[0]()
+                self.calls[1](1)
+            self.pools += 1
+
+    def __exit__(self, *exc):
+        with self.lock:
+            self.pools -= 1
+            if self.calls and not self.pools:
+                self.calls[1](self.saved)
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
+
+
 def _run_tasks(tasks, threads, cells):
     """Run ``tasks`` on up to ``threads`` worker loops that take them in order.
 
     Each worker owns one float32 buffer of ``cells`` (the largest block
     of the scan) and passes it to every task it runs, so tasks reuse
     their block's memory; the buffers are freed when the workers return.
+
+    While two or more workers run, the OpenBLAS bundled with numpy is held
+    at one thread (``_OneBlasThread``), so each worker's GEMMs run beside
+    the other's folds instead of spreading over every core and contending
+    with them.  The setting is process-wide: other numpy calls of the
+    process, on any thread, run single-threaded while a pool runs.  The
+    count from before the first pool comes back after the last one ends,
+    also when a task raises.  Where the library or its thread-count
+    symbols are not found, BLAS threading is left as it is.  A one-worker
+    scan never touches it.
     """
     queue = deque(tasks)
 
@@ -929,7 +1038,7 @@ def _run_tasks(tasks, threads, cells):
     workers = min(threads, len(tasks))
     if workers <= 1:
         return work()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with _ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=workers) as pool:
         for f in [pool.submit(work) for _ in range(workers)]:
             f.result()
 
@@ -956,21 +1065,26 @@ def neighbor_tables(
     most ``_TILE_ROWS`` rows, and each tile drops the support columns
     that exact distance bounds prove its fold would reject
     (``_tile_tasks``).  A group where some tile prunes is a class-pair
-    batch of its own: tiles keeping every column are joined into chunks
-    of about ``_CHUNK_ELEMS`` score cells (at least ``_MIN_CHUNK`` rows),
-    and the others are scored alone.  Groups where no tile could prune
-    (under wsum, those of one grid; under 1nn, all of them, whatever
-    their grids) are batched together, up to ``_CLASS_SOURCES`` at a
-    time, so each point pair that is a query/support pair of any of them
-    is scored once, in chunks of about ``_CHUNK_ELEMS`` cells.  A 1nn
-    table is capped at its grid's largest radius (an empty grid: no cap),
-    and a batch whose tables all have caps, like every wsum batch, folds
-    each block with few cells within its widest radius from those cells
-    alone.  Every batch folds through ``_ClassPairs``, and
-    all its blocks run on one pool of ``threads`` workers, each scoring
-    into its own buffer sized for the largest block.  A batch's first
-    table owns its scan's ``cells`` (the others count 0).  A wsum group
-    without a positive radius has nothing to fold.
+    batch of its own: tiles keeping every column are joined, and the
+    others are scored alone against their kept columns (at most
+    ``_TILE_ROWS`` rows each).  Groups where no tile could prune (under
+    wsum, those of one grid; under 1nn, all of them, whatever their
+    grids) are batched together, up to ``_CLASS_SOURCES`` at a time, so
+    each point pair that is a query/support pair of any of them is scored
+    once.  Joined tiles and class pairs are scored in blocks of at most
+    ``_CHUNK_ELEMS`` cells, ``_BLOCK_ROWS`` rows or more (where there are
+    as many) against a range of columns, so a worker's buffer does not
+    grow with queries x support.  A 1nn table is capped at its grid's
+    largest radius (an empty grid: no cap), and a batch whose tables all
+    have caps, like every wsum batch, folds each block with few cells
+    within its widest radius from those cells alone.  Every batch folds
+    through ``_ClassPairs``, and all its blocks run on one pool of
+    ``threads`` workers (default: the cores, at most 4), each scoring
+    into its own buffer sized for the largest block.  While a pool of two
+    or more workers runs, the OpenBLAS bundled with numpy is held at one
+    thread for the whole process and restored after (``_run_tasks``).  A
+    batch's first table owns its scan's ``cells`` (the others count 0).
+    A wsum group without a positive radius has nothing to fold.
     """
     weighting = Weighting(weighting)
     if emb.n != votes.n:
@@ -1007,7 +1121,7 @@ def neighbor_tables(
     space, untiled, pairs = _ScoreSpace(emb, metric), {}, []
     for g in scans:
         st = g[0]
-        tiles = _tile_tasks(space, st, max(_MIN_CHUNK, _CHUNK_ELEMS // st.support.size))
+        tiles = _tile_tasks(space, st)
         if tiles is not None:
             pairs.append(_ClassPairs(space, votes, [g], tiles))
         else:  # a 1nn scan takes any caps: each table drops the winners beyond its own

@@ -220,6 +220,20 @@ class TestErrorHandling:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_is_usage_error(self, tmp_path, capsys, threads):
+        # refused before any input is read (these files do not exist: a data
+        # error, exit 2, would mean the command ran), so no thread starts
+        args = ["pipeline", "--embeddings", str(tmp_path / "none.emb"), "--votes", str(tmp_path / "none.csv"),
+                "--prior", "0.5", "--radii", "0.1", "--out", str(tmp_path / "o")]
+        assert main([*args, f"--threads={threads}"]) == 1
+        assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"threads": threads}))
+        assert main(["--config", str(cfg), *args]) == 1
+        assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_data_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("1,2\n")

@@ -1,6 +1,7 @@
 """Vote extension semantics against brute-force oracles."""
 
 import sys
+import threading
 import tracemalloc
 from dataclasses import fields
 from functools import partial
@@ -337,8 +338,8 @@ class TestNeighborTables:
             r: extend_votes(emb, vm, RadiusConfig(np.full(m, r), weighting), metric=Metric(metric))[0]
             for r in grid[1:]
         }
-        # tiny chunks: every source splits into many query chunks
-        with mock.patch.multiple(extension, _CHUNK_ELEMS=700, _MIN_CHUNK=1):
+        # tiny blocks: every source splits into many runs of rows and ranges of columns
+        with mock.patch.multiple(extension, _CHUNK_ELEMS=700, _BLOCK_ROWS=1):
             for threads in (1, 2):
                 tables = neighbor_tables(emb, vm, {j: grid for j in range(m)}, weighting,
                                          Metric(metric), threads)
@@ -520,7 +521,7 @@ def _check_against_oracles(x, votes, radii, metric, chunk_elems, tile_rows, piec
     # tiny chunks, fold pieces and tiles: every source splits into many query
     # chunks at n ~ 200, pruned tiles mix with whole ones, and a chunk's fold
     # walks pieces of one row or several, its last one short
-    patches = dict(_CHUNK_ELEMS=chunk_elems, _MIN_CHUNK=1, _TILE_ROWS=tile_rows, _PIECE_CELLS=piece_cells)
+    patches = dict(_CHUNK_ELEMS=chunk_elems, _BLOCK_ROWS=1, _TILE_ROWS=tile_rows, _PIECE_CELLS=piece_cells)
     with mock.patch.multiple(extension, **patches):
         for w in Weighting:
             expected = brute_force_extend(x, votes, radii, w.value, metric=metric)
@@ -549,18 +550,22 @@ def test_chunked_scan_matches_oracles_inside_float32_band(instance):
 
 
 def _same_on_both_folds(scan, tables, label):
-    """``scan()`` with every block folded densely, then with every block folded from its hits, gives ``tables``.
+    """``scan()`` gives ``tables`` with every block folded densely, then from its hits, in its own blocks and in tiny ones.
 
     A ``_SPARSE_HITS`` of -1 sends every block to the dense fold; a huge one
-    folds every block of a scan with a floor from its hits.
+    folds every block of a scan with a floor from its hits.  A cap of 64
+    cells in blocks of 4 rows cuts the columns into ranges of 16 (fewer
+    rows only against fewer columns), which cut through most class slices
+    of a class-pair scan and through a tiled group's support.
     """
     for limit in (-1, 10**9):
-        with mock.patch.object(extension, "_SPARSE_HITS", limit):
-            again = scan()
-        for j, t in tables.items():
-            for name in ("best_dist", "best_col", "in_count", "vote_sum"):
-                a, b = getattr(t, name), getattr(again[j], name)
-                assert (a is None and b is None) or a.tobytes() == b.tobytes(), (label, limit, j, name)
+        for tiny in ({}, {"_CHUNK_ELEMS": 64, "_BLOCK_ROWS": 4}):
+            with mock.patch.multiple(extension, _SPARSE_HITS=limit, **tiny):
+                again = scan()
+            for j, t in tables.items():
+                for name in ("best_dist", "best_col", "in_count", "vote_sum"):
+                    a, b = getattr(t, name), getattr(again[j], name)
+                    assert (a is None and b is None) or a.tobytes() == b.tobytes(), (label, limit, tiny, j, name)
 
 
 def _class_pair_cells(votes, sources):
@@ -579,7 +584,7 @@ def _check_class_pairs(x, votes, grid, metric, chunk_elems, piece_cells):
     # sources with queries and support, in batches of _CLASS_SOURCES
     scanned = [j for j in range(m) if 0 < (votes[:, j] != 0).sum() < n]
     batches = [scanned[i : i + extension._CLASS_SOURCES] for i in range(0, len(scanned), extension._CLASS_SOURCES)]
-    with mock.patch.multiple(extension, _CHUNK_ELEMS=chunk_elems, _MIN_CHUNK=1, _PIECE_CELLS=piece_cells):
+    with mock.patch.multiple(extension, _CHUNK_ELEMS=chunk_elems, _BLOCK_ROWS=1, _PIECE_CELLS=piece_cells):
         for w in Weighting:
             alone = {j: neighbor_tables(emb, vm, {j: grid}, w, Metric(metric), 1)[j] for j in range(m)}
             for threads in (1, 2, 4):
@@ -636,8 +641,8 @@ def test_class_pair_scan_matches_one_source_scans_and_oracles(m):
     # same tables
     plans = []
 
-    def tile_tasks(space, st, step):
-        plans.append(plan(space, st, step))
+    def tile_tasks(space, st):
+        plans.append(plan(space, st))
         return plans[-1]
 
     plan = extension._tile_tasks
@@ -664,7 +669,7 @@ def test_class_pair_scan_matches_oracles_on_exact_ties(instance):
     # pairs anyway puts exact ties, duplicates and on-radius pairs there
     x, votes, radii, metric, chunk_elems, _, piece_cells = instance
     grid = np.unique(np.append(radii, 0.0))
-    with mock.patch.object(extension, "_tile_tasks", lambda space, st, step: None):
+    with mock.patch.object(extension, "_tile_tasks", lambda space, st: None):
         _check_class_pairs(x, votes, grid, metric, chunk_elems, piece_cells)
 
 
@@ -797,7 +802,7 @@ def _check_pruned_scan(x, votes, grid, metric, tile_rows=8, chunk_elems=2000):
     extended = {(w, r): brute_force_extend(x, votes, np.full(m, r), w.value, metric) for w in Weighting for r in grid}
     nearest_want = [brute_force_nearest(x, votes, j, metric, cap=max(grid)) for j in range(m)]
     grids = {j: grid for j in range(m)}
-    with mock.patch.multiple(extension, _TILE_ROWS=tile_rows, _CHUNK_ELEMS=chunk_elems, _MIN_CHUNK=1):
+    with mock.patch.multiple(extension, _TILE_ROWS=tile_rows, _CHUNK_ELEMS=chunk_elems, _BLOCK_ROWS=1):
         for w in Weighting:
             # a dropped column is one the fold rejects without a float64 check
             # (the reference: the same tiles, each keeping every column)
@@ -811,7 +816,7 @@ def _check_pruned_scan(x, votes, grid, metric, tile_rows=8, chunk_elems=2000):
                 assert "pruned" in kinds and sum(t.cells for t in tables.values()) < full, (w, kinds)
                 _same_on_both_folds(scan, tables, (w, threads))
                 # planned untiled, by class pairs, the one fold gives the same tables bit for bit
-                with mock.patch.object(extension, "_tile_tasks", lambda space, st, step: None):
+                with mock.patch.object(extension, "_tile_tasks", lambda space, st: None):
                     untiled = scan()
                 for j, table in tables.items():
                     for name in ("best_dist", "best_col", "in_count", "vote_sum"):
@@ -926,27 +931,36 @@ class TestScoredCells:
         emb, vm = EmbeddingSet(x), VoteMatrix(votes)
         blocks, plans = [], []
 
-        def tile_tasks(space, st, step):
-            plans.append(plan(space, st, step))
+        def tile_tasks(space, st):
+            plans.append(plan(space, st))
             return plans[-1]
 
         def pairs(self, a, r0, r1, cols, ends, buf):
             blocks.append((a, r0, r1, cols.start, cols.stop, ends))
             return call(self, a, r0, r1, cols, ends, buf)
 
-        plan, call = extension._tile_tasks, extension._ClassPairs.__call__
-        with mock.patch.multiple(extension, _CHUNK_ELEMS=100_000, _tile_tasks=tile_tasks):
+        cap, plan, call = 100_000, extension._tile_tasks, extension._ClassPairs.__call__
+        with mock.patch.multiple(extension, _CHUNK_ELEMS=cap, _tile_tasks=tile_tasks):
             with mock.patch.object(extension._ClassPairs, "__call__", pairs):
                 tables = neighbor_tables(emb, vm, {j: [0.7] for j in range(m)}, weighting, Metric.COSINE, threads=2)
         assert plans == [None, None]  # no tiled task
         sizes = np.bincount((votes[:, 0] != 0) + 2 * (votes[:, 1] != 0), minlength=4)
         starts = np.concatenate([[0], np.cumsum(sizes)])
-        want = []
+        want, shapes = [], []
         for a in range(3):  # the last class has no higher one
-            step = max(64, 100_000 // (n - starts[a + 1]))
-            want += [(a, r, min(r + step, starts[a + 1])) for r in range(starts[a], starts[a + 1], step)]
-        # each block's columns: every higher class, to the end
-        assert sorted(blocks) == [(a, r0, r1, starts[a + 1], None, None) for a, r0, r1 in want]
+            # rows: the fewest runs of at most max(1024, cap // width), within one row of each other
+            lo, hi, width = starts[a], starts[a + 1], n - starts[a + 1]
+            k = -(-(hi - lo) // max(extension._BLOCK_ROWS, cap // width))
+            rows = [lo + (hi - lo) * i // k for i in range(k + 1)]
+            want += [(a, r0, r1) for r0, r1 in zip(rows, rows[1:])]
+            # columns: every higher class, to the end, in the fewest ranges the cap allows beside the tallest run
+            c = -(-width // (cap // -(-(hi - lo) // k)))
+            cols = [hi + width * i // c for i in range(c + 1)]
+            shapes += [(a, r0, r1, c0, c1, None) for r0, r1 in zip(rows, rows[1:]) for c0, c1 in zip(cols, cols[1:])]
+        assert sorted(blocks) == sorted(shapes)
+        assert all((r1 - r0) * (c1 - c0) <= cap for _, r0, r1, c0, c1, _ in blocks)
+        assert min(r1 - r0 for _, r0, r1, _, _, _ in blocks) > 256  # tall blocks, narrowed by columns
+        assert any({c0, c1} - set(starts.tolist()) for _, _, _, c0, c1, _ in blocks)  # ranges cut through classes
         assert tables[0].cells == sum((r1 - r0) * (n - starts[a + 1]) for a, r0, r1 in want)
         assert tables[0].cells == (n * n - int((sizes**2).sum())) // 2 and tables[1].cells == 0
 
@@ -966,7 +980,7 @@ class TestScoredCells:
         grid = np.linspace(0.0, 0.2, 9)
         grids = {0: grid, 1: grid, 2: grid, 3: grid[:-1]}
         names = ["best_dist", "best_col", "in_count", "vote_sum"]
-        with mock.patch.multiple(extension, _CHUNK_ELEMS=200_000, _MIN_CHUNK=1):
+        with mock.patch.multiple(extension, _CHUNK_ELEMS=200_000, _BLOCK_ROWS=1):
             alone = {
                 j: neighbor_tables(task.embeddings, vm, {j: g}, weighting, Metric.EUCLIDEAN, threads=1)[j]
                 for j, g in grids.items()
@@ -1082,7 +1096,7 @@ def test_chunks_of_different_shapes_share_a_worker_buffer(metric):
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # workers interleave often on the shared task queue
     try:
-        with mock.patch.multiple(extension, _CHUNK_ELEMS=chunk_elems, _MIN_CHUNK=1):
+        with mock.patch.multiple(extension, _CHUNK_ELEMS=chunk_elems, _BLOCK_ROWS=1):
             scans = {
                 (w, threads): neighbor_tables(emb, vm, {j: grid for j in range(3)}, w, Metric(metric), threads)
                 for w in Weighting
@@ -1120,7 +1134,7 @@ def test_scan_frees_its_block_buffer(weighting, metric):
     emb, vm = EmbeddingSet(x), VoteMatrix(votes)
     grids = {j: [0.3, 0.6] for j in range(3)}
     chunk_elems = 40_000
-    with mock.patch.multiple(extension, _CHUNK_ELEMS=chunk_elems, _MIN_CHUNK=1):
+    with mock.patch.multiple(extension, _CHUNK_ELEMS=chunk_elems, _BLOCK_ROWS=1):
         scan = partial(neighbor_tables, emb, vm, grids, weighting, Metric(metric), threads=1)
         scan()  # builds the set's lazy score mirrors, which it keeps
         tables, held, _ = _traced(scan)
@@ -1156,6 +1170,28 @@ def test_class_pair_sorted_copies_do_not_pile_up():
     assert peaks[m] - peaks[1] < copy / 2, (peaks, copy)
 
 
+@pytest.mark.parametrize("weighting", list(Weighting), ids=lambda w: w.value)
+def test_scan_scratch_does_not_grow_as_queries_times_support(weighting):
+    # nothing prunes on d=64 Gaussian rows, so three sources are scanned by
+    # class pairs, whose widest class scores about (n/3)^2 cells; capped
+    # blocks hold each worker's buffer to _CHUNK_ELEMS cells, so at 4n the
+    # peak grows with the linear terms (the sorted copy, stores and
+    # tables), not with the 16-fold block
+    rng = np.random.default_rng(32)
+    peaks = {}
+    for n in (2000, 8000):
+        x = rng.standard_normal((n, 64))
+        votes = np.zeros((n, 3), dtype=int)
+        for j in range(3):
+            on = rng.random(n) < 0.3
+            votes[on, j] = rng.choice([-1, 1], on.sum())
+        emb, vm = EmbeddingSet(x), VoteMatrix(votes)
+        scan = partial(neighbor_tables, emb, vm, dict.fromkeys(range(3), [0.6]), weighting, Metric.COSINE, 2)
+        scan()  # builds the set's lazy score mirrors, which it keeps
+        _, _, peaks[n] = _traced(scan)
+    assert peaks[8000] <= 4.5 * peaks[2000], peaks
+
+
 @pytest.mark.parametrize("n", [1600, 6400])
 @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
 def test_all_duplicate_support_peak_is_one_block_and_one_piece(metric, n):
@@ -1178,7 +1214,7 @@ def test_all_duplicate_support_peak_is_one_block_and_one_piece(metric, n):
         rechecked.append(len(a))
         return paired(emb, a, b, metric)
 
-    with mock.patch.multiple(extension, _CHUNK_ELEMS=cells, _MIN_CHUNK=1, _PIECE_CELLS=1024):
+    with mock.patch.multiple(extension, _CHUNK_ELEMS=cells, _BLOCK_ROWS=1, _PIECE_CELLS=1024):
         scan = partial(nearest, emb, vm, 0, Metric(metric), threads=1)
         with mock.patch.object(extension, "paired_distances", counted):
             scan()  # also builds the set's lazy score mirrors
@@ -1202,8 +1238,8 @@ def test_all_duplicate_support_peak_is_one_block_and_one_piece(metric, n):
     votes[ns : 2 * ns, 1] = rng.choice([-1, 1], ns)
     emb, vm = EmbeddingSet(x), VoteMatrix(votes)
     block = n * n  # bytes: the n/2 points voting on neither against the n/2 voting on one
-    with mock.patch.multiple(extension, _CHUNK_ELEMS=block // 4, _MIN_CHUNK=1, _PIECE_CELLS=1024,
-                             _tile_tasks=lambda space, st, step: None):
+    with mock.patch.multiple(extension, _CHUNK_ELEMS=block // 4, _BLOCK_ROWS=1, _PIECE_CELLS=1024,
+                             _tile_tasks=lambda space, st: None):
         scan = partial(neighbor_tables, emb, vm, {0: (), 1: ()}, Weighting.ONE_NEAREST_NEIGHBOR, Metric(metric), 1)
         scan()
         tables, _, peak = _traced(scan)
@@ -1216,6 +1252,120 @@ def test_all_duplicate_support_peak_is_one_block_and_one_piece(metric, n):
         assert np.array_equal(t.best_col[at], keep[b]), j
         np.testing.assert_allclose(t.best_dist[at], d, rtol=1e-14, atol=1e-15)
     assert peak <= 1.25 * block, (peak, block)
+
+
+_BLAS = extension._openblas()
+
+
+def _blas_scan(threads, weighting=Weighting.ONE_NEAREST_NEIGHBOR):
+    """Tables of a class-pair scan of 900 points in 96 dims, in many small blocks."""
+    rng = np.random.default_rng(33)
+    n = 900
+    x = rng.standard_normal((n, 96))
+    votes = np.zeros((n, 3), dtype=int)
+    for j in range(3):
+        on = rng.random(n) < 0.35
+        votes[on, j] = rng.choice([-1, 1], on.sum())
+    with mock.patch.object(extension, "_CHUNK_ELEMS", 20_000):
+        return neighbor_tables(EmbeddingSet(x), VoteMatrix(votes), dict.fromkeys(range(3), [0.8]), weighting,
+                               Metric.COSINE, threads)
+
+
+def _same_tables(a, b):
+    return all((getattr(a[j], f) is None and getattr(b[j], f) is None)
+               or getattr(a[j], f).tobytes() == getattr(b[j], f).tobytes()
+               for j in a for f in ("best_dist", "best_col", "in_count", "vote_sum"))
+
+
+def _blas_in_tasks(get):
+    """A patch recording ``get()``, the BLAS thread count, at the start of every scan task, into the list it returns."""
+    seen, call = [], extension._ClassPairs.__call__
+
+    def spy(self, *args):
+        seen.append(get())
+        return call(self, *args)
+
+    return mock.patch.object(extension._ClassPairs, "__call__", spy), seen
+
+
+@pytest.mark.skipif(_BLAS is None, reason="no OpenBLAS with thread-count symbols bundled with numpy")
+class TestBlasThreads:
+    @pytest.fixture
+    def get(self):
+        """The bundled OpenBLAS's thread-count getter, the count set to 2 for the test and restored after it."""
+        get, put = _BLAS
+        before = get()
+        put(2)
+        try:
+            yield get
+        finally:
+            put(before)
+
+    def test_a_pool_runs_at_one_blas_thread_and_restores_the_count(self, get):
+        patch, seen = _blas_in_tasks(get)
+        with patch:
+            for threads, inside in ((2, 1), (4, 1), (1, 2)):  # one worker leaves BLAS as it is
+                seen.clear()
+                for w in Weighting:
+                    _blas_scan(threads, w)
+                assert len(seen) > 4 and set(seen) == {inside}, (threads, seen)
+                assert get() == 2, threads
+
+    def test_a_raising_fold_still_restores_the_count(self, get):
+        def fold(self, *args):
+            raise RuntimeError("fold")
+
+        with mock.patch.multiple(extension._ClassPairs, _nearest=fold, _nearest_hits=fold):
+            with pytest.raises(RuntimeError, match="fold"):
+                _blas_scan(2)
+        assert get() == 2
+
+    def test_overlapping_scans_from_two_threads_restore_the_count(self, get):
+        # each pool's two workers wait at their first task until all four are
+        # inside one, so the pools overlap; the first to end leaves BLAS at
+        # one thread for the other, the last restores it
+        want = _blas_scan(1)
+        barrier, lock, started = threading.Barrier(4, timeout=60), threading.Lock(), set()
+        seen, call = [], extension._ClassPairs.__call__
+
+        def spy(self, *args):
+            with lock:
+                first = threading.get_ident() not in started
+                started.add(threading.get_ident())
+            if first:
+                barrier.wait()
+            seen.append(get())
+            return call(self, *args)
+
+        out = [None, None]
+
+        def scan(i):
+            out[i] = _blas_scan(2)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the four workers and two callers switch often
+        try:
+            with mock.patch.object(extension._ClassPairs, "__call__", spy):
+                callers = [threading.Thread(target=scan, args=(i,)) for i in range(2)]
+                for t in callers:
+                    t.start()
+                for t in callers:
+                    t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in callers)
+        assert len(started) == 4 and set(seen) == {1}
+        assert get() == 2
+        assert all(o is not None and _same_tables(o, want) for o in out)
+
+    def test_without_the_library_the_scan_leaves_blas_alone_with_the_same_tables(self, get):
+        guarded = {w: _blas_scan(2, w) for w in Weighting}
+        patch, seen = _blas_in_tasks(get)
+        with mock.patch.object(extension, "_openblas", lambda: None), patch:
+            with mock.patch.object(extension._ONE_BLAS_THREAD, "calls", None):  # looked up again: not found
+                for w in Weighting:
+                    assert _same_tables(_blas_scan(2, w), guarded[w]), w
+        assert seen and set(seen) == {2}
 
 
 class TestScoreSpace:
