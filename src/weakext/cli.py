@@ -31,7 +31,7 @@ from .core import (
     save_labels,
     save_votes,
 )
-from .diagnostics import DEFAULT_PAIR_BUDGET, default_radius_grid, diagnose
+from .diagnostics import DEFAULT_PAIR_BUDGET, curves_cap, default_radius_grid, diagnose
 from .experiments import (
     _extendable,
     _resolve_metric_name,
@@ -380,9 +380,9 @@ def cmd_diagnose(args) -> int:
     prior = _resolve_prior(args, dev)
     config = _resolve_radii(args, votes.m)
     metric = Metric(args.distance)
-    tables = None
+    grid, tables = _resolve_grid(args), None
     if config.weighting is Weighting.ONE_NEAREST_NEIGHBOR:  # one scan serves extension and curves
-        grids = {j: () for j in range(votes.m)}
+        grids = {j: [max(float(r), curves_cap(grid))] for j, r in enumerate(config.radii)}  # each read up to its cap
         tables = neighbor_tables(emb, votes, grids, config.weighting, metric, args.threads)
         ext, report = extend_from_tables(votes, config, tables)
     else:
@@ -390,7 +390,7 @@ def cmd_diagnose(args) -> int:
     params = estimate_accuracies(votes, prior)
     diag = diagnose(
         emb, votes, ext, dev, params, config,
-        report=report, metric=metric, radii=_resolve_grid(args),
+        report=report, metric=metric, radii=grid,
         pair_budget=args.pair_budget, seed=args.seed, delta=args.delta,
         threads=args.threads, tables=tables,
     )

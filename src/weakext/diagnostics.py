@@ -424,6 +424,11 @@ def leave_one_out_constant(
     return other_sources_constant(q, labels)
 
 
+def curves_cap(grid) -> float:
+    """The cap a 1nn table needs for accuracy curves at ``grid``: its largest finite radius (inf: the largest float), at least 0."""
+    return float(np.fmax.reduce(np.minimum(grid, np.finfo(np.float64).max), initial=0.0))
+
+
 def measured_accuracy_curves(
     table: NeighborTable,
     votes: VoteMatrix,
@@ -432,8 +437,8 @@ def measured_accuracy_curves(
 ):
     """Extended and new-region accuracy of one source at every radius.
 
-    ``table`` is the source's 1nn ``NeighborTable``, whose cap (if any)
-    must hold every radius (else ``ValueError``).  Measured on the labeled
+    ``table`` is the source's 1nn ``NeighborTable``, whose cap must hold
+    every radius (else ``ValueError``).  Measured on the labeled
     prefix under 1-nearest-neighbor extension; nan where no labeled point
     is reached.  Returns ``(extended_accuracy, new_region_accuracy)``
     arrays over ``radii``.
@@ -441,9 +446,9 @@ def measured_accuracy_curves(
     if table.weighting is not Weighting.ONE_NEAREST_NEIGHBOR:
         raise ValueError("accuracy curves read a 1nn table")
     source = table.source
-    radii = np.asarray(radii, dtype=np.float64)
-    if table.cap is not None and (radii > table.cap).any():
-        raise ValueError(f"radii beyond the cap {table.cap} of source {source}'s table")
+    radii = np.minimum(np.asarray(radii, dtype=np.float64), np.finfo(np.float64).max)  # every distance is finite
+    if radii.size and (not table.radii.size or radii.max() > table.radii[-1]):
+        raise ValueError(f"radii beyond the cap {table.radii[-1:]} of source {source}'s table")
     nd = dev_labels.n
     col = votes.votes[:nd, source]
     voted = col != 0
@@ -589,8 +594,9 @@ def diagnose(
     ``dev_labels`` (a prefix of the dataset) or, failing that, from a
     user-supplied ``(model_disagreement, model_risk)`` pair.  The measured
     accuracy curves read 1nn ``tables`` (source -> ``NeighborTable``, as
-    ``neighbor_tables`` returns them); sources missing from ``tables`` are
-    scanned in one ``neighbor_tables`` call on ``threads`` workers.
+    ``neighbor_tables`` returns them, capped at ``curves_cap(radii)`` or
+    beyond); sources missing from ``tables`` are scanned at that cap in
+    one ``neighbor_tables`` call on ``threads`` workers.
     """
     if dev_labels is None and model_smoothness is None:
         raise ValueError(
@@ -623,7 +629,7 @@ def diagnose(
     base_post, _ = predict(votes, params)
     tables = dict(tables or {})
     if dev_labels is not None:
-        missing = {j: () for j in range(votes.m) if cov_before[j] > 0 and j not in tables}
+        missing = {j: [curves_cap(grid)] for j in range(votes.m) if cov_before[j] > 0 and j not in tables}
         tables.update(neighbor_tables(emb, votes, missing, Weighting.ONE_NEAREST_NEIGHBOR, metric, threads))
 
     per_source = []

@@ -13,41 +13,41 @@ scanned sources, the float32 score rows (Euclidean rows centered and
 scaled by a power of two) are copied in key order, and each task scores
 a run of one class's rows against a range of columns of higher classes
 in one GEMM block, written into a buffer that each scan worker owns and
-reuses.  Blocks hold at most ``_CHUNK_ELEMS`` cells (8 MB): rows stay
-tall (``_BLOCK_ROWS`` or more where the class has them) and a wide block
-is cut by columns, so the buffers do not grow with queries x support, as
-in exact blocked search, which selects from each tile of scores in turn
-(Johnson, Douze & Jegou 2017).  While two or more workers run, the
-bundled OpenBLAS is held at one thread, so one worker's GEMM runs beside
-the other's fold (``_run_tasks``).  Two points of one class are never a
-query/support pair of any source, so no such pair is scored.  Each
-source's abstainers are first cut into k-d tiles of about 256 rows on a
+reuses.  Every block, whichever plan made it, holds at most
+``_CHUNK_ELEMS`` cells (8 MB): rows stay tall (``_BLOCK_ROWS`` or more
+where the class has them) and a wide block is cut by columns, so the
+buffers do not grow with queries x support, as in exact blocked search,
+which selects from each tile of scores in turn (Johnson, Douze & Jegou
+2017).  While two or more workers run, the bundled OpenBLAS is held at
+one thread, so one worker's GEMM runs beside the other's fold
+(``_run_tasks``).  Two points of one class are never a query/support
+pair of any source, so no such pair is scored.  Each source's
+abstainers are first cut into k-d tiles of about 256 rows on a
 cached low-dimensional projection, and exact float64 bounds drop, per
 tile, the support columns whose scores the fold would reject without a
 float64 check (wsum: beyond the grid's largest radius; 1nn: beyond every
 tile row's best score).  Where some tile prunes, the source's group is a
-batch of its own with two classes, abstainers and voters: tiles keeping every column are joined and cut
-into blocks against the whole support, and each other tile is scored
-against its kept columns.  Where nothing can prune (high-dimensional
-data), the sources are scanned together (wsum: those of one radius
-grid), and each class's rows are scored in blocks against the rows of
-every higher class, so a point pair is scored once for all the sources
-it is a query/support pair of.
+batch of its own with two classes, abstainers and voters: tiles keeping
+every column are joined and cut into blocks against the whole support,
+and each other tile is cut into blocks against its kept columns.  Where
+nothing can prune (high-dimensional data), the sources are scanned
+together (wsum: those of one radius grid), and each class's rows are
+scored in blocks against the rows of every higher class, so a point pair
+is scored once for all the sources it is a query/support pair of.
 
 Each column slice of a block is folded for the sources the rows abstain
 on and the columns vote on, and with the columns as queries for those
 the columns abstain on and the rows vote on.  The fold walks the block
 in pieces of whole rows; each piece marks the cells near a threshold or
-a tie in one reused mask, so its scratch is bounded by a piece.  No
-output reads a neighbor beyond the widest radius of the scan (a 1nn
-table keeps nearest points only within its grid's largest radius, its
-cap), so the fold first lists the block's hits, the cells scoring at or
-above that radius's band.  Where they are few (at most two per row and
-class slice plus two per column, the bound the dense 1nn fold keeps its
-store to), the block is folded from its hits alone: 1nn stores each as
-a candidate in both orientations, and wsum decides each per grid radius.
-Other blocks, and 1nn scans with an uncapped table, are folded densely:
-1nn keeps per-source maxima and the cells within ``tau`` of them.  1nn
+a tie in one reused mask, so its scratch is bounded by a piece.  Every
+table is capped at its grid's largest radius, so no output reads a
+neighbor beyond the widest radius of the scan, and the fold first lists
+the block's hits, the cells scoring at or above that radius's band.  Where they are few (at
+most two per row and class slice plus two per column, the bound the
+dense 1nn fold keeps its store to), the block is folded from its hits
+alone: 1nn stores each as a candidate in both orientations, and wsum
+decides each per grid radius.  Other blocks are folded densely: 1nn
+keeps per-source maxima and the cells within ``tau`` of them.  1nn
 re-decides the survivors of each source's final threshold, taken from
 those maxima and the candidates' own scores, in one float64 call and
 drops winners beyond the table's cap; wsum re-decides its band cells in
@@ -62,10 +62,11 @@ A scan fills one ``NeighborTable`` per source for a whole radius grid
 per piece of rows, which counts the voters and sums every vote column at
 once), and ``column`` reads an extended column from it: extension scans
 one-radius grids, while tuning and refinement scan each source once over
-every radius they will try, and diagnose's uncapped 1nn tables (empty
-grids) serve both its extension and its accuracy curves.  Sources with
-equal supports and grids share one scan (one bit of a class-pair key),
-so stacked vote variants fill all their tables in one pass.
+every radius they will try, and diagnose's 1nn tables, capped at the
+largest radius it reads, serve both its extension and its accuracy
+curves.  Sources with equal supports and grids share one scan (one bit
+of a class-pair key), so stacked vote variants fill all their tables in
+one pass.
 """
 
 from __future__ import annotations
@@ -104,13 +105,12 @@ __all__ = [
     "min_overlap",
 ]
 
-_CHUNK_ELEMS = 2**21  # score cells per scan block, at most (8 MB of float32): wide blocks are cut by columns
+_CHUNK_ELEMS = 2**21  # score cells per scan task, at most (8 MB of float32); below 2**24, so no block is wider than float32 counts exactly
 _BLOCK_ROWS = 1024  # rows per scan block, unless its run of rows is shorter or the cap smaller
 _TILE_ROWS = 256  # query rows per pruning tile, at most
 _PROJ_DIMS = 4  # principal directions the tile bounds are taken in
 _SLACK = 2.0**-22  # error of a bounded distance; see _ScoreSpace.reach
 _PIECE_CELLS = 2**17  # score cells per fold piece of whole rows (at least one row)
-_EXACT_COLS = 2**24  # widest wsum fold piece whose float32 vote sums are exact
 _CLASS_SOURCES = 6  # groups keyed per class-pair scan: at most 2**6 vote-pattern classes
 _SPARSE_HITS = 2  # hits per (row, class slice) pair and per column a block may have to be folded from its hits
 
@@ -357,12 +357,12 @@ class _ScoreSpace:
 class NeighborTable:
     """One source's scan results over its ascending radius grid.
 
-    1nn keeps each abstainer's nearest support point within ``cap``, the
-    grid's largest radius, and ``(inf, n)`` where none lies within it, so
-    it answers any radius up to ``cap`` (an empty grid has no cap: every
-    abstainer's nearest point, at any distance); wsum keeps, per grid
-    radius, the count and signed sum of the voters inside it.  A radius
-    beyond the cap, or off a wsum grid, raises ``ValueError``.  Rows
+    1nn keeps each abstainer's nearest support point within its cap, the
+    grid's largest radius ``radii[-1]``, and ``(inf, n)`` where none lies
+    within it, so it answers any radius up to the cap; wsum keeps, per
+    grid radius, the count and signed sum of the voters inside it.  A
+    positive radius beyond the cap (any, for an empty grid, which scans
+    nothing) or off a wsum grid raises ``ValueError``.  Rows
     follow ``queries``.  ``cells`` counts the score cells of the scan the
     table's class-pair batch owns (kept by its first table): for a tiled
     group, the (query, support) pairs of its chunks and the kept pairs of
@@ -380,7 +380,6 @@ class NeighborTable:
     # 1nn results
     best_dist: np.ndarray | None = None
     best_col: np.ndarray | None = None
-    cap: float | None = None
     # wsum results, one column per grid radius
     in_count: np.ndarray | None = None
     vote_sum: np.ndarray | None = None
@@ -397,13 +396,13 @@ class NeighborTable:
         if radius <= 0:
             return np.zeros(self.queries.size, dtype=bool)
         if self.weighting is Weighting.ONE_NEAREST_NEIGHBOR:
-            if self.cap is not None and radius > self.cap:
-                raise ValueError(f"radius {radius} is beyond the cap {self.cap} of source {self.source}'s table")
+            if not self.radii.size or radius > self.radii[-1]:
+                raise ValueError(f"radius {radius} is beyond the cap {self.radii[-1:]} of source {self.source}'s table")
             return self.best_dist <= radius
         return self.in_count[:, self._grid_index(radius)] > 0
 
     def column(self, votes: VoteMatrix, radius: float) -> np.ndarray:
-        """The source's column extended to ``radius`` (1nn: at most ``cap``; wsum: a grid radius; <= 0: as is)."""
+        """The source's column extended to ``radius`` (1nn: at most the cap; wsum: a grid radius; <= 0: as is)."""
         col = np.array(votes.votes[:, self.source], copy=True)
         member = self.reached(radius)
         if self.weighting is Weighting.ONE_NEAREST_NEIGHBOR:
@@ -466,11 +465,11 @@ def _tile_tasks(space, st):
     ``rows`` orders the query positions: whole tiles first, joined in
     ascending order, then the others.  A task ``(first row, end row,
     support positions, ends)`` is the run of joined rows against the
-    whole support (positions and ends None; ``_ClassPairs`` cuts it into
-    blocks) or a pruned tile against its kept columns; a wsum tile orders
-    those by bound, and ``ends[k]`` counts the ones grid radius ``k`` may
-    reach.  A wsum tile keeping no column has no task, so a plan may have
-    none.
+    whole support (positions and ends None) or a pruned tile against its
+    kept columns (``_ClassPairs`` cuts either into blocks); a wsum tile
+    orders those by bound, and ``ends[k]`` counts the ones grid radius
+    ``k`` may reach.  A wsum tile keeping no column has no task, so a
+    plan may have none.
     """
     pq, ps = space.proj[st.queries], space.proj[st.support]
     wsum = st.weighting is Weighting.THRESHOLDED_WEIGHTED_SUM
@@ -560,10 +559,10 @@ class _ClassPairs:
     (``_blocks``: tall runs of rows, each against a column range), so each
     such pair is scored once.  A tiled group (``tiles``) is a batch of its
     own, its queries class 0 in the plan's row order and its support class
-    1: its joined whole tiles are cut into blocks the same way, and each
-    pruned tile is one task on its kept positions, with wsum ``ends``.  A
-    column range may cut through a class, so the fold arguments a task
-    shares with others (``sides``: the class slices, each clipped to the
+    1: its joined whole tiles are cut into blocks the same way, and so is
+    each pruned tile's run of kept positions, each range with its wsum
+    ``ends`` clipped to it.  A column range may cut through a class, so
+    the fold arguments a task shares with others (``sides``: the class slices, each clipped to the
     range, and the hit limit's slice count) are kept per (class, column
     range).  The highest bit in which ``a < b`` differ is set in ``b``, so
     the rows are queries of some group in every class ``b`` slice of
@@ -572,13 +571,12 @@ class _ClassPairs:
     to their worker's own store (``local``), and the batch's last task to
     finish merges the stores into the tables (``finish``) by integer sums
     (wsum) or by maxima and least ``(distance, point id)`` (1nn), so no
-    table depends on which worker ran which task.  Where every table of
-    the batch has a cap (wsum: always, its largest radius), a block with
-    few cells within the widest is folded from those cells alone
-    (``_hits``).  The sorted copy of the score rows (and wsum's weights)
-    is built by the batch's first task and dropped, with the stores,
-    after its last, so a scan holds them for the batches in flight, not
-    for every batch.
+    table depends on which worker ran which task.  Every table is capped
+    at its grid's largest radius, so a block with few cells within the
+    batch's widest cap is folded from those cells alone (``_hits``).  The
+    sorted copy of the score rows (and wsum's weights) is built by the
+    batch's first task and dropped, with the stores, after its last, so a
+    scan holds them for the batches in flight, not for every batch.
     """
 
     def __init__(self, space, votes, batch, tiles=None):
@@ -599,18 +597,19 @@ class _ClassPairs:
             runs = [(0, *task) for task in tiles[1]]
         self.plan = []  # (class, first row, end row, columns: a slice of positions or positions, wsum ends or None)
         for a, r0, r1, keep, ends in runs:
-            c0 = self.starts[a + 1]
-            if keep is not None:
-                self.plan.append((a, r0, r1, c0 + keep, ends))
-            elif r0 < r1 and c0 < n:
-                self.plan += [(a, x0, x1, slice(y0, y1), None) for x0, x1, y0, y1 in _blocks(r0, r1, c0, n)]
+            c0 = int(self.starts[a + 1])
+            width = n - c0 if keep is None else keep.size  # every higher class, or a pruned tile's kept positions
+            if r0 == r1 or not width:
+                continue
+            for x0, x1, y0, y1 in _blocks(r0, r1, 0, width):
+                cols = slice(c0 + y0, c0 + y1) if keep is None else c0 + keep[y0:y1]
+                self.plan.append((a, x0, x1, cols, None if ends is None else np.clip(ends - y0, 0, y1 - y0)))
         batch[0][0].cells = sum(self.cells(task) for task in self.plan)
         self.wsum = batch[0][0].weighting is Weighting.THRESHOLDED_WEIGHTED_SUM
         self.owner = np.array([b for b, g in enumerate(batch) for _ in g])  # each table's group
         # bands are filled here, on the calling thread, so scan workers only read them
         self.grid = [(k, float(r), *space.band(float(r))) for k, r in enumerate(batch[0][0].radii) if r > 0]
-        caps = [g[0].radii[-1] if self.wsum else g[0].cap for g in batch]
-        self.floor = None if None in caps else space.band(float(max(caps)))[0]
+        self.floor = space.band(float(max(g[0].radii[-1] for g in batch)))[0]  # the widest cap's outward band edge
         self.store_rows = n if tiles is None else self.starts[1]  # tiled: only the abstainers (class 0) are written
         # (class, first column, end column) -> (class slices in the range, fold arguments)
         self.sides = {k: self._side(*k) for k in {self._range(a, cols) for a, _, _, cols, _ in self.plan}}
@@ -670,9 +669,7 @@ class _ClassPairs:
                 own = self.stores[threading.get_ident()] = self.local()
         sub = self.view.block(slice(r0, r1), cols, buf)
         slices, side = self.sides[self._range(a, cols)]
-        hits = None
-        if self.floor is not None:  # at most two hits per (row, class slice) pair and two per column
-            hits = self._hits(sub, _SPARSE_HITS * ((r1 - r0) * slices + sub.shape[1]))
+        hits = self._hits(sub, _SPARSE_HITS * ((r1 - r0) * slices + sub.shape[1]))  # two per (row, class slice), per column
         if hits is not None:
             rr, cc, sc = hits
             p = cols[cc] if isinstance(cols, np.ndarray) else cols.start + cc
@@ -742,11 +739,10 @@ class _ClassPairs:
     def _nearest(self, a, r0, pos, sub, own, cls, ls, colq, vote, used):
         """Dense 1nn fold: per-group row maxima, column maxima and the cells within ``tau`` of them.
 
-        It folds the blocks of a batch with an uncapped table and those
-        with too many hits to fold from them alone (``_nearest_hits``).
-        ``pos`` holds the block columns' positions.  Row side, per piece:
-        each row's best score over the slices voting on each group it
-        abstains on, and the cells within ``tau`` of the least such
+        It folds the blocks with too many hits to fold from them alone
+        (``_nearest_hits``).  ``pos`` holds the block columns' positions.
+        Row side, per piece: each row's best score over the slices voting
+        on each group it abstains on, and the cells within ``tau`` of the least such
         threshold a slice answers to.  Column side, after the rows: each
         column's best over the block and the cells within ``tau`` of it.
         A local best never exceeds the group's, so the cells kept hold
@@ -844,46 +840,44 @@ class _ClassPairs:
         the columns' (only class-pair tasks, whose columns are a slice, have
         a column side).  Band cells are re-decided in float64 once for both
         sides.  Each term is 0 or +-1, so every partial sum BLAS forms, in
-        any order, is an integer no larger than the piece's width (at most
-        ``_EXACT_COLS``, 2^24; wider blocks fold in column pieces) or row
-        count (at most ``_PIECE_CELLS``), which float32 holds exactly.
+        any order, is an integer no larger than the block's width (at most
+        ``_CHUNK_ELEMS``, below 2^24) or the piece's row count (at most
+        ``_PIECE_CELLS``), which float32 holds exactly.
         """
         emb, metric, order = self.space.emb, self.space.metric, self.order
         rows, width = sub.shape
-        wide = min(width, _EXACT_COLS)
-        step = max(1, _PIECE_CELLS // wide)
+        step = max(1, _PIECE_CELLS // width)
         wc, wci, pid = self.w[cols][:, into], self.wi[cols], order[cols]
         wr = np.ones((rows, 1 + tv.size), dtype=np.float32)
         wr[:, 1:] = self.w[r0 : r0 + rows, tv]
         wri = self.wi[r0 : r0 + rows]
-        size = min(rows, step) * wide
+        size = min(rows, step) * width
         inside, mask32, mask = np.empty(size, dtype=bool), np.empty(size, dtype=np.float32), np.empty(size, dtype=bool)
         for p in range(0, rows, step):
             q = slice(r0 + p, r0 + min(p + step, rows))
-            for c in range(0, width, wide):
-                for k, radius, lo_s, hi_s in self.grid:
-                    e = min(c + wide, width if ends is None else int(ends[k]))
-                    if e <= c:
-                        continue
-                    part = sub[p : p + step, c:e]
-                    ins = np.greater(part, hi_s, out=inside[: part.size].reshape(part.shape))
-                    fl = mask32[: part.size].reshape(part.shape)
-                    fl[...] = ins
-                    acc[q, k, into] += (fl @ wc[c:e]).astype(np.int32)
+            for k, radius, lo_s, hi_s in self.grid:
+                e = width if ends is None else int(ends[k])
+                if not e:
+                    continue
+                part = sub[p : p + step, :e]
+                ins = np.greater(part, hi_s, out=inside[: part.size].reshape(part.shape))
+                fl = mask32[: part.size].reshape(part.shape)
+                fl[...] = ins
+                acc[q, k, into] += (fl @ wc[:e]).astype(np.int32)
+                if both:
+                    s = slice(cols.start, cols.start + e)
+                    col = (wr[p : p + part.shape[0]].T @ fl).T.astype(np.int32)
+                    acc[s, k, gv] += col[:, :1]
+                    acc[s, k, tv] += col[:, 1:]
+                hit = np.greater_equal(part, lo_s, out=mask[: part.size].reshape(part.shape))
+                hit ^= ins
+                if hit.any():
+                    rr, cc = np.divmod(np.flatnonzero(hit), e)
+                    keep = paired_distances(emb, order[q][rr], pid[cc], metric) <= radius
+                    rr, cc = rr[keep], cc[keep]
+                    np.add.at(acc[q, k], rr, wci[cc])
                     if both:
-                        s = slice(cols.start + c, cols.start + e)
-                        col = (wr[p : p + part.shape[0]].T @ fl).T.astype(np.int32)
-                        acc[s, k, gv] += col[:, :1]
-                        acc[s, k, tv] += col[:, 1:]
-                    hit = np.greater_equal(part, lo_s, out=mask[: part.size].reshape(part.shape))
-                    hit ^= ins
-                    if hit.any():
-                        rr, cc = np.divmod(np.flatnonzero(hit), e - c)
-                        keep = paired_distances(emb, order[q][rr], pid[c + cc], metric) <= radius
-                        rr, cc = rr[keep], cc[keep]
-                        np.add.at(acc[q, k], rr, wci[c + cc])
-                        if both:
-                            np.add.at(acc[s, k], cc, wri[p + rr])
+                        np.add.at(acc[s, k], cc, wri[p + rr])
 
     def _weighted_hits(self, q, p, sc, acc, both):
         """wsum fold of a block's hits, at positions ``q`` (rows) and ``p`` (columns).
@@ -913,8 +907,8 @@ class _ClassPairs:
         folds' maxima and the candidates' own scores (a block folded from
         its hits holds its best among them, if within the widest cap),
         minus ``tau``; the candidates at or above it are re-decided in one
-        float64 call, and a winner beyond the table's cap is dropped, so
-        such queries keep ``(inf, n)``.
+        float64 call, and a winner beyond the table's own cap is dropped,
+        so such queries keep ``(inf, n)``.
         """
         n, groups = self.key.size, len(self.batch)
         if self.wsum:
@@ -950,8 +944,7 @@ class _ClassPairs:
             was = sel >= first
             d[was] = known[sel[was] - first]
             pick = self._winners(qs, qs, ps, d)
-            if st.cap is not None:  # only winners within the table's own cap stay
-                pick = pick[d[pick] <= st.cap]
+            pick = pick[d[pick] <= st.radii[-1]]  # only winners within the table's own cap stay
             pos = row[self.order[qs[pick]]]
             st.best_dist[pos] = d[pick]
             st.best_col[pos] = self.order[ps[pick]]
@@ -1055,41 +1048,42 @@ def neighbor_tables(
 
     Returns a ``NeighborTable`` per source, whose ``column(votes, r)``
     is that source's column as ``extend_votes`` extends it at radius
-    ``r`` (for 1nn, ``r`` must not exceed the grid's largest radius,
-    unless the grid is empty; for wsum, ``r`` must be on the grid).  Each
-    grid is sorted and deduplicated and must be finite and nonnegative
-    (else ``DataError``).
+    ``r`` (for 1nn, ``r`` must not exceed the grid's largest radius; for
+    wsum, ``r`` must be on the grid).  Each grid is sorted and
+    deduplicated and must be finite and nonnegative (else
+    ``DataError``); ``threads`` below 1 raises ``ValueError``.
+
+    Every table is capped at its grid's largest radius.  An empty grid
+    (which used to mean every nearest point, at any distance) scans
+    nothing under either weighting: its 1nn rows stay ``(inf, n)``, its
+    ``cells`` is 0, and no positive radius is answered.  Neither is a
+    wsum grid without a positive radius scanned.
 
     Sources with equal supports and grids form one group, planned, scored
     and folded once.  Each group's queries are cut into k-d tiles of at
     most ``_TILE_ROWS`` rows, and each tile drops the support columns
     that exact distance bounds prove its fold would reject
     (``_tile_tasks``).  A group where some tile prunes is a class-pair
-    batch of its own: tiles keeping every column are joined, and the
-    others are scored alone against their kept columns (at most
-    ``_TILE_ROWS`` rows each).  Groups where no tile could prune (under
-    wsum, those of one grid; under 1nn, all of them, whatever their
-    grids) are batched together, up to ``_CLASS_SOURCES`` at a time, so
-    each point pair that is a query/support pair of any of them is scored
-    once.  Joined tiles and class pairs are scored in blocks of at most
-    ``_CHUNK_ELEMS`` cells, ``_BLOCK_ROWS`` rows or more (where there are
-    as many) against a range of columns, so a worker's buffer does not
-    grow with queries x support.  A 1nn table is capped at its grid's
-    largest radius (an empty grid: no cap), and a batch whose tables all
-    have caps, like every wsum batch, folds each block with few cells
-    within its widest radius from those cells alone.  Every batch folds
-    through ``_ClassPairs``, and all its blocks run on one pool of
+    batch of its own.  Groups where no tile could prune (under wsum,
+    those of one grid; under 1nn, all of them, whatever their grids) are
+    batched together, up to ``_CLASS_SOURCES`` at a time, so each point
+    pair that is a query/support pair of any of them is scored once.
+    Every task is a block of at most ``_CHUNK_ELEMS`` cells, so a
+    worker's buffer does not grow with queries x support, and a block
+    with few cells within its batch's widest cap is folded from those
+    cells alone (``_ClassPairs``).  All blocks run on one pool of
     ``threads`` workers (default: the cores, at most 4), each scoring
-    into its own buffer sized for the largest block.  While a pool of two
-    or more workers runs, the OpenBLAS bundled with numpy is held at one
-    thread for the whole process and restored after (``_run_tasks``).  A
-    batch's first table owns its scan's ``cells`` (the others count 0).
-    A wsum group without a positive radius has nothing to fold.
+    into its own buffer sized for the largest block; while two or more
+    run, the OpenBLAS bundled with numpy is held at one thread for the
+    whole process (``_run_tasks``).  A batch's first table owns its
+    scan's ``cells`` (the others count 0).
     """
     weighting = Weighting(weighting)
     if emb.n != votes.n:
         raise ValueError(f"embeddings have {emb.n} rows but votes have {votes.n}")
-    tables, groups = {}, {}
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    tables, groups, wsum = {}, {}, weighting is Weighting.THRESHOLDED_WEIGHTED_SUM
     for j, radii in grids.items():
         if not 0 <= j < votes.m:
             raise ValueError(f"source {j} out of range for {votes.m} sources")
@@ -1107,15 +1101,14 @@ def neighbor_tables(
             if weighting is Weighting.ONE_NEAREST_NEIGHBOR:
                 t.best_dist = np.full(queries.size, np.inf)
                 t.best_col = np.full(queries.size, votes.n, dtype=np.int64)
-                t.cap = float(radii[-1]) if radii.size else None
             else:
                 t.in_count = np.zeros((queries.size, radii.size), dtype=np.int64)
                 t.vote_sum = np.zeros((queries.size, radii.size), dtype=np.int64)
         group.append(t)
         tables[j] = t
-    scans = [g for g in groups.values() if g[0].queries.size and g[0].support.size]
-    if weighting is Weighting.THRESHOLDED_WEIGHTED_SUM:  # a grid without a positive radius has nothing to fold
-        scans = [g for g in scans if (g[0].radii > 0).any()]
+    # an empty grid has nothing to fold, nor has a wsum grid without a positive radius
+    scans = [g for g in groups.values()
+             if g[0].queries.size and g[0].support.size and g[0].radii.size and (g[0].radii[-1] > 0 or not wsum)]
     if not scans:
         return tables
     space, untiled, pairs = _ScoreSpace(emb, metric), {}, []
@@ -1125,13 +1118,12 @@ def neighbor_tables(
         if tiles is not None:
             pairs.append(_ClassPairs(space, votes, [g], tiles))
         else:  # a 1nn scan takes any caps: each table drops the winners beyond its own
-            wsum = weighting is Weighting.THRESHOLDED_WEIGHTED_SUM
             untiled.setdefault(st.radii.tobytes() if wsum else b"", []).append(g)
     pairs += [_ClassPairs(space, votes, same[i : i + _CLASS_SOURCES])
               for same in untiled.values() for i in range(0, len(same), _CLASS_SOURCES)]
     tasks = [(cp.cells(task), partial(cp, *task)) for cp in pairs for task in cp.plan]
     if tasks:  # none when every tile is beyond a wsum scan's largest radius
-        threads = min(4, os.cpu_count() or 1) if threads is None else max(1, int(threads))
+        threads = min(4, os.cpu_count() or 1) if threads is None else int(threads)
         _run_tasks([task for _, task in tasks], threads, max(size for size, _ in tasks))
     return tables
 

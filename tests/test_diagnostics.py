@@ -32,6 +32,11 @@ from weakext.extension import extend_votes, neighbor_tables
 from weakext.label_model import estimate_accuracies
 
 
+def covering(emb):
+    """A one-radius grid beyond every distance of ``emb``'s rows (twice the bound of two largest norms): a 1nn table capped there keeps every nearest point."""
+    return [4.0 * float(np.linalg.norm(emb.data, axis=1).max())]
+
+
 class TestEstimateProfile:
     def test_hand_enumeration_on_a_line(self):
         # 4 collinear points, all 6 pairs enumerated by an independent loop
@@ -323,7 +328,7 @@ class TestDiagnose:
 
         q, _ = predict(task.votes, params)
         c_const = other_sources_constant(q, task.gold)
-        table = neighbor_tables(task.embeddings, task.votes, {0: ()}, metric=Metric.EUCLIDEAN)[0]
+        table = neighbor_tables(task.embeddings, task.votes, {0: covering(task.embeddings)}, metric=Metric.EUCLIDEAN)[0]
         a_bar, a_new = measured_accuracy_curves(table, task.votes, task.gold, grid)
         res = theory_guided_radius(
             profile, 0, float(params.accuracies[0]),
@@ -342,10 +347,11 @@ class TestDiagnose:
         spy = mock.patch.object(diagnostics, "neighbor_tables", wraps=diagnostics.neighbor_tables)
         with spy as own_scan:
             own = diagnose(task.embeddings, task.votes, ext, task.gold, params, config, threads=1, **kwargs)
-        # one scan of every source, on the caller's thread count
-        assert own_scan.call_count == 1 and own_scan.call_args.args[2] == {0: (), 1: (), 2: ()}
+        # one scan of every source, capped at the grid's largest radius, on the caller's thread count
+        assert own_scan.call_count == 1 and own_scan.call_args.args[2] == dict.fromkeys(range(3), [1.0])
         assert own_scan.call_args.args[5] == 1
-        tables = neighbor_tables(task.embeddings, task.votes, {j: () for j in range(3)}, metric=Metric.EUCLIDEAN)
+        tables = neighbor_tables(task.embeddings, task.votes, dict.fromkeys(range(3), covering(task.embeddings)),
+                                 metric=Metric.EUCLIDEAN)
         with spy as shared_scan:
             shared = diagnose(task.embeddings, task.votes, ext, task.gold, params, config, tables=tables, **kwargs)
         assert shared.to_dict() == own.to_dict()
@@ -369,7 +375,7 @@ class TestMeasuredAccuracyCurves:
 
         task = generate_checkerboard(800, 6, 3, (0.85, 0.8, 0.8), (0.2, 0.9, 0.9), seed=13)
         radii = np.array([0.05, 0.15, 0.4])
-        table = neighbor_tables(task.embeddings, task.votes, {0: ()}, metric=Metric.EUCLIDEAN)[0]
+        table = neighbor_tables(task.embeddings, task.votes, {0: covering(task.embeddings)}, metric=Metric.EUCLIDEAN)[0]
         a_bar, a_new = measured_accuracy_curves(table, task.votes, task.gold, radii)
         for k, r in enumerate(radii):
             cfg = np.zeros(3)
@@ -384,13 +390,13 @@ class TestMeasuredAccuracyCurves:
 
     def test_radii_beyond_the_table_cap_are_refused(self):
         # a capped table knows no nearest point beyond its cap; within it, the
-        # curves equal the uncapped table's
+        # curves equal those of a table capped beyond every distance
         from weakext.experiments import generate_checkerboard
 
         task = generate_checkerboard(800, 6, 3, (0.85, 0.8, 0.8), (0.2, 0.9, 0.9), seed=13)
         radii = np.array([0.05, 0.15, 0.4])
         capped = neighbor_tables(task.embeddings, task.votes, {0: radii[:2]}, metric=Metric.EUCLIDEAN)[0]
-        whole = neighbor_tables(task.embeddings, task.votes, {0: ()}, metric=Metric.EUCLIDEAN)[0]
+        whole = neighbor_tables(task.embeddings, task.votes, {0: covering(task.embeddings)}, metric=Metric.EUCLIDEAN)[0]
         for got, want in zip(measured_accuracy_curves(capped, task.votes, task.gold, radii[:2]),
                              measured_accuracy_curves(whole, task.votes, task.gold, radii[:2])):
             np.testing.assert_array_equal(got, want)

@@ -16,6 +16,7 @@ from weakext import extension
 from weakext.core import (
     DataError,
     EmbeddingSet,
+    LabelVector,
     Metric,
     RadiusConfig,
     VoteMatrix,
@@ -30,9 +31,6 @@ from weakext.extension import (
     neighbor_tables,
     neighbors_in_support,
 )
-
-# the fold's GEMMs take 0/1 masks and small integers: a RuntimeWarning there is a fault
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def brute_force_distances(x, metric="cosine"):
@@ -98,9 +96,19 @@ def brute_force_nearest(x, votes, source, metric="cosine", cap=None):
     return queries, best, col
 
 
+def covering(x, metric="cosine"):
+    """A radius beyond every distance of ``x``'s rows, twice their bound: a 1nn table capped there keeps every nearest point.
+
+    Cosine distances are at most 2, Euclidean ones at most twice the
+    largest row norm.
+    """
+    return 4.0 * (1.0 if metric == "cosine" else float(np.sqrt(np.einsum("ij,ij->i", x, x).max())))
+
+
 def nearest(emb, vm, source, metric=Metric.COSINE, threads=None):
-    """``(queries, distances, nearest point)`` of ``source`` from its 1nn table."""
-    t = neighbor_tables(emb, vm, {source: ()}, Weighting.ONE_NEAREST_NEIGHBOR, Metric(metric), threads)[source]
+    """``(queries, distances, nearest point)`` of ``source`` from its 1nn table, capped beyond every distance."""
+    grid = [covering(emb.data, Metric(metric).value)]
+    t = neighbor_tables(emb, vm, {source: grid}, Weighting.ONE_NEAREST_NEIGHBOR, Metric(metric), threads)[source]
     return t.queries, t.best_dist, t.best_col
 
 
@@ -363,16 +371,23 @@ class TestNeighborTables:
         x, votes, _ = random_instance(rng)
         emb, vm = EmbeddingSet(x), VoteMatrix(votes)
         table = neighbor_tables(emb, vm, {0: [0.5, 0.2]}, Weighting.ONE_NEAREST_NEIGHBOR)[0]
-        assert table.cap == 0.5
+        assert table.radii[-1] == 0.5  # the cap
         m = votes.shape[1]
         for r in (0.0, 0.3, 0.5):  # any radius up to the cap, on the grid or not
             assert np.array_equal(table.column(vm, r), brute_force_extend(x, votes, np.full(m, r), "1nn")[:, 0])
         for read in (table.reached, partial(table.column, vm)):
             with pytest.raises(ValueError, match="beyond the cap"):
                 read(0.6)
-        whole = neighbor_tables(emb, vm, {0: ()}, Weighting.ONE_NEAREST_NEIGHBOR)[0]
-        assert whole.cap is None
-        assert np.array_equal(whole.column(vm, 2.0), brute_force_extend(x, votes, np.full(m, 2.0), "1nn")[:, 0])
+        # an empty grid scans nothing: no nearest point, no cells, and no positive radius answered
+        with mock.patch.object(extension, "_ClassPairs", side_effect=AssertionError("scanned")):
+            empties = {w: neighbor_tables(emb, vm, {0: ()}, w)[0] for w in Weighting}
+        for w, empty in empties.items():
+            assert empty.cells == 0 and np.array_equal(empty.column(vm, 0.0), votes[:, 0])
+            if w is Weighting.ONE_NEAREST_NEIGHBOR:
+                assert np.isinf(empty.best_dist).all() and (empty.best_col == vm.n).all()
+            for read in (empty.reached, partial(empty.column, vm)):
+                with pytest.raises(ValueError, match="beyond the cap" if w is Weighting.ONE_NEAREST_NEIGHBOR else "grid"):
+                    read(1e-9)
 
     @pytest.mark.parametrize("grid", [[-0.1, 0.2], [0.2, np.nan], [np.inf]], ids=["negative", "nan", "inf"])
     def test_bad_grid_is_data_error(self, grid):
@@ -529,8 +544,9 @@ def _check_against_oracles(x, votes, radii, metric, chunk_elems, tile_rows, piec
                 ext, _ = extend_votes(emb, vm, RadiusConfig(radii, w), metric=Metric(metric), threads=threads)
                 assert np.array_equal(ext.votes, expected), (w, threads)
         want = [brute_force_nearest(x, votes, j, metric) for j in range(m)]
+        grids = dict.fromkeys(range(m), [covering(x, metric)])
         for threads in (1, 2, 4):
-            tables = neighbor_tables(emb, vm, dict.fromkeys(range(m), ()), metric=Metric(metric), threads=threads)
+            tables = neighbor_tables(emb, vm, grids, metric=Metric(metric), threads=threads)
             for j, t in tables.items():
                 assert np.array_equal(t.queries, want[j][0]) and np.array_equal(t.best_col, want[j][2]), threads
                 # the oracle's Euclidean norms and the scan's may differ in the last bits
@@ -739,8 +755,8 @@ def test_high_dimensional_scan_folds_hits_and_a_wide_planar_one_folds_densely(we
 
 def test_one_1nn_batch_holds_tables_of_different_caps():
     # three caps share one class-pair scan whose hits lie within the widest;
-    # each table keeps only the nearest points within its own cap; an uncapped
-    # table in the batch sends every block to the dense fold
+    # each table keeps only the nearest points within its own cap, whether
+    # the blocks are folded from their hits or, with no hit allowed, densely
     rng = np.random.default_rng(31)
     n, m = 400, 4
     x = rng.standard_normal((n, 96))
@@ -752,21 +768,21 @@ def test_one_1nn_batch_holds_tables_of_different_caps():
     values = np.unique(brute_force_distances(x))
     k = (np.array([0.0005, 0.003, 0.01]) * values.size).astype(int)
     caps = (values[k] + values[k + 1]) / 2  # between occurring distances
-    for grids, kind in [({0: [caps[0]], 1: [caps[1]], 2: [caps[2]]}, "hits"),
-                        ({0: [caps[0]], 1: [caps[1]], 2: [caps[2]], 3: ()}, "dense")]:
+    grids = {j: [cap] for j, cap in enumerate(caps)}
+    for limit, kind in [(extension._SPARSE_HITS, "hits"), (-1, "dense")]:
         for threads in (1, 2):
-            tables, folds = _folds(partial(neighbor_tables, emb, vm, grids, Weighting.ONE_NEAREST_NEIGHBOR,
-                                           Metric.COSINE, threads))
+            with mock.patch.object(extension, "_SPARSE_HITS", limit):
+                tables, folds = _folds(partial(neighbor_tables, emb, vm, grids, Weighting.ONE_NEAREST_NEIGHBOR,
+                                               Metric.COSINE, threads))
             assert folds and set(folds) == {kind}, (kind, set(folds))
             assert tables[0].cells == _class_pair_cells(votes, list(grids)) > 0
             assert all(tables[j].cells == 0 for j in list(grids)[1:])
             for j, t in tables.items():
-                cap = grids[j][0] if grids[j] else None
-                assert t.cap == cap
-                q, d, b = brute_force_nearest(x, votes, j, cap=cap)
+                assert t.radii.tolist() == grids[j]
+                q, d, b = brute_force_nearest(x, votes, j, cap=grids[j][0])
                 assert np.array_equal(t.queries, q) and np.array_equal(t.best_col, b), (kind, j, threads)
                 np.testing.assert_allclose(t.best_dist, d, rtol=1e-14, atol=1e-15)
-                assert np.isinf(t.best_dist).any() != (cap is None), (kind, j)  # a cap leaves some unreached
+                assert np.isinf(t.best_dist).any(), (kind, j)  # a cap leaves some unreached
 
 
 def _scan_kinds(fn):
@@ -964,13 +980,15 @@ class TestScoredCells:
         assert tables[0].cells == sum((r1 - r0) * (n - starts[a + 1]) for a, r0, r1 in want)
         assert tables[0].cells == (n * n - int((sizes**2).sum())) // 2 and tables[1].cells == 0
 
-    @pytest.mark.parametrize("exact_cols", [2**24, 37], ids=["one-piece", "column-pieces"])
+    @pytest.mark.parametrize("blocks", [dict(_CHUNK_ELEMS=200_000, _BLOCK_ROWS=1), dict(_CHUNK_ELEMS=4096)],
+                             ids=["one-piece", "column-pieces"])
     @pytest.mark.parametrize("weighting", list(Weighting), ids=lambda w: w.value)
-    def test_sources_sharing_a_support_and_grid_scan_once(self, weighting, exact_cols):
+    def test_sources_sharing_a_support_and_grid_scan_once(self, weighting, blocks):
         # sources 0, 2 and 3 vote on one support with different votes (3 on
         # another grid); source 1 elsewhere: each table equals its own scan
-        # bit for bit, also when the wsum fold splits its columns, and the
-        # cells the blocks score are counted once
+        # bit for bit, also when pruned tiles are cut into column ranges
+        # (with their wsum ends), and the cells the blocks score are
+        # counted once
         from weakext.experiments import generate_checkerboard
 
         task = generate_checkerboard(3000, 10, 3, (0.9, 0.8, 0.8), (0.2, 0.15, 0.15), seed=27)
@@ -980,23 +998,26 @@ class TestScoredCells:
         grid = np.linspace(0.0, 0.2, 9)
         grids = {0: grid, 1: grid, 2: grid, 3: grid[:-1]}
         names = ["best_dist", "best_col", "in_count", "vote_sum"]
-        with mock.patch.multiple(extension, _CHUNK_ELEMS=200_000, _BLOCK_ROWS=1):
+        with mock.patch.multiple(extension, **blocks):
             alone = {
                 j: neighbor_tables(task.embeddings, vm, {j: g}, weighting, Metric.EUCLIDEAN, threads=1)[j]
                 for j, g in grids.items()
             }
             for threads in (1, 2, 4):
-                scored = []
+                scored, pruned = [], []
 
                 def spy(self, a, r0, r1, cols, ends, buf):
                     scored.append((r1 - r0) * np.arange(self.key.size)[cols].size)
+                    if not isinstance(cols, slice):
+                        pruned.append((id(self), r0, r1))
                     return call(self, a, r0, r1, cols, ends, buf)
 
                 call = extension._ClassPairs.__call__
                 with mock.patch.object(extension._ClassPairs, "__call__", spy):
-                    with mock.patch.object(extension, "_EXACT_COLS", exact_cols):
-                        tables = neighbor_tables(task.embeddings, vm, grids, weighting, Metric.EUCLIDEAN, threads)
-                assert sum(t.cells for t in tables.values()) == sum(scored)
+                    tables = neighbor_tables(task.embeddings, vm, grids, weighting, Metric.EUCLIDEAN, threads)
+                assert sum(t.cells for t in tables.values()) == sum(scored) and max(scored) <= blocks["_CHUNK_ELEMS"]
+                # a pruned tile is one piece, or column pieces where its 256 rows would pass the cap
+                assert pruned and (len(set(pruned)) < len(pruned)) == ("_BLOCK_ROWS" not in blocks), threads
                 assert tables[2].cells == 0 and tables[0].cells == alone[0].cells > 0
                 assert tables[3].cells == alone[3].cells > 0  # another grid: its own scan
                 for j, t in tables.items():
@@ -1192,6 +1213,58 @@ def test_scan_scratch_does_not_grow_as_queries_times_support(weighting):
     assert peaks[8000] <= 4.5 * peaks[2000], peaks
 
 
+@pytest.mark.parametrize("weighting", list(Weighting), ids=lambda w: w.value)
+def test_pruned_tiles_are_cut_into_blocks_within_the_cap(weighting):
+    # a planar task whose tiles prune: under a cap of 4096 cells a pruned
+    # tile's 256 rows take column ranges of 16 of its kept columns (wsum:
+    # each range with the tile's ends clipped to it), so no task holds more
+    # than the cap, and every table equals the uncut scan's bit for bit
+    from weakext.experiments import generate_checkerboard
+
+    task = generate_checkerboard(4000, 10, 3, (0.9, 0.8, 0.8), (0.2, 0.15, 0.15), seed=28)
+    grids = dict.fromkeys(range(3), np.linspace(0.0, 0.2, 9))
+    scan = partial(neighbor_tables, task.embeddings, task.votes, grids, weighting, Metric.EUCLIDEAN)
+    want, cap, call = scan(threads=1), 4096, extension._ClassPairs.__call__
+    for threads in (1, 2):
+        tasks = []
+
+        def spy(self, a, r0, r1, cols, ends, buf):
+            tasks.append((id(self), r0, r1, isinstance(cols, slice), self.cells((a, r0, r1, cols, ends))))
+            return call(self, a, r0, r1, cols, ends, buf)
+
+        with mock.patch.object(extension, "_CHUNK_ELEMS", cap), mock.patch.object(extension._ClassPairs, "__call__", spy):
+            got = scan(threads=threads)
+        assert max(cells for *_, cells in tasks) <= cap, threads
+        pruned = [t[:3] for t in tasks if not t[3]]
+        assert len(set(pruned)) < len(pruned), threads  # some tile is cut into column ranges
+        for j, t in got.items():
+            assert t.cells == want[j].cells, (j, threads)
+            for name in ("best_dist", "best_col", "in_count", "vote_sum"):
+                a, b = getattr(t, name), getattr(want[j], name)
+                assert (a is None and b is None) or a.tobytes() == b.tobytes(), (j, name, threads)
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_threads_below_one_are_refused_before_any_worker_starts(threads):
+    from weakext.experiments import tune_shared_radius
+
+    rng = np.random.default_rng(34)
+    x, votes, radii = random_instance(rng)
+    emb, vm = EmbeddingSet(x), VoteMatrix(votes)
+    labels = LabelVector(np.where(rng.random(vm.n) < 0.5, -1, 1))
+    calls = [
+        partial(neighbor_tables, emb, vm, {0: [0.5]}),
+        partial(neighbor_tables, emb, vm, {}),
+        partial(extend_votes, emb, vm, RadiusConfig(radii)),
+        partial(tune_shared_radius, emb, vm, labels, 0.5, [0.2, 0.5]),
+    ]
+    refuse = dict(side_effect=AssertionError("a scan started"))
+    with mock.patch.object(extension, "ThreadPoolExecutor", **refuse), mock.patch.object(extension, "_run_tasks", **refuse):
+        for scan in calls:
+            with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+                scan(threads=threads)
+
+
 @pytest.mark.parametrize("n", [1600, 6400])
 @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
 def test_all_duplicate_support_peak_is_one_block_and_one_piece(metric, n):
@@ -1240,7 +1313,8 @@ def test_all_duplicate_support_peak_is_one_block_and_one_piece(metric, n):
     block = n * n  # bytes: the n/2 points voting on neither against the n/2 voting on one
     with mock.patch.multiple(extension, _CHUNK_ELEMS=block // 4, _BLOCK_ROWS=1, _PIECE_CELLS=1024,
                              _tile_tasks=lambda space, st: None):
-        scan = partial(neighbor_tables, emb, vm, {0: (), 1: ()}, Weighting.ONE_NEAREST_NEIGHBOR, Metric(metric), 1)
+        grids = dict.fromkeys([0, 1], [covering(x, metric)])
+        scan = partial(neighbor_tables, emb, vm, grids, Weighting.ONE_NEAREST_NEIGHBOR, Metric(metric), 1)
         scan()
         tables, _, peak = _traced(scan)
     assert tables[0].cells == _class_pair_cells(votes, [0, 1]) == 5 * n * n // 16
