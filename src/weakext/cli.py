@@ -31,7 +31,7 @@ from .core import (
     save_labels,
     save_votes,
 )
-from .diagnostics import DEFAULT_PAIR_BUDGET, curves_cap, default_radius_grid, diagnose
+from .diagnostics import DEFAULT_PAIR_BUDGET, check_radius_grid, curves_cap, default_radius_grid, diagnose
 from .experiments import (
     _extendable,
     _resolve_metric_name,
@@ -369,6 +369,7 @@ def cmd_tune(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    grid = check_radius_grid(_resolve_grid(args))  # before any file is read
     out = _out_dir(args)
     emb = load_embeddings(args.embeddings)
     votes = load_votes(args.votes)
@@ -380,7 +381,7 @@ def cmd_diagnose(args) -> int:
     prior = _resolve_prior(args, dev)
     config = _resolve_radii(args, votes.m)
     metric = Metric(args.distance)
-    grid, tables = _resolve_grid(args), None
+    tables = None
     if config.weighting is Weighting.ONE_NEAREST_NEIGHBOR:  # one scan serves extension and curves
         grids = {j: [max(float(r), curves_cap(grid))] for j, r in enumerate(config.radii)}  # each read up to its cap
         tables = neighbor_tables(emb, votes, grids, config.weighting, metric, args.threads)

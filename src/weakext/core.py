@@ -76,14 +76,18 @@ class EmbeddingSet:
 
     Rows must be finite and nonzero (cosine distance is undefined on the
     zero vector).  Instances are immutable after construction and safe
-    for concurrent reads; derived arrays (unit rows, and the float32 score
-    mirrors of ``extension``) are each built once, lazily, by ``_cached``,
-    even when several scan workers ask for one at the same time.
+    for concurrent reads.  ``data`` is the set's only ``n x d`` array:
+    what is derived from it and kept (the row norms, and ``extension``'s
+    score-space scalars and low-dimensional projection) holds O(n) or
+    O(d) numbers, each built once, lazily, by ``_cached``, even when
+    several scan workers ask for one at the same time; rows derived from
+    the data (unit rows, float32 score rows) are computed from it in
+    chunks of rows where they are used.
     """
 
     data: np.ndarray
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
-    # reentrant: building one array may need another (unit32 reads unit)
+    # reentrant: building one value may need another (the cosine projection reads the norms)
     _lock: threading.RLock = field(default_factory=threading.RLock, repr=False, compare=False)
 
     def __post_init__(self):
@@ -119,9 +123,15 @@ class EmbeddingSet:
         return val
 
     @property
+    def norms(self) -> np.ndarray:
+        """Euclidean norms of the rows (float64), exact to rounding at any row scale (``_scaled_norms``)."""
+        chunks = _row_chunks(self.n, self.d)
+        return self._cached("norms", lambda: np.concatenate([_scaled_norms(self.data[s]) for s in chunks]))
+
+    @property
     def unit(self) -> np.ndarray:
-        """Rows scaled to unit Euclidean norm (float64), at any row scale (``_scaled_norms``)."""
-        return self._cached("unit", lambda: self.data / _scaled_norms(self.data)[:, None])
+        """Rows scaled to unit Euclidean norm (float64), a new array on every call: ``data / norms``."""
+        return self.data / self.norms[:, None]
 
 
 def _validate_alphabet(arr: np.ndarray, alphabet: tuple, what: str) -> None:
@@ -304,6 +314,15 @@ def pairwise_distances(emb: EmbeddingSet, rows, cols, metric: Metric = Metric.CO
     return out
 
 
+_GATHER_ELEMS = 2**16  # float64 elements per chunk of rows derived from the data (512 KB)
+
+
+def _row_chunks(n: int, d: int) -> list:
+    """Slices cutting ``n`` rows of ``d`` entries into runs of ``_GATHER_ELEMS`` entries (at least one row)."""
+    step = max(1, _GATHER_ELEMS // d)
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
 def _scaled_norms(diff: np.ndarray) -> np.ndarray:
     """Euclidean norms of ``diff`` over its last axis, exact to rounding at any spread.
 
@@ -331,21 +350,33 @@ def paired_distances(emb: EmbeddingSet, idx_a, idx_b, metric: Metric = Metric.CO
 
     Cosine is half the squared difference of the unit rows, so near
     duplicates keep their relative precision (``1 - <a,b>`` rounds them
-    to noise of 1e-16, which then picks the nearest of several).
+    to noise of 1e-16, which then picks the nearest of several).  The
+    pairs are taken in chunks of ``_GATHER_ELEMS`` entries per side,
+    gathered into two reused buffers (a unit row is its data row divided
+    in place by its norm, the bits of ``emb.unit``), so scratch memory
+    does not grow with the number of pairs.
     """
     idx_a = np.asarray(idx_a, dtype=np.int64)
     idx_b = np.asarray(idx_b, dtype=np.int64)
     metric = Metric(metric)
     out = np.empty(idx_a.size)
-    step = max(1, 8_000_000 // max(1, emb.d))
-    for lo in range(0, idx_a.size, step):
-        a, b = idx_a[lo : lo + step], idx_b[lo : lo + step]
-        if metric is Metric.COSINE:
-            diff = emb.unit[a]
-            diff -= emb.unit[b]
-            out[lo : lo + step] = np.minimum(0.5 * np.einsum("ij,ij->i", diff, diff), 2.0)
-        else:
-            out[lo : lo + step] = _scaled_norms(emb.data[a] - emb.data[b])
+    if not idx_a.size:
+        return out
+    for idx in (idx_a, idx_b):  # valid indices, negative ones as Python reads them: no take below wraps
+        if idx.min() < -emb.n or idx.max() >= emb.n:
+            raise IndexError(f"point index out of range for {emb.n} points")
+    chunks = _row_chunks(idx_a.size, emb.d)
+    bufs = np.empty((2, min(chunks[0].stop, idx_a.size), emb.d))
+    norms = emb.norms if metric is Metric.COSINE else None
+    for s in chunks:
+        a, b = idx_a[s], idx_b[s]
+        x = np.take(emb.data, a, axis=0, out=bufs[0, : a.size], mode="wrap")
+        y = np.take(emb.data, b, axis=0, out=bufs[1, : b.size], mode="wrap")
+        if norms is not None:  # the unit rows
+            x /= norms[a][:, None]
+            y /= norms[b][:, None]
+        x -= y
+        out[s] = _scaled_norms(x) if norms is None else np.minimum(0.5 * np.einsum("ij,ij->i", x, x), 2.0)
     return out
 
 
@@ -378,6 +409,7 @@ def load_embeddings(path) -> EmbeddingSet:
     if len(payload) > expected:
         raise DataError(f"{path}: payload length mismatch ({len(payload)} bytes, expected {expected})")
     data = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(n, d)
+    del payload  # released before the set copies ``data``
     try:
         return EmbeddingSet(data)
     except DataError as exc:

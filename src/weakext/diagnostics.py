@@ -59,6 +59,16 @@ def default_radius_grid(lo: float = 0.01, hi: float = 1.0, size: int = 32) -> np
     return np.geomspace(lo, hi, size)
 
 
+def check_radius_grid(radii) -> np.ndarray:
+    """``radii`` as float64; ``ValueError`` unless nonempty, strictly ascending and free of NaN."""
+    radii = np.asarray(radii, dtype=np.float64)
+    if radii.size == 0:
+        raise ValueError("radius grid must be nonempty")
+    if not np.all(np.diff(radii) > 0) or np.isnan(radii).any():
+        raise ValueError("radius grid must be strictly ascending")
+    return radii
+
+
 @dataclass(frozen=True)
 class LipschitzProfile:
     """Pairwise disagreement rates per radius.
@@ -139,11 +149,7 @@ def estimate_profile(
     vector shorter than the dataset refers to the first ``len(labels)``
     points and gets its own pair sample over that prefix.
     """
-    radii = np.asarray(radii, dtype=np.float64)
-    if radii.size == 0:
-        raise ValueError("radius grid must be nonempty")
-    if not np.all(np.diff(radii) > 0):
-        raise ValueError("radius grid must be strictly ascending")
+    radii = check_radius_grid(radii)
     if budget < 1:
         raise ValueError("pair budget must be positive")
     metric = Metric(metric)

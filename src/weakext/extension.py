@@ -9,17 +9,21 @@ labeled points never seed further extension.
 
 The scan is exact in float64, and every scan runs through one fold
 (``_ClassPairs``).  Each point is keyed by its pattern of votes over the
-scanned sources, the float32 score rows (Euclidean rows centered and
-scaled by a power of two) are copied in key order, and each task scores
-a run of one class's rows against a range of columns of higher classes
-in one GEMM block, written into a buffer that each scan worker owns and
-reuses.  Every block, whichever plan made it, holds at most
-``_CHUNK_ELEMS`` cells (8 MB): rows stay tall (``_BLOCK_ROWS`` or more
-where the class has them) and a wide block is cut by columns, so the
-buffers do not grow with queries x support, as in exact blocked search,
-which selects from each tile of scores in turn (Johnson, Douze & Jegou
-2017).  While two or more workers run, the bundled OpenBLAS is held at
-one thread, so one worker's GEMM runs beside the other's fold
+scanned sources, the float32 score rows (unit rows, or Euclidean rows
+centered and scaled by a power of two) are derived from the set's
+float64 rows in key order, chunk by chunk, into the batch's one copy,
+and each task scores a run of one class's rows against a range of
+columns of higher classes in one GEMM block, written into a buffer that
+each scan worker owns and reuses.  So a scan holds, beside the set's
+data, one float32 copy per batch in flight, each worker's block buffer
+and bounded scratch: the set keeps no ``n x d`` array of its own but the
+data (``_ScoreSpace``).  Every block, whichever plan made it, holds at
+most ``_CHUNK_ELEMS`` cells (8 MB): rows stay tall (``_BLOCK_ROWS`` or
+more where the class has them) and a wide block is cut by columns, so
+the buffers do not grow with queries x support, as in exact blocked
+search, which selects from each tile of scores in turn (Johnson, Douze &
+Jegou 2017).  While two or more workers run, the bundled OpenBLAS is
+held at one thread, so one worker's GEMM runs beside the other's fold
 (``_run_tasks``).  Two points of one class are never a query/support
 pair of any source, so no such pair is scored.  Each source's
 abstainers are first cut into k-d tiles of about 256 rows on a
@@ -89,6 +93,7 @@ from .core import (
     RadiusConfig,
     VoteMatrix,
     Weighting,
+    _row_chunks,
     paired_distances,
     pairwise_distances,
 )
@@ -192,6 +197,13 @@ def neighbors_in_support(
 # Bulk scan machinery
 
 
+def _centered(data, sel, mean, e, t):
+    """Rows ``sel`` of ``data`` minus ``mean``, scaled by ``2**e`` and then by ``2**(t - e)``, in float64."""
+    x = data[sel] - mean
+    np.ldexp(x, e, out=x)
+    return np.ldexp(x, t - e, out=x)
+
+
 def _dot_error_bound(d: int) -> float:
     """Worst case of |float32 dot - float64 reference| of two rows in ``d`` dims, per ``|a| |b|``.
 
@@ -229,40 +241,60 @@ class _ScoreSpace:
     is added, which takes tau to 8 and leaves every decision to float64
     (a tau of 8 covers any gap).
 
-    ``rows`` (float32) are the score-space rows, of norm at most 1: a pair
-    at score-space distance ``D`` scores ``base - half D^2`` exactly
-    (Euclidean ``-D^2``, cosine ``1 - D^2 / 2``).  Built once per set,
-    ``proj`` holds them on their top ``min(d, _PROJ_DIMS)`` principal
-    directions in float64 and ``resid`` bounds the norm of each row's
-    remainder off those directions.  A projection never lengthens a
-    difference, so a distance bound taken there holds for the full rows,
-    and ``|Pa - Pb|^2 + (resid_a + resid_b)^2`` bounds ``|a - b|^2`` from
-    above.
+    The score rows (float32, of norm at most 1) are the set's rows divided
+    by their norms (cosine) or centered and scaled (Euclidean, ``_rows``),
+    rounded to float32: a pair at score-space distance ``D`` scores
+    ``base - half D^2`` exactly (Euclidean ``-D^2``, cosine
+    ``1 - D^2 / 2``).  No copy of them is kept: ``permuted`` derives them
+    from the float64 data in chunks of rows, in the order a batch asks
+    for, and ``block`` scores that copy.  The set keeps the Euclidean
+    scalars (column mean, scale exponents, ``M``), found in chunked passes
+    over the data, and ``proj``, the float32 rows on their top ``min(d,
+    _PROJ_DIMS)`` principal directions in float64, with ``resid``, a bound
+    on the norm of each row's remainder off those directions.  A
+    projection never lengthens a difference, so a distance bound taken
+    there holds for the full rows, and ``|Pa - Pb|^2 + (resid_a +
+    resid_b)^2`` bounds ``|a - b|^2`` from above.
     """
 
     def __init__(self, emb: EmbeddingSet, metric: Metric):
         self.emb, self.metric, self._bands = emb, Metric(metric), {}
+        self.rows = self.sq = None  # the score rows and (Euclidean) their float32 squared norms, in a batch's order
         if self.metric is Metric.COSINE:
-            self.rows = emb._cached("unit32", lambda: emb.unit.astype(np.float32))
-            self.sq, self.base, self.half = None, 1.0, 0.5
+            self.base, self.half = 1.0, 0.5
             self.tau = max(1e-4, 2.0 * _dot_error_bound(emb.d))
         else:
-            self.rows, self.sq, self.scale, mx, capped = emb._cached("centered32", self._mirror)
+            self.mean, self.exps, mx, capped = emb._cached("euclidean_scale", self._scalars)
+            self.scale = float(np.ldexp(1.0, self.exps[1]))
             self.base, self.half = 0.0, 1.0
             under = (emb.d + 2) * 2.0**-1070 * self.scale * self.scale if capped else 0.0
             self.tau = min(8.0, max(2e-4, 5.0 * _dot_error_bound(emb.d)) * mx + under)
         self.proj, self.resid = emb._cached(f"proj_{self.metric.value}", self._project)
 
-    def _mirror(self):
-        """``(rows, sq_norms, scale, M, capped)``: float32 but for the scalars; capped: scale held at 2**1023."""
-        c = self.emb.data - self.emb.data.mean(axis=0)
-        e = -int(np.frexp(np.abs(c).max())[1])
-        np.ldexp(c, e, out=c)  # entries below 1: no norm overflows
-        t = e - (int(np.frexp(np.einsum("ij,ij->i", c, c).max())[1]) + 1) // 2
+    def _scalars(self):
+        """``(mean, (e, t), M, capped)`` of the Euclidean score rows; capped: scale held at 2**1023.
+
+        The rows, centered on ``mean``, are scaled by ``2**e`` to bring
+        every entry below 1 (so no squared norm overflows), then by
+        ``2**(t - e)``, which puts the largest squared norm ``M`` in
+        [1/4, 1).  Each is a maximum over chunks of rows.
+        """
+        data = self.emb.data
+        chunks, mean = _row_chunks(*data.shape), data.mean(axis=0)
+        e = -int(np.frexp(max(np.abs(data[s] - mean).max() for s in chunks))[1])
+
+        def top(t):  # the largest squared norm of the centered rows scaled by 2**e, then by 2**(t - e)
+            return max(np.einsum("ij,ij->i", x, x).max() for x in (_centered(data, s, mean, e, t) for s in chunks))
+
+        t = e - (int(np.frexp(top(e))[1]) + 1) // 2
         capped, t = t > 1023, min(t, 1023)  # a finite scale
-        np.ldexp(c, t - e, out=c)
-        sq = np.einsum("ij,ij->i", c, c)
-        return c.astype(np.float32), sq.astype(np.float32), float(np.ldexp(1.0, t)), float(sq.max()), capped
+        return mean, (e, t), float(top(t)), capped
+
+    def _rows(self, sel) -> np.ndarray:
+        """The float64 score rows of the points ``sel`` (a slice or indices), before rounding to float32."""
+        if self.metric is Metric.EUCLIDEAN:
+            return _centered(self.emb.data, sel, self.mean, *self.exps)
+        return self.emb.data[sel] / self.emb.norms[sel][:, None]
 
     def _project(self):
         """``(proj, resid)``, from the top eigenvectors of a strided sample's scatter.
@@ -271,25 +303,28 @@ class _ScoreSpace:
         covers the float64 rounding of both terms and of the basis for rows
         of norm at most 1.
         """
-        rows = self.rows
-        c = rows[:: max(1, rows.shape[0] // 1024)].astype(np.float64)
+        n, d = self.emb.n, self.emb.d
+        c = self._rows(slice(None, None, max(1, n // 1024))).astype(np.float32).astype(np.float64)
         c -= c.mean(axis=0)
         if c.shape[1] <= c.shape[0]:
             top = np.linalg.eigh(c.T @ c)[1]
         else:  # fewer samples than dimensions: through the samples' Gram matrix
             top = c.T @ np.linalg.eigh(c @ c.T)[1]
         basis = np.linalg.qr(top[:, -_PROJ_DIMS:])[0]  # orthonormal columns
-        proj, resid = np.empty((rows.shape[0], basis.shape[1])), np.empty(rows.shape[0])
-        step = max(1, 2**16 // rows.shape[1])  # float64 copies of a slice of rows at a time
-        for lo in range(0, rows.shape[0], step):
-            x = rows[lo : lo + step].astype(np.float64)
-            y = np.matmul(x, basis, out=proj[lo : lo + step])
-            resid[lo : lo + step] = np.einsum("ij,ij->i", x, x) - np.einsum("ij,ij->i", y, y)
+        proj, resid = np.empty((n, basis.shape[1])), np.empty(n)
+        for s in _row_chunks(n, d):
+            x = self._rows(s)
+            x[...] = x.astype(np.float32)  # the float32 score rows, as float64
+            y = np.matmul(x, basis, out=proj[s])
+            resid[s] = np.einsum("ij,ij->i", x, x) - np.einsum("ij,ij->i", y, y)
         np.maximum(resid, 0.0, out=resid)
-        return proj, np.sqrt(resid + (rows.shape[1] + 4) * 2.0**-48, out=resid)
+        return proj, np.sqrt(resid + (d + 4) * 2.0**-48, out=resid)
 
     def block(self, rows, cols, buf: np.ndarray) -> np.ndarray:
-        """float32 scores of every (row, col) pair of ``rows`` indices or slices, in the front of ``buf``."""
+        """float32 scores of every (row, col) pair of ``rows`` and ``cols`` (positions or slices), in the front of ``buf``.
+
+        Only a ``permuted`` space holds score rows to take them from.
+        """
         a, b = self.rows[rows], self.rows[cols]
         out = buf[: a.shape[0] * b.shape[0]].reshape(a.shape[0], b.shape[0])
         np.matmul(a, b.T, out=out)
@@ -301,10 +336,20 @@ class _ScoreSpace:
         return out
 
     def permuted(self, order: np.ndarray) -> "_ScoreSpace":
-        """This space with its score rows copied in ``order``: ``block`` takes positions in it."""
+        """This space with the float32 score rows of the points ``order``, in that order: ``block`` takes positions in it.
+
+        The rows (and Euclidean squared norms, taken in float64 before
+        rounding) are derived from the data in chunks of rows, so the copy
+        is the only array of the set's size it allocates.
+        """
         out = copy.copy(self)
-        out.rows = self.rows[order]
-        out.sq = None if self.sq is None else self.sq[order]
+        out.rows = np.empty((order.size, self.emb.d), dtype=np.float32)
+        out.sq = None if self.metric is Metric.COSINE else np.empty(order.size, dtype=np.float32)
+        for s in _row_chunks(order.size, self.emb.d):
+            x = self._rows(order[s])
+            out.rows[s] = x
+            if out.sq is not None:
+                out.sq[s] = np.einsum("ij,ij->i", x, x)
         return out
 
     def score_at_radius(self, r: float) -> float:

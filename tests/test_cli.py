@@ -220,6 +220,26 @@ class TestErrorHandling:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "grid, rc, message",
+        [
+            ("0.2,nan", 2, "radius grid must be strictly ascending"),
+            ("nan", 2, "radius grid must be strictly ascending"),
+            ("0.3,0.2", 2, "radius grid must be strictly ascending"),
+            (",", 1, "--grid must be nonempty"),
+        ],
+    )
+    def test_diagnose_refuses_a_bad_grid_before_reading_any_file(self, tmp_path, capsys, grid, rc, message):
+        # these files do not exist: a missing-file error would mean the
+        # command read its inputs before it looked at the grid
+        args = ["diagnose", "--embeddings", str(tmp_path / "none.emb"), "--votes", str(tmp_path / "none.csv"),
+                "--dev-labels", str(tmp_path / "none_labels.csv"), "--prior", "0.5", "--radii", "0.1",
+                f"--grid={grid}", "--out", str(tmp_path / "o")]
+        assert main(args) == rc
+        err = capsys.readouterr().err
+        assert message in err and "No such file" not in err, err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("threads", [0, -1])
     def test_threads_below_one_is_usage_error(self, tmp_path, capsys, threads):
         # refused before any input is read (these files do not exist: a data

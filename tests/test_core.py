@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +107,47 @@ class TestPairwiseDistances:
             block = pairwise_distances(emb, idx, idx, metric)
             pairs = paired_distances(emb, np.repeat(idx, idx.size), np.tile(idx, idx.size), metric)
             assert np.array_equal(block, pairs.reshape(block.shape)), d
+
+    @pytest.mark.parametrize("power", [-60, 0, 60])
+    def test_cosine_pairs_equal_whole_unit_row_differences_bit_for_bit(self, power):
+        # min(0.5 |unit[a] - unit[b]|^2, 2) taken on whole unit rows, where
+        # paired_distances gathers chunks of data rows and divides each by
+        # its norm in place; near duplicates of a few rows, at scales 2**power
+        rng = np.random.default_rng(21)
+        base = rng.standard_normal((40, 128))
+        near = base[rng.integers(0, 40, 460)]
+        near = near * (1.0 + 1e-12 * rng.standard_normal((460, 1))) + 1e-10 * rng.standard_normal((460, 128))
+        x = np.ldexp(np.vstack([base, near]), power)
+        unit = x / np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
+        a, b = rng.integers(0, 500, 200_000), rng.integers(0, 500, 200_000)
+        got = paired_distances(EmbeddingSet(x), a, b)
+        for lo in range(0, a.size, 20_000):
+            diff = unit[a[lo : lo + 20_000]] - unit[b[lo : lo + 20_000]]
+            want = np.minimum(0.5 * np.einsum("ij,ij->i", diff, diff), 2.0)
+            assert np.array_equal(got[lo : lo + 20_000], want), lo
+        assert (got[a != b] < 1e-18).any() and (got[a != b] > 0.5).any()
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_pairs_hold_bounded_scratch(self, metric):
+        # 200k pairs at d=128: two gathers of every pair would take 410 MB
+        rng = np.random.default_rng(22)
+        emb = EmbeddingSet(rng.standard_normal((1000, 128)))
+        a, b = rng.integers(0, 1000, 200_000), rng.integers(0, 1000, 200_000)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            paired_distances(emb, a, b, metric)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak  # the 1.6 MB result, two 512 KB buffers and the norms
+
+    def test_out_of_range_pair_index_raises(self):
+        emb = EmbeddingSet(np.eye(3) + 1.0)
+        assert paired_distances(emb, [-1], [2])[0] == 0.0  # Python's reading of a negative index
+        for bad in ([3], [-4]):
+            with pytest.raises(IndexError):
+                paired_distances(emb, [0], bad)
 
     def test_cosine_keeps_near_duplicates_apart(self):
         # rows at angles 1e-12..1e-6 from (1, 0): 1 - cos(t) = 2 sin(t/2)^2

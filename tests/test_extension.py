@@ -1157,7 +1157,7 @@ def test_scan_frees_its_block_buffer(weighting, metric):
     chunk_elems = 40_000
     with mock.patch.multiple(extension, _CHUNK_ELEMS=chunk_elems, _BLOCK_ROWS=1):
         scan = partial(neighbor_tables, emb, vm, grids, weighting, Metric(metric), threads=1)
-        scan()  # builds the set's lazy score mirrors, which it keeps
+        scan()  # builds what the set keeps for scans (norms, scalars, projection)
         tables, held, _ = _traced(scan)
     arrays = [getattr(t, f.name) for t in tables.values() for f in fields(t)]
     own = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
@@ -1184,7 +1184,7 @@ def test_class_pair_sorted_copies_do_not_pile_up():
         for k in (1, m):
             grids = {j: [0.9 + 0.01 * j] for j in range(k)}
             scan = partial(neighbor_tables, emb, vm, grids, Weighting.THRESHOLDED_WEIGHTED_SUM, Metric.COSINE, 1)
-            scan()  # builds the set's lazy score mirrors, which it keeps
+            scan()  # builds what the set keeps for scans (norms, scalars, projection)
             tables, _, peaks[k] = _traced(scan)
             assert [t.cells for t in tables.values()] == [_class_pair_cells(votes, [j]) for j in range(k)]
     copy = 4 * n * d
@@ -1208,9 +1208,34 @@ def test_scan_scratch_does_not_grow_as_queries_times_support(weighting):
             votes[on, j] = rng.choice([-1, 1], on.sum())
         emb, vm = EmbeddingSet(x), VoteMatrix(votes)
         scan = partial(neighbor_tables, emb, vm, dict.fromkeys(range(3), [0.6]), weighting, Metric.COSINE, 2)
-        scan()  # builds the set's lazy score mirrors, which it keeps
+        scan()  # builds what the set keeps for scans (norms, scalars, projection)
         _, _, peaks[n] = _traced(scan)
     assert peaks[8000] <= 4.5 * peaks[2000], peaks
+
+
+@pytest.mark.parametrize("metric", list(Metric), ids=lambda m: m.value)
+@pytest.mark.parametrize("weighting", list(Weighting), ids=lambda w: w.value)
+def test_scan_memory_is_one_sorted_copy_plus_worker_blocks(weighting, metric):
+    # the set keeps no n x d array beside its data (norms, scalars and a
+    # projection), and a two-worker scan of a fresh set, its lazy builds
+    # included, peaks within one float32 copy of the rows in key order,
+    # each worker's block buffer and 64 float64 per point (tables, keys,
+    # stores and candidates)
+    rng = np.random.default_rng(35)
+    n, d, threads = 8000, 64, 2
+    x = rng.standard_normal((n, d))
+    votes = np.zeros((n, 3), dtype=int)
+    for j in range(3):
+        on = rng.random(n) < 0.3
+        votes[on, j] = rng.choice([-1, 1], on.sum())
+    emb, vm = EmbeddingSet(x), VoteMatrix(votes)
+    radius = 0.6 if metric is Metric.COSINE else 9.0
+    tables, _, peak = _traced(partial(neighbor_tables, emb, vm, dict.fromkeys(range(3), [radius]), weighting, metric, threads))
+    assert tables[0].cells > 4 * extension._CHUNK_ELEMS  # the scan runs many full blocks
+    kept = [a for v in emb._cache.values() for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
+    assert kept and max(a.size for a in kept) < n * d, [a.shape for a in kept]
+    budget = 4 * n * d + threads * 4 * extension._CHUNK_ELEMS + 64 * 8 * n
+    assert peak <= budget, (peak, budget)
 
 
 @pytest.mark.parametrize("weighting", list(Weighting), ids=lambda w: w.value)
@@ -1290,7 +1315,7 @@ def test_all_duplicate_support_peak_is_one_block_and_one_piece(metric, n):
     with mock.patch.multiple(extension, _CHUNK_ELEMS=cells, _BLOCK_ROWS=1, _PIECE_CELLS=1024):
         scan = partial(nearest, emb, vm, 0, Metric(metric), threads=1)
         with mock.patch.object(extension, "paired_distances", counted):
-            scan()  # also builds the set's lazy score mirrors
+            scan()  # also builds what the set keeps for scans
         (queries, dist, best), _, peak = _traced(scan)
     assert sum(rechecked) == cells
     # the oracle on the whole support and up to 1200 queries (all of them at n = 1600)
@@ -1458,7 +1483,7 @@ class TestScoreSpace:
         assert 0.25 <= np.einsum("ij,ij->i", c, c).max() < 1.0
         rows, cols = np.arange(0, 120, 3), np.arange(120)
         exact = -pairwise_distances(emb, rows, cols, Metric.EUCLIDEAN) ** 2
-        block = space.block(rows, cols, np.empty(rows.size * cols.size, dtype=np.float32))
+        block = space.permuted(np.arange(120)).block(rows, cols, np.empty(rows.size * cols.size, dtype=np.float32))
         assert block.dtype == np.float32
         # block / s^2 within tau / s^2 of the exact scores, compared in float64
         assert np.all(np.abs(block.astype(np.float64) / s**2 - exact) <= space.tau / s**2)
