@@ -31,13 +31,13 @@ cached low-dimensional projection, and exact float64 bounds drop, per
 tile, the support columns whose scores the fold would reject without a
 float64 check (wsum: beyond the grid's largest radius; 1nn: beyond every
 tile row's best score).  Where some tile prunes, the source's group is a
-batch of its own with two classes, abstainers and voters: tiles keeping
-every column are joined and cut into blocks against the whole support,
-and each other tile is cut into blocks against its kept columns.  Where
-nothing can prune (high-dimensional data), the sources are scanned
-together (wsum: those of one radius grid), and each class's rows are
-scored in blocks against the rows of every higher class, so a point pair
-is scored once for all the sources it is a query/support pair of.
+batch of its own with two classes, abstainers and voters, and each tile
+is cut into blocks against its kept columns (the whole support, where it
+keeps every one).  Where no tile prunes (as on high-dimensional data),
+the sources are scanned together (wsum: those of one radius grid), and
+each class's rows are scored in blocks against the rows of every higher
+class, so a point pair is scored once for all the sources it is a
+query/support pair of.
 
 Each column slice of a block is folded for the sources the rows abstain
 on and the columns vote on, and with the columns as queries for those
@@ -364,9 +364,8 @@ class _ScoreSpace:
         A block score above ``hi`` is inside radius ``r``, one below ``lo``
         outside, one in ``[lo, hi]`` needs a float64 check; each bound is
         rounded one ulp outward, so the band is never narrower than ``tau``.
-        Kept per radius: ``_tile_tasks`` and ``_ClassPairs`` fill it for
-        every grid radius on the calling thread, so scan workers only read
-        it.
+        Kept per radius: ``_ClassPairs`` fills it for every grid radius on
+        the calling thread, so scan workers only read it.
         """
         if r not in self._bands:
             sthr, f = self.score_at_radius(r), np.float32
@@ -410,11 +409,10 @@ class NeighborTable:
     nothing) or off a wsum grid raises ``ValueError``.  Rows
     follow ``queries``.  ``cells`` counts the score cells of the scan the
     table's class-pair batch owns (kept by its first table): for a tiled
-    group, the (query, support) pairs of its chunks and the kept pairs of
-    its pruned tiles; for an untiled batch, every pair of points with
-    different vote patterns over the batch,
-    ``(n^2 - sum of class sizes^2) / 2``.  It is 0 for a table sharing
-    another's scan, deterministic, and kept out of every artifact.
+    group, the kept (query, support) pairs of its tiles; for an untiled
+    batch, every pair of points with different vote patterns over the
+    batch, ``(n^2 - sum of class sizes^2) / 2``.  It is 0 for a table
+    sharing another's scan, deterministic, and kept out of every artifact.
     """
 
     source: int
@@ -495,32 +493,30 @@ def _box_distances(lo, hi, pts):
 def _tile_tasks(space, st):
     """The tiled plan ``(rows, tasks)`` of one table, or None.
 
-    None when nothing could prune: one ball about the support's mean
-    holds every query and support point within the least cut a tile
-    could have (such tables are scanned with others by vote-pattern class
-    pairs).  Otherwise the queries are cut into k-d tiles on
-    ``space.proj``.  A tile drops every support column whose distance
-    from the tile's projected box is beyond ``space.reach`` of a score
-    the fold rejects without a float64 check: for wsum, the outward band
-    edge of the grid's largest radius; for 1nn, the ``space.floor`` of
-    every tile row's threshold, from an upper bound on each row's
-    distance to the support point nearest the tile's centre.  So a pruned
-    tile's fold sees the same candidates as a full scan.
+    None when no tile drops a column: such tables are scanned with
+    others by vote-pattern class pairs, which score no more cells.  The
+    tiling is skipped where one ball about the support's mean holds every
+    query and support point within the least cut a tile could have.
+    Otherwise the queries are cut into k-d tiles on ``space.proj``.  A
+    tile drops every support column whose distance from the tile's
+    projected box is beyond ``space.reach`` of a score the fold rejects
+    without a float64 check: for wsum, the outward band edge of the
+    grid's largest radius; for 1nn, the ``space.floor`` of every tile
+    row's threshold, from an upper bound on each row's distance to the
+    support point nearest the tile's centre.  So a pruned tile's fold
+    sees the same candidates as a full scan.
 
-    ``rows`` orders the query positions: whole tiles first, joined in
-    ascending order, then the others.  A task ``(first row, end row,
-    support positions, ends)`` is the run of joined rows against the
-    whole support (positions and ends None) or a pruned tile against its
-    kept columns (``_ClassPairs`` cuts either into blocks); a wsum tile
-    orders those by bound, and ``ends[k]`` counts the ones grid radius
-    ``k`` may reach.  A wsum tile keeping no column has no task, so a
-    plan may have none.
+    ``rows`` orders the query positions: the tiles with a task, in plan
+    order, then the idle ones.  A task ``(first row, end row, support
+    positions)`` is one tile against its kept columns, or against the
+    whole support (positions None); ``_ClassPairs`` cuts each into
+    blocks.  A wsum tile keeping no column is idle, so a plan may have no
+    task.
     """
     pq, ps = space.proj[st.queries], space.proj[st.support]
     wsum = st.weighting is Weighting.THRESHOLDED_WEIGHTED_SUM
     if wsum:
-        reach = np.array([space.reach(float(space.band(float(r))[0])) for r in st.radii])
-        least = reach[-1]
+        least = space.reach(float(space.band(float(st.radii[-1]))[0]))
     else:  # a tile's cut exceeds its rows' distance bound, which exceeds this
         least = space.resid[st.queries].min() + space.resid[st.support].min()
     spread, centre = 0.0, ps.mean(axis=0)
@@ -528,7 +524,7 @@ def _tile_tasks(space, st):
         spread += np.sqrt(np.einsum("ij,ij->i", x, x).max())
     if spread <= least:  # every (query, support) pair is within any cut
         return None
-    full, pruned, idle = [], [], []
+    kept, idle = [], []
     qpos, starts = _kd_tiles(pq)
     pq = pq[qpos]
     lo, hi = np.minimum.reduceat(pq, starts), np.maximum.reduceat(pq, starts)
@@ -546,21 +542,17 @@ def _tile_tasks(space, st):
     for g in range(0, starts.size, group):
         for t, bound in zip(range(g, g + group), _box_distances(lo[g : g + group], hi[g : g + group], ps)):
             keep = np.flatnonzero(bound <= cuts[t])
-            if keep.size == bound.size:
-                full.append(tiles[t])
-            elif not keep.size:
+            if not keep.size:
                 idle.append(tiles[t])
-            elif wsum:
-                keep = keep[np.argsort(bound[keep], kind="stable")]
-                pruned.append((tiles[t], keep, np.searchsorted(bound[keep], reach, side="right")))
             else:
-                pruned.append((tiles[t], keep, None))
-    run = np.sort(np.concatenate(full)) if full else np.empty(0, dtype=np.int64)
-    tasks, at = [(0, run.size, None, None)] if run.size else [], run.size
-    for tile, keep, ends in pruned:
-        tasks.append((at, at + tile.size, keep, ends))
+                kept.append((tiles[t], None if keep.size == bound.size else keep))
+    if not idle and all(keep is None for _, keep in kept):  # no tile drops a column
+        return None
+    tasks, at = [], 0
+    for tile, keep in kept:
+        tasks.append((at, at + tile.size, keep))
         at += tile.size
-    return np.concatenate([run, *(tile for tile, _, _ in pruned), *idle]), tasks
+    return np.concatenate([*(tile for tile, _ in kept), *idle]), tasks
 
 
 def _merged(parts):
@@ -598,21 +590,21 @@ class _ClassPairs:
     order, so each class is a run of positions.  Two points of one class
     are never a query/support pair of any group; two of different classes
     are one of at least one.  A task ``(class, first row, end row,
-    columns, ends)`` scores a run of class ``a``'s rows against columns of
+    columns)`` scores a run of class ``a``'s rows against columns of
     higher classes in one GEMM.  Untiled, each class's rows against every
     higher class are cut into blocks of at most ``_CHUNK_ELEMS`` cells
     (``_blocks``: tall runs of rows, each against a column range), so each
     such pair is scored once.  A tiled group (``tiles``) is a batch of its
     own, its queries class 0 in the plan's row order and its support class
-    1: its joined whole tiles are cut into blocks the same way, and so is
-    each pruned tile's run of kept positions, each range with its wsum
-    ``ends`` clipped to it.  A column range may cut through a class, so
-    the fold arguments a task shares with others (``sides``: the class slices, each clipped to the
-    range, and the hit limit's slice count) are kept per (class, column
-    range).  The highest bit in which ``a < b`` differ is set in ``b``, so
-    the rows are queries of some group in every class ``b`` slice of
-    columns (the row side); where ``a`` votes on a group ``b`` abstains
-    on, the columns are its queries too (the column side).  Tasks write
+    1: each tile's rows are cut into blocks the same way against the whole
+    support or its run of kept positions.  A column range may cut through
+    a class, so the fold arguments a task shares with others (``sides``:
+    the class slices, each clipped to the range, and the hit limit's slice
+    count) are kept per (class, column range).  The highest bit in which
+    ``a < b`` differ is set in ``b``, so the rows are queries of some
+    group in every class ``b`` slice of columns (the row side); where
+    ``a`` votes on a group ``b`` abstains on, the columns are its queries
+    too (the column side).  Tasks write
     to their worker's own store (``local``), and the batch's last task to
     finish merges the stores into the tables (``finish``) by integer sums
     (wsum) or by maxima and least ``(distance, point id)`` (1nn), so no
@@ -637,18 +629,17 @@ class _ClassPairs:
         self.starts = np.searchsorted(self.key, np.arange(2 ** len(batch) + 1))
         self.bits = (np.arange(2 ** len(batch))[:, None] >> np.arange(len(batch))) & 1 == 1  # (class, group)
         if tiles is None:  # each class's rows against every higher class
-            runs = [(a, self.starts[a], self.starts[a + 1], None, None) for a in range(2 ** len(batch))]
-        else:  # the joined whole tiles against the support, then each pruned tile against its kept columns
+            runs = [(a, self.starts[a], self.starts[a + 1], None) for a in range(2 ** len(batch))]
+        else:  # each tile against its kept columns
             runs = [(0, *task) for task in tiles[1]]
-        self.plan = []  # (class, first row, end row, columns: a slice of positions or positions, wsum ends or None)
-        for a, r0, r1, keep, ends in runs:
+        self.plan = []  # (class, first row, end row, columns: a slice of positions or positions)
+        for a, r0, r1, keep in runs:
             c0 = int(self.starts[a + 1])
             width = n - c0 if keep is None else keep.size  # every higher class, or a pruned tile's kept positions
             if r0 == r1 or not width:
                 continue
             for x0, x1, y0, y1 in _blocks(r0, r1, 0, width):
-                cols = slice(c0 + y0, c0 + y1) if keep is None else c0 + keep[y0:y1]
-                self.plan.append((a, x0, x1, cols, None if ends is None else np.clip(ends - y0, 0, y1 - y0)))
+                self.plan.append((a, x0, x1, slice(c0 + y0, c0 + y1) if keep is None else c0 + keep[y0:y1]))
         batch[0][0].cells = sum(self.cells(task) for task in self.plan)
         self.wsum = batch[0][0].weighting is Weighting.THRESHOLDED_WEIGHTED_SUM
         self.owner = np.array([b for b, g in enumerate(batch) for _ in g])  # each table's group
@@ -657,7 +648,7 @@ class _ClassPairs:
         self.floor = space.band(float(max(g[0].radii[-1] for g in batch)))[0]  # the widest cap's outward band edge
         self.store_rows = n if tiles is None else self.starts[1]  # tiled: only the abstainers (class 0) are written
         # (class, first column, end column) -> (class slices in the range, fold arguments)
-        self.sides = {k: self._side(*k) for k in {self._range(a, cols) for a, _, _, cols, _ in self.plan}}
+        self.sides = {k: self._side(*k) for k in {self._range(a, cols) for a, _, _, cols in self.plan}}
         self.lock, self.left, self.stores, self.view, self.w, self.wi = threading.Lock(), len(self.plan), {}, None, None, None
 
     def _range(self, a, cols):
@@ -685,7 +676,7 @@ class _ClassPairs:
         return cls.size, (colq.any(), into, np.flatnonzero(~ga), len(self.batch) + np.flatnonzero(~ga[self.owner]))
 
     def cells(self, task):
-        _, r0, r1, cols, _ = task
+        _, r0, r1, cols = task
         return int((r1 - r0) * (cols.stop - cols.start if isinstance(cols, slice) else cols.size))
 
     def _open(self):
@@ -705,7 +696,7 @@ class _ClassPairs:
         # measured, and measured ones with their float64 distance
         return np.full((self.key.size, len(self.batch)), -np.inf, dtype=np.float32), [], []
 
-    def __call__(self, a, r0, r1, cols, ends, buf):
+    def __call__(self, a, r0, r1, cols, buf):
         with self.lock:  # the batch's first task builds its copies, a worker's first task its store
             if self.view is None:
                 self._open()
@@ -723,7 +714,7 @@ class _ClassPairs:
             else:
                 self._nearest_hits(r0 + rr, p, cc, sc, own, *side[1:3])
         elif self.wsum:
-            self._weighted(r0, cols, ends, sub, own, *side)
+            self._weighted(r0, cols, sub, own, *side)
         else:
             pos = cols if isinstance(cols, np.ndarray) else np.arange(cols.start, cols.stop)
             self._nearest(a, r0, pos, sub, own, *side)
@@ -870,24 +861,23 @@ class _ClassPairs:
         q, p = q.astype(np.int32), p.astype(np.int32)
         own[1].append((np.concatenate([q, p[side]]), np.concatenate([p, q[side]]), np.concatenate([sc, sc[side]])))
 
-    def _weighted(self, r0, cols, ends, sub, acc, both, into, gv, tv):
+    def _weighted(self, r0, cols, sub, acc, both, into, gv, tv):
         """Dense wsum fold: each inside mask counts and sums votes for the rows and, if ``both``, the columns.
 
         It folds the blocks with too many hits to fold from them alone
         (``_weighted_hits``, which decides every cell as this does).
 
-        Per piece and positive grid radius ``k``, over the task's first
-        ``ends[k]`` columns (None: all), the inside mask as float32 0/1
-        times the columns' weights ``into`` (voter indicators of the groups
-        the rows abstain on, then those groups' tables' votes) gives each
-        row's counts and sums in one GEMM.  The rows' ones and votes of the
-        tables ``tv`` of the groups ``gv`` they vote on, times the mask, give
-        the columns' (only class-pair tasks, whose columns are a slice, have
-        a column side).  Band cells are re-decided in float64 once for both
-        sides.  Each term is 0 or +-1, so every partial sum BLAS forms, in
-        any order, is an integer no larger than the block's width (at most
-        ``_CHUNK_ELEMS``, below 2^24) or the piece's row count (at most
-        ``_PIECE_CELLS``), which float32 holds exactly.
+        Per piece and positive grid radius ``k``, the inside mask as
+        float32 0/1 times the columns' weights ``into`` (voter indicators of
+        the groups the rows abstain on, then those groups' tables' votes)
+        gives each row's counts and sums in one GEMM.  The rows' ones and
+        votes of the tables ``tv`` of the groups ``gv`` they vote on, times
+        the mask, give the columns' (only untiled tasks, whose columns are a
+        slice, have a column side).  Band cells are re-decided in float64
+        once for both sides.  Each term is 0 or +-1, so every partial sum
+        BLAS forms, in any order, is an integer no larger than the block's
+        width (at most ``_CHUNK_ELEMS``, below 2^24) or the piece's row
+        count (at most ``_PIECE_CELLS``), which float32 holds exactly.
         """
         emb, metric, order = self.space.emb, self.space.metric, self.order
         rows, width = sub.shape
@@ -900,29 +890,25 @@ class _ClassPairs:
         inside, mask32, mask = np.empty(size, dtype=bool), np.empty(size, dtype=np.float32), np.empty(size, dtype=bool)
         for p in range(0, rows, step):
             q = slice(r0 + p, r0 + min(p + step, rows))
+            part = sub[p : p + step]
             for k, radius, lo_s, hi_s in self.grid:
-                e = width if ends is None else int(ends[k])
-                if not e:
-                    continue
-                part = sub[p : p + step, :e]
                 ins = np.greater(part, hi_s, out=inside[: part.size].reshape(part.shape))
                 fl = mask32[: part.size].reshape(part.shape)
                 fl[...] = ins
-                acc[q, k, into] += (fl @ wc[:e]).astype(np.int32)
+                acc[q, k, into] += (fl @ wc).astype(np.int32)
                 if both:
-                    s = slice(cols.start, cols.start + e)
                     col = (wr[p : p + part.shape[0]].T @ fl).T.astype(np.int32)
-                    acc[s, k, gv] += col[:, :1]
-                    acc[s, k, tv] += col[:, 1:]
+                    acc[cols, k, gv] += col[:, :1]
+                    acc[cols, k, tv] += col[:, 1:]
                 hit = np.greater_equal(part, lo_s, out=mask[: part.size].reshape(part.shape))
                 hit ^= ins
                 if hit.any():
-                    rr, cc = np.divmod(np.flatnonzero(hit), e)
+                    rr, cc = np.divmod(np.flatnonzero(hit), width)
                     keep = paired_distances(emb, order[q][rr], pid[cc], metric) <= radius
                     rr, cc = rr[keep], cc[keep]
                     np.add.at(acc[q, k], rr, wci[cc])
                     if both:
-                        np.add.at(acc[s, k], cc, wri[p + rr])
+                        np.add.at(acc[cols, k], cc, wri[p + rr])
 
     def _weighted_hits(self, q, p, sc, acc, both):
         """wsum fold of a block's hits, at positions ``q`` (rows) and ``p`` (columns).
@@ -1099,9 +1085,8 @@ def neighbor_tables(
     ``DataError``); ``threads`` below 1 raises ``ValueError``.
 
     Every table is capped at its grid's largest radius.  An empty grid
-    (which used to mean every nearest point, at any distance) scans
-    nothing under either weighting: its 1nn rows stay ``(inf, n)``, its
-    ``cells`` is 0, and no positive radius is answered.  Neither is a
+    scans nothing under either weighting: its 1nn rows stay ``(inf, n)``,
+    its ``cells`` is 0, and no positive radius is answered.  Neither is a
     wsum grid without a positive radius scanned.
 
     Sources with equal supports and grids form one group, planned, scored
@@ -1109,7 +1094,7 @@ def neighbor_tables(
     most ``_TILE_ROWS`` rows, and each tile drops the support columns
     that exact distance bounds prove its fold would reject
     (``_tile_tasks``).  A group where some tile prunes is a class-pair
-    batch of its own.  Groups where no tile could prune (under wsum,
+    batch of its own.  Groups where no tile prunes (under wsum,
     those of one grid; under 1nn, all of them, whatever their grids) are
     batched together, up to ``_CLASS_SOURCES`` at a time, so each point
     pair that is a query/support pair of any of them is scored once.

@@ -789,13 +789,25 @@ def _scan_kinds(fn):
     """``(fn(), kinds)``: the scan's blocks as ``"pruned"`` (a tile on some columns) or ``"whole"``."""
     kinds = []
 
-    def spy(self, a, r0, r1, cols, ends, buf):
+    def spy(self, a, r0, r1, cols, buf):
         kinds.append("whole" if isinstance(cols, slice) else "pruned")
-        return call(self, a, r0, r1, cols, ends, buf)
+        return call(self, a, r0, r1, cols, buf)
 
     call = extension._ClassPairs.__call__
     with mock.patch.object(extension._ClassPairs, "__call__", spy):
         return fn(), kinds
+
+
+def _planned(fn):
+    """``(fn(), plans)``: each ``_tile_tasks`` plan of ``fn``'s scans."""
+    plans, plan = [], extension._tile_tasks
+
+    def spy(space, st):
+        plans.append(plan(space, st))
+        return plans[-1]
+
+    with mock.patch.object(extension, "_tile_tasks", spy):
+        return fn(), plans
 
 
 def _rechecked(fn):
@@ -805,13 +817,19 @@ def _rechecked(fn):
     return sorted(pair for call in spy.call_args_list for pair in zip(call.args[1].tolist(), call.args[2].tolist()))
 
 
-def _no_bound(lo, hi, pts):
-    """Box-to-point distances of 0: every tile keeps every column."""
-    return np.zeros((lo.shape[0], pts.shape[0]))
+def _whole_tiles(space, st, plan=extension._tile_tasks):
+    """The tiled plan with every tile keeping every column: each task widened, and one more for the idle rows."""
+    tiles = plan(space, st)
+    if tiles is None:
+        return None
+    rows, tasks = tiles
+    end = tasks[-1][1] if tasks else 0
+    return rows, [(r0, r1, None) for r0, r1, _ in tasks] + [(end, rows.size, None)]
 
 
 def _check_pruned_scan(x, votes, grid, metric, tile_rows=8, chunk_elems=2000):
-    """Tables of every weighting and thread count match the oracles, on scans that prune."""
+    """Tables of every weighting and thread count match the oracles, on scans that prune; returns their plans."""
+    plans = []
     emb, vm = EmbeddingSet(x), VoteMatrix(votes)
     m = votes.shape[1]
     full = sum(int((votes[:, j] == 0).sum() * (votes[:, j] != 0).sum()) for j in range(m))
@@ -823,12 +841,13 @@ def _check_pruned_scan(x, votes, grid, metric, tile_rows=8, chunk_elems=2000):
             # a dropped column is one the fold rejects without a float64 check
             # (the reference: the same tiles, each keeping every column)
             pruned = _rechecked(partial(neighbor_tables, emb, vm, grids, w, Metric(metric), 1))
-            with mock.patch.object(extension, "_box_distances", _no_bound):
+            with mock.patch.object(extension, "_tile_tasks", _whole_tiles):
                 whole = _rechecked(partial(neighbor_tables, emb, vm, grids, w, Metric(metric), 1))
             assert pruned == whole, w
             for threads in (1, 2, 4):
                 scan = partial(neighbor_tables, emb, vm, grids, w, Metric(metric), threads)
-                tables, kinds = _scan_kinds(scan)
+                (tables, kinds), seen = _planned(partial(_scan_kinds, scan))
+                plans += seen
                 assert "pruned" in kinds and sum(t.cells for t in tables.values()) < full, (w, kinds)
                 _same_on_both_folds(scan, tables, (w, threads))
                 # planned untiled, by class pairs, the one fold gives the same tables bit for bit
@@ -844,6 +863,7 @@ def _check_pruned_scan(x, votes, grid, metric, tile_rows=8, chunk_elems=2000):
                         np.testing.assert_allclose(table.best_dist, nearest_want[j][1], rtol=1e-14, atol=1e-15)
                     for r in grid:
                         assert np.array_equal(table.column(vm, r), extended[w, r][:, j]), (w, j, r, threads)
+    return plans
 
 
 def _lattice(rng, n_side=20):
@@ -866,7 +886,9 @@ class TestPrunedScan:
         # kin sit at exactly 5, the largest grid radius
         x, votes = _lattice(np.random.default_rng(20))
         assert brute_force_distances(x, "euclidean")[0, 400] == 5.0
-        _check_pruned_scan(x, votes, [1.0, 2.5, 5.0], "euclidean")
+        plans = _check_pruned_scan(x, votes, [1.0, 2.5, 5.0], "euclidean")
+        # source 1's 1nn plan holds a tile keeping every column, a task of its own beside the pruned ones
+        assert any(p is not None and {keep is None for _, _, keep in p[1]} == {True, False} for p in plans)
 
     def test_duplicates_split_across_tiles(self):
         rng = np.random.default_rng(21)
@@ -898,6 +920,32 @@ class TestPrunedScan:
         k = np.flatnonzero(np.diff(values) > 1e-9)[[3, 30, 100]]
         grid = (values[k] + values[k + 1]) / 2  # well between occurring distances
         _check_pruned_scan(x, votes, grid, "cosine", tile_rows=16)
+
+    def test_plan_pruning_nothing_is_scanned_by_class_pairs(self):
+        # offset-euclid's shape: 16-d uniform rows shifted by 1000, too
+        # spread for the ball test to skip the tiling, yet every 1nn tile
+        # keeps every column; such a plan is None, so the three sources
+        # share one class-pair scan
+        rng = np.random.default_rng(36)
+        n, m, r = 1200, 3, 0.8
+        x = rng.random((n, 16)) + 1000.0
+        votes = np.zeros((n, m), dtype=int)
+        for j in range(m):
+            on = rng.random(n) < 0.2
+            votes[on, j] = rng.choice([-1, 1], on.sum())
+        emb, vm = EmbeddingSet(x), VoteMatrix(votes)
+        scan = partial(neighbor_tables, emb, vm, dict.fromkeys(range(m), [r]), Weighting.ONE_NEAREST_NEIGHBOR,
+                       Metric.EUCLIDEAN, threads=2)
+        with mock.patch.object(extension, "_kd_tiles", wraps=extension._kd_tiles) as tiled:
+            tables, plans = _planned(scan)
+        assert tiled.call_count == m and len(plans) == m and all(p is None for p in plans)
+        assert [t.cells for t in tables.values()] == [_class_pair_cells(votes, list(range(m))), 0, 0]
+        want = brute_force_extend(x, votes, np.full(m, r), "1nn", "euclidean")
+        for j, t in tables.items():
+            q, d, b = brute_force_nearest(x, votes, j, "euclidean", cap=r)
+            assert np.array_equal(t.queries, q) and np.array_equal(t.best_col, b), j
+            np.testing.assert_allclose(t.best_dist, d, rtol=1e-14, atol=1e-15)
+            assert np.array_equal(t.column(vm, r), want[:, j]), j
 
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     def test_wsum_scan_with_every_tile_beyond_reach_scores_nothing(self, metric):
@@ -951,9 +999,9 @@ class TestScoredCells:
             plans.append(plan(space, st))
             return plans[-1]
 
-        def pairs(self, a, r0, r1, cols, ends, buf):
-            blocks.append((a, r0, r1, cols.start, cols.stop, ends))
-            return call(self, a, r0, r1, cols, ends, buf)
+        def pairs(self, a, r0, r1, cols, buf):
+            blocks.append((a, r0, r1, cols.start, cols.stop))
+            return call(self, a, r0, r1, cols, buf)
 
         cap, plan, call = 100_000, extension._tile_tasks, extension._ClassPairs.__call__
         with mock.patch.multiple(extension, _CHUNK_ELEMS=cap, _tile_tasks=tile_tasks):
@@ -972,11 +1020,11 @@ class TestScoredCells:
             # columns: every higher class, to the end, in the fewest ranges the cap allows beside the tallest run
             c = -(-width // (cap // -(-(hi - lo) // k)))
             cols = [hi + width * i // c for i in range(c + 1)]
-            shapes += [(a, r0, r1, c0, c1, None) for r0, r1 in zip(rows, rows[1:]) for c0, c1 in zip(cols, cols[1:])]
+            shapes += [(a, r0, r1, c0, c1) for r0, r1 in zip(rows, rows[1:]) for c0, c1 in zip(cols, cols[1:])]
         assert sorted(blocks) == sorted(shapes)
-        assert all((r1 - r0) * (c1 - c0) <= cap for _, r0, r1, c0, c1, _ in blocks)
-        assert min(r1 - r0 for _, r0, r1, _, _, _ in blocks) > 256  # tall blocks, narrowed by columns
-        assert any({c0, c1} - set(starts.tolist()) for _, _, _, c0, c1, _ in blocks)  # ranges cut through classes
+        assert all((r1 - r0) * (c1 - c0) <= cap for _, r0, r1, c0, c1 in blocks)
+        assert min(r1 - r0 for _, r0, r1, _, _ in blocks) > 256  # tall blocks, narrowed by columns
+        assert any({c0, c1} - set(starts.tolist()) for _, _, _, c0, c1 in blocks)  # ranges cut through classes
         assert tables[0].cells == sum((r1 - r0) * (n - starts[a + 1]) for a, r0, r1 in want)
         assert tables[0].cells == (n * n - int((sizes**2).sum())) // 2 and tables[1].cells == 0
 
@@ -986,9 +1034,8 @@ class TestScoredCells:
     def test_sources_sharing_a_support_and_grid_scan_once(self, weighting, blocks):
         # sources 0, 2 and 3 vote on one support with different votes (3 on
         # another grid); source 1 elsewhere: each table equals its own scan
-        # bit for bit, also when pruned tiles are cut into column ranges
-        # (with their wsum ends), and the cells the blocks score are
-        # counted once
+        # bit for bit, also when pruned tiles are cut into column ranges,
+        # and the cells the blocks score are counted once
         from weakext.experiments import generate_checkerboard
 
         task = generate_checkerboard(3000, 10, 3, (0.9, 0.8, 0.8), (0.2, 0.15, 0.15), seed=27)
@@ -1006,11 +1053,11 @@ class TestScoredCells:
             for threads in (1, 2, 4):
                 scored, pruned = [], []
 
-                def spy(self, a, r0, r1, cols, ends, buf):
+                def spy(self, a, r0, r1, cols, buf):
                     scored.append((r1 - r0) * np.arange(self.key.size)[cols].size)
                     if not isinstance(cols, slice):
                         pruned.append((id(self), r0, r1))
-                    return call(self, a, r0, r1, cols, ends, buf)
+                    return call(self, a, r0, r1, cols, buf)
 
                 call = extension._ClassPairs.__call__
                 with mock.patch.object(extension._ClassPairs, "__call__", spy):
@@ -1241,9 +1288,9 @@ def test_scan_memory_is_one_sorted_copy_plus_worker_blocks(weighting, metric):
 @pytest.mark.parametrize("weighting", list(Weighting), ids=lambda w: w.value)
 def test_pruned_tiles_are_cut_into_blocks_within_the_cap(weighting):
     # a planar task whose tiles prune: under a cap of 4096 cells a pruned
-    # tile's 256 rows take column ranges of 16 of its kept columns (wsum:
-    # each range with the tile's ends clipped to it), so no task holds more
-    # than the cap, and every table equals the uncut scan's bit for bit
+    # tile's 256 rows take column ranges of 16 of its kept columns, so no
+    # task holds more than the cap, and every table equals the uncut scan's
+    # bit for bit
     from weakext.experiments import generate_checkerboard
 
     task = generate_checkerboard(4000, 10, 3, (0.9, 0.8, 0.8), (0.2, 0.15, 0.15), seed=28)
@@ -1253,9 +1300,9 @@ def test_pruned_tiles_are_cut_into_blocks_within_the_cap(weighting):
     for threads in (1, 2):
         tasks = []
 
-        def spy(self, a, r0, r1, cols, ends, buf):
-            tasks.append((id(self), r0, r1, isinstance(cols, slice), self.cells((a, r0, r1, cols, ends))))
-            return call(self, a, r0, r1, cols, ends, buf)
+        def spy(self, a, r0, r1, cols, buf):
+            tasks.append((id(self), r0, r1, isinstance(cols, slice), self.cells((a, r0, r1, cols))))
+            return call(self, a, r0, r1, cols, buf)
 
         with mock.patch.object(extension, "_CHUNK_ELEMS", cap), mock.patch.object(extension._ClassPairs, "__call__", spy):
             got = scan(threads=threads)
