@@ -14,17 +14,17 @@ centered and scaled by a power of two) are derived from the set's
 float64 rows in key order, chunk by chunk, into the batch's one copy,
 and each task scores a run of one class's rows against a range of
 columns of higher classes in one GEMM block, written into a buffer that
-each scan worker owns and reuses.  So a scan holds, beside the set's
-data, one float32 copy per batch in flight, each worker's block buffer
-and bounded scratch: the set keeps no ``n x d`` array of its own but the
-data (``_ScoreSpace``).  Every block, whichever plan made it, holds at
+each scan worker owns and reuses.  A scan runs one batch at a time, so
+it holds, beside the set's data, one float32 copy, each worker's block
+buffer and bounded scratch: the set keeps no ``n x d`` array of its own
+but the data (``_ScoreSpace``).  Every block, whichever plan made it, holds at
 most ``_CHUNK_ELEMS`` cells (8 MB): rows stay tall (``_BLOCK_ROWS`` or
 more where the class has them) and a wide block is cut by columns, so
 the buffers do not grow with queries x support, as in exact blocked
 search, which selects from each tile of scores in turn (Johnson, Douze &
 Jegou 2017).  While two or more workers run, the bundled OpenBLAS is
 held at one thread, so one worker's GEMM runs beside the other's fold
-(``_run_tasks``).  Two points of one class are never a query/support
+(``_run_batches``).  Two points of one class are never a query/support
 pair of any source, so no such pair is scored.  Each source's
 abstainers are first cut into k-d tiles of about 256 rows on a
 cached low-dimensional projection, and exact float64 bounds drop, per
@@ -81,8 +81,8 @@ import os
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -605,19 +605,18 @@ class _ClassPairs:
     group in every class ``b`` slice of columns (the row side); where
     ``a`` votes on a group ``b`` abstains on, the columns are its queries
     too (the column side).  Tasks write
-    to their worker's own store (``local``), and the batch's last task to
-    finish merges the stores into the tables (``finish``) by integer sums
-    (wsum) or by maxima and least ``(distance, point id)`` (1nn), so no
-    table depends on which worker ran which task.  Every table is capped
-    at its grid's largest radius, so a block with few cells within the
-    batch's widest cap is folded from those cells alone (``_hits``).  The
-    sorted copy of the score rows (and wsum's weights) is built by the
-    batch's first task and dropped, with the stores, after its last, so a
-    scan holds them for the batches in flight, not for every batch.
+    to their worker's own store (``local``), and ``finish`` merges the
+    stores into the tables by integer sums (wsum) or by maxima and least
+    ``(distance, point id)`` (1nn), so no table depends on which worker
+    ran which task.  Every table is capped at its grid's largest radius,
+    so a block with few cells within the batch's widest cap is folded from
+    those cells alone (``_hits``).  The sorted copy of the score rows (and
+    wsum's weights) is built with the batch, and a scan runs one batch at
+    a time (``_run_batches``), so it holds one copy, not one per batch.
     """
 
     def __init__(self, space, votes, batch, tiles=None):
-        self.space, self.votes, self.batch, n = space, votes, batch, votes.n
+        self.space, self.batch, n = space, batch, votes.n
         key = np.zeros(n, dtype=np.int64)
         for b, g in enumerate(batch):
             key |= (votes.votes[:, g[0].source] != 0).astype(np.int64) << b
@@ -649,7 +648,13 @@ class _ClassPairs:
         self.store_rows = n if tiles is None else self.starts[1]  # tiled: only the abstainers (class 0) are written
         # (class, first column, end column) -> (class slices in the range, fold arguments)
         self.sides = {k: self._side(*k) for k in {self._range(a, cols) for a, _, _, cols in self.plan}}
-        self.lock, self.left, self.stores, self.view, self.w, self.wi = threading.Lock(), len(self.plan), {}, None, None, None
+        self.view = space.permuted(self.order)
+        if self.wsum:  # the weights in key order: each group's voter indicator, then every table's votes
+            groups = len(batch)
+            w = np.empty((n, groups + sum(map(len, batch))), dtype=np.float32)
+            w[:, :groups] = self.bits[self.key]
+            w[:, groups:] = votes.votes[:, [t.source for g in batch for t in g]][self.order]
+            self.w, self.wi = w, w.astype(np.int32)
 
     def _range(self, a, cols):
         """``(a, first column, end column)``: the column range of a task of row class ``a`` (positions: every higher class)."""
@@ -679,16 +684,6 @@ class _ClassPairs:
         _, r0, r1, cols = task
         return int((r1 - r0) * (cols.stop - cols.start if isinstance(cols, slice) else cols.size))
 
-    def _open(self):
-        """The sorted score rows and, for wsum, the weights in key order: each group's voter indicator, then every table's votes."""
-        self.view = self.space.permuted(self.order)
-        if self.wsum:
-            groups = len(self.batch)
-            w = np.empty((self.key.size, groups + sum(map(len, self.batch))), dtype=np.float32)
-            w[:, :groups] = self.bits[self.key]
-            w[:, groups:] = self.votes.votes[:, [t.source for g in self.batch for t in g]][self.order]
-            self.w, self.wi = w, w.astype(np.int32)
-
     def local(self):
         if self.wsum:
             return np.zeros((self.store_rows, self.batch[0][0].radii.size, self.w.shape[1]), dtype=np.int32)
@@ -696,13 +691,7 @@ class _ClassPairs:
         # measured, and measured ones with their float64 distance
         return np.full((self.key.size, len(self.batch)), -np.inf, dtype=np.float32), [], []
 
-    def __call__(self, a, r0, r1, cols, buf):
-        with self.lock:  # the batch's first task builds its copies, a worker's first task its store
-            if self.view is None:
-                self._open()
-            own = self.stores.get(threading.get_ident())
-            if own is None:
-                own = self.stores[threading.get_ident()] = self.local()
+    def __call__(self, own, a, r0, r1, cols, buf):
         sub = self.view.block(slice(r0, r1), cols, buf)
         slices, side = self.sides[self._range(a, cols)]
         hits = self._hits(sub, _SPARSE_HITS * ((r1 - r0) * slices + sub.shape[1]))  # two per (row, class slice), per column
@@ -718,12 +707,6 @@ class _ClassPairs:
         else:
             pos = cols if isinstance(cols, np.ndarray) else np.arange(cols.start, cols.stop)
             self._nearest(a, r0, pos, sub, own, *side)
-        with self.lock:
-            self.left -= 1
-            last = not self.left
-        if last:  # every task has folded into the stores: merge them and drop the batch's copies
-            self.finish(list(self.stores.values()))
-            self.view = self.w = self.wi = self.stores = None
 
     def _hits(self, sub, limit):
         """``(row, column, score)`` of the block's cells scoring at least ``floor``, or None past ``limit`` of them.
@@ -1031,16 +1014,30 @@ class _OneBlasThread:
 _ONE_BLAS_THREAD = _OneBlasThread()
 
 
-def _run_tasks(tasks, threads, cells):
-    """Run ``tasks`` on up to ``threads`` worker loops that take them in order.
+def _drain(cp, queue, cells):
+    """Fold batch ``cp``'s tasks from ``queue`` until it is empty, each into one reused buffer of ``cells``; return the store."""
+    buf, own = np.empty(cells, dtype=np.float32), cp.local()
+    while True:
+        try:
+            task = queue.popleft()
+        except IndexError:  # drained
+            return own
+        cp(own, *task, buf)
 
-    Each worker owns one float32 buffer of ``cells`` (the largest block
-    of the scan) and passes it to every task it runs, so tasks reuse
-    their block's memory; the buffers are freed when the workers return.
 
-    While two or more workers run, the OpenBLAS bundled with numpy is held
-    at one thread (``_OneBlasThread``), so each worker's GEMMs run beside
-    the other's folds instead of spreading over every core and contending
+def _run_batches(batches, threads):
+    """Fold the class-pair batches ``batches`` yields one at a time, each on up to ``threads`` workers.
+
+    The workers take a batch's tasks in order (``_drain``), and its
+    ``finish`` merges their stores on the calling thread before the next
+    batch is built, so one sorted copy is alive at a time.  The first batch
+    of two or more tasks opens one pool for the rest of the scan; a task
+    that raises ends the scan once the batch's other workers have drained
+    its tasks.
+
+    While the pool runs, the OpenBLAS bundled with numpy is held at one
+    thread (``_OneBlasThread``), so each worker's GEMMs run beside the
+    other's folds instead of spreading over every core and contending
     with them.  The setting is process-wide: other numpy calls of the
     process, on any thread, run single-threaded while a pool runs.  The
     count from before the first pool comes back after the last one ends,
@@ -1048,23 +1045,19 @@ def _run_tasks(tasks, threads, cells):
     symbols are not found, BLAS threading is left as it is.  A one-worker
     scan never touches it.
     """
-    queue = deque(tasks)
-
-    def work():
-        buf = np.empty(cells, dtype=np.float32)
-        while True:
-            try:
-                task = queue.popleft()
-            except IndexError:  # drained
-                return
-            task(buf)
-
-    workers = min(threads, len(tasks))
-    if workers <= 1:
-        return work()
-    with _ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=workers) as pool:
-        for f in [pool.submit(work) for _ in range(workers)]:
-            f.result()
+    with ExitStack() as stack:
+        pool = None
+        for cp in batches:
+            queue, cells = deque(cp.plan), max(map(cp.cells, cp.plan))
+            workers = min(threads, len(cp.plan))
+            if workers <= 1:
+                cp.finish([_drain(cp, queue, cells)])
+            else:
+                if pool is None:
+                    stack.enter_context(_ONE_BLAS_THREAD)
+                    pool = stack.enter_context(ThreadPoolExecutor(max_workers=threads))
+                cp.finish([f.result() for f in [pool.submit(_drain, cp, queue, cells) for _ in range(workers)]])
+            del cp  # its copies go before the next batch is built
 
 
 def neighbor_tables(
@@ -1101,12 +1094,13 @@ def neighbor_tables(
     Every task is a block of at most ``_CHUNK_ELEMS`` cells, so a
     worker's buffer does not grow with queries x support, and a block
     with few cells within its batch's widest cap is folded from those
-    cells alone (``_ClassPairs``).  All blocks run on one pool of
-    ``threads`` workers (default: the cores, at most 4), each scoring
-    into its own buffer sized for the largest block; while two or more
-    run, the OpenBLAS bundled with numpy is held at one thread for the
-    whole process (``_run_tasks``).  A batch's first table owns its
-    scan's ``cells`` (the others count 0).
+    cells alone (``_ClassPairs``).  Every group is planned first; then
+    the batches run one at a time, each built just before it runs, on one
+    pool of ``threads`` workers (default: the cores, at most 4), each
+    scoring into its own buffer sized for the batch's largest block;
+    while the pool runs, the OpenBLAS bundled with numpy is held at one
+    thread for the whole process (``_run_batches``).  A batch's first
+    table owns its scan's ``cells`` (the others count 0).
     """
     weighting = Weighting(weighting)
     if emb.n != votes.n:
@@ -1141,20 +1135,17 @@ def neighbor_tables(
              if g[0].queries.size and g[0].support.size and g[0].radii.size and (g[0].radii[-1] > 0 or not wsum)]
     if not scans:
         return tables
-    space, untiled, pairs = _ScoreSpace(emb, metric), {}, []
+    space, untiled, batches = _ScoreSpace(emb, metric), {}, []
     for g in scans:
-        st = g[0]
-        tiles = _tile_tasks(space, st)
-        if tiles is not None:
-            pairs.append(_ClassPairs(space, votes, [g], tiles))
-        else:  # a 1nn scan takes any caps: each table drops the winners beyond its own
-            untiled.setdefault(st.radii.tobytes() if wsum else b"", []).append(g)
-    pairs += [_ClassPairs(space, votes, same[i : i + _CLASS_SOURCES])
-              for same in untiled.values() for i in range(0, len(same), _CLASS_SOURCES)]
-    tasks = [(cp.cells(task), partial(cp, *task)) for cp in pairs for task in cp.plan]
-    if tasks:  # none when every tile is beyond a wsum scan's largest radius
-        threads = min(4, os.cpu_count() or 1) if threads is None else int(threads)
-        _run_tasks([task for _, task in tasks], threads, max(size for size, _ in tasks))
+        tiles = _tile_tasks(space, g[0])
+        if tiles is None:  # a 1nn scan takes any caps: each table drops the winners beyond its own
+            untiled.setdefault(g[0].radii.tobytes() if wsum else b"", []).append(g)
+        elif tiles[1]:  # no task where every tile is beyond a wsum scan's largest radius
+            batches.append(([g], tiles))
+    batches += [(same[i : i + _CLASS_SOURCES], None)
+                for same in untiled.values() for i in range(0, len(same), _CLASS_SOURCES)]
+    threads = min(4, os.cpu_count() or 1) if threads is None else int(threads)
+    _run_batches((_ClassPairs(space, votes, *b) for b in batches), threads)
     return tables
 
 

@@ -1,5 +1,6 @@
 """Vote extension semantics against brute-force oracles."""
 
+import itertools
 import sys
 import threading
 import tracemalloc
@@ -789,9 +790,9 @@ def _scan_kinds(fn):
     """``(fn(), kinds)``: the scan's blocks as ``"pruned"`` (a tile on some columns) or ``"whole"``."""
     kinds = []
 
-    def spy(self, a, r0, r1, cols, buf):
+    def spy(self, own, a, r0, r1, cols, buf):
         kinds.append("whole" if isinstance(cols, slice) else "pruned")
-        return call(self, a, r0, r1, cols, buf)
+        return call(self, own, a, r0, r1, cols, buf)
 
     call = extension._ClassPairs.__call__
     with mock.patch.object(extension._ClassPairs, "__call__", spy):
@@ -999,9 +1000,9 @@ class TestScoredCells:
             plans.append(plan(space, st))
             return plans[-1]
 
-        def pairs(self, a, r0, r1, cols, buf):
+        def pairs(self, own, a, r0, r1, cols, buf):
             blocks.append((a, r0, r1, cols.start, cols.stop))
-            return call(self, a, r0, r1, cols, buf)
+            return call(self, own, a, r0, r1, cols, buf)
 
         cap, plan, call = 100_000, extension._tile_tasks, extension._ClassPairs.__call__
         with mock.patch.multiple(extension, _CHUNK_ELEMS=cap, _tile_tasks=tile_tasks):
@@ -1053,11 +1054,11 @@ class TestScoredCells:
             for threads in (1, 2, 4):
                 scored, pruned = [], []
 
-                def spy(self, a, r0, r1, cols, buf):
+                def spy(self, own, a, r0, r1, cols, buf):
                     scored.append((r1 - r0) * np.arange(self.key.size)[cols].size)
                     if not isinstance(cols, slice):
-                        pruned.append((id(self), r0, r1))
-                    return call(self, a, r0, r1, cols, buf)
+                        pruned.append((self.batch[0][0].source, r0, r1))
+                    return call(self, own, a, r0, r1, cols, buf)
 
                 call = extension._ClassPairs.__call__
                 with mock.patch.object(extension._ClassPairs, "__call__", spy):
@@ -1215,9 +1216,9 @@ def test_scan_frees_its_block_buffer(weighting, metric):
 
 def test_class_pair_sorted_copies_do_not_pile_up():
     # six sources on distinct wsum grids are six class-pair batches, each
-    # with its own float32 copy of the score rows in key order; a batch
-    # builds it at its first task and drops it after its last, so at one
-    # thread the scan's peak holds one copy, however many batches
+    # with its own float32 copy of the score rows in key order; the scan
+    # runs one batch at a time and drops its copy before the next is
+    # built, so the peak holds one copy, however many batches and workers
     rng = np.random.default_rng(29)
     n, d, m = 1000, 256, 6
     x = rng.standard_normal((n, d))
@@ -1226,16 +1227,17 @@ def test_class_pair_sorted_copies_do_not_pile_up():
         on = rng.random(n) < 0.3
         votes[on, j] = rng.choice([-1, 1], on.sum())
     emb, vm = EmbeddingSet(x), VoteMatrix(votes)
-    peaks = {}
-    with mock.patch.object(extension, "_CHUNK_ELEMS", 20_000):
-        for k in (1, m):
-            grids = {j: [0.9 + 0.01 * j] for j in range(k)}
-            scan = partial(neighbor_tables, emb, vm, grids, Weighting.THRESHOLDED_WEIGHTED_SUM, Metric.COSINE, 1)
-            scan()  # builds what the set keeps for scans (norms, scalars, projection)
-            tables, _, peaks[k] = _traced(scan)
-            assert [t.cells for t in tables.values()] == [_class_pair_cells(votes, [j]) for j in range(k)]
     copy = 4 * n * d
-    assert peaks[m] - peaks[1] < copy / 2, (peaks, copy)
+    for threads in (1, 2):
+        peaks = {}
+        with mock.patch.object(extension, "_CHUNK_ELEMS", 20_000):
+            for k in (1, m):
+                grids = {j: [0.9 + 0.01 * j] for j in range(k)}
+                scan = partial(neighbor_tables, emb, vm, grids, Weighting.THRESHOLDED_WEIGHTED_SUM, Metric.COSINE, threads)
+                scan()  # builds what the set keeps for scans (norms, scalars, projection)
+                tables, _, peaks[k] = _traced(scan)
+                assert [t.cells for t in tables.values()] == [_class_pair_cells(votes, [j]) for j in range(k)]
+        assert peaks[m] - peaks[1] < copy / 2, (threads, peaks, copy)
 
 
 @pytest.mark.parametrize("weighting", list(Weighting), ids=lambda w: w.value)
@@ -1300,9 +1302,9 @@ def test_pruned_tiles_are_cut_into_blocks_within_the_cap(weighting):
     for threads in (1, 2):
         tasks = []
 
-        def spy(self, a, r0, r1, cols, buf):
-            tasks.append((id(self), r0, r1, isinstance(cols, slice), self.cells((a, r0, r1, cols))))
-            return call(self, a, r0, r1, cols, buf)
+        def spy(self, own, a, r0, r1, cols, buf):
+            tasks.append((self.batch[0][0].source, r0, r1, isinstance(cols, slice), self.cells((a, r0, r1, cols))))
+            return call(self, own, a, r0, r1, cols, buf)
 
         with mock.patch.object(extension, "_CHUNK_ELEMS", cap), mock.patch.object(extension._ClassPairs, "__call__", spy):
             got = scan(threads=threads)
@@ -1331,7 +1333,7 @@ def test_threads_below_one_are_refused_before_any_worker_starts(threads):
         partial(tune_shared_radius, emb, vm, labels, 0.5, [0.2, 0.5]),
     ]
     refuse = dict(side_effect=AssertionError("a scan started"))
-    with mock.patch.object(extension, "ThreadPoolExecutor", **refuse), mock.patch.object(extension, "_run_tasks", **refuse):
+    with mock.patch.object(extension, "ThreadPoolExecutor", **refuse), mock.patch.object(extension, "_run_batches", **refuse):
         for scan in calls:
             with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
                 scan(threads=threads)
@@ -1465,6 +1467,47 @@ class TestBlasThreads:
             with pytest.raises(RuntimeError, match="fold"):
                 _blas_scan(2)
         assert get() == 2
+
+    def test_a_scan_folds_its_batches_in_turn_on_one_pool(self, get):
+        # eight cosine 1nn sources in 96 dims prune nothing, so they are two
+        # class-pair batches (sources 0-5, then 6-7) of many blocks each; a
+        # two-worker scan opens one pool and one BLAS hold for both, and
+        # once a fold raises, no task of the second batch runs
+        rng = np.random.default_rng(36)
+        n, m = 900, 8
+        x = rng.standard_normal((n, 96))
+        votes = np.zeros((n, m), dtype=int)
+        for j in range(m):
+            on = rng.random(n) < 0.35
+            votes[on, j] = rng.choice([-1, 1], on.sum())
+        scan = partial(neighbor_tables, EmbeddingSet(x), VoteMatrix(votes), dict.fromkeys(range(m), [0.8]),
+                       Weighting.ONE_NEAREST_NEIGHBOR, Metric.COSINE, 2)
+        hold, call = extension._OneBlasThread.__enter__, extension._ClassPairs.__call__
+        for raises in (False, True):
+            holds, firsts, started = [], [], itertools.count()
+
+            def enter(self):
+                holds.append(get())
+                return hold(self)
+
+            def spy(self, *args):
+                firsts.append(self.batch[0][0].source)  # each task's batch, by its first source
+                if raises and next(started) == 0:
+                    raise RuntimeError("fold")
+                return call(self, *args)
+
+            with (mock.patch.object(extension, "ThreadPoolExecutor", wraps=extension.ThreadPoolExecutor) as pools,
+                  mock.patch.object(extension._OneBlasThread, "__enter__", enter),
+                  mock.patch.object(extension._ClassPairs, "__call__", spy),
+                  mock.patch.object(extension, "_CHUNK_ELEMS", 20_000)):
+                if raises:
+                    with pytest.raises(RuntimeError, match="fold"):
+                        scan()
+                else:
+                    scan()
+            assert pools.call_count == 1 and holds == [2], (raises, pools.call_count, holds)
+            assert set(firsts) == ({0} if raises else {0, 6}) and len(firsts) > 8, (raises, len(firsts))
+            assert get() == 2, raises
 
     def test_overlapping_scans_from_two_threads_restore_the_count(self, get):
         # each pool's two workers wait at their first task until all four are
