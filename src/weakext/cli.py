@@ -71,9 +71,7 @@ def _read_json(path) -> dict:
 
 def _write_posteriors(q, path) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for v in q:
-            fh.write(repr(float(v)))
-            fh.write("\n")
+        fh.write("".join(repr(v) + "\n" for v in np.asarray(q, dtype=np.float64).tolist()))
 
 
 def _parse_float_list(text: str, name: str):
@@ -229,7 +227,13 @@ def build_parser() -> _Parser:
     _add_extension_flags(p)
     _add_grid_flags(p)
     p.add_argument("--prior", type=float)
-    p.add_argument("--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET)
+    p.add_argument(
+        "--pair-budget",
+        type=int,
+        default=DEFAULT_PAIR_BUDGET,
+        help="point pairs sampled for the smoothness profile (all pairs if fewer); "
+        "they are streamed in fixed-size chunks, so memory does not grow with it",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--profile-csv", help="also export the profile as CSV")

@@ -102,35 +102,73 @@ class LipschitzProfile:
         return v if np.isfinite(v) else 0.0
 
 
-def _sample_pairs(n: int, budget: int, seed: int):
+_PAIR_CHUNK = 2**14  # pairs drawn, measured and binned at a time (about 1 MB of scratch)
+
+
+def _pair_chunks(n: int, budget: int, seed: int):
+    """The pair sample over ``n`` points, in chunks of at most ``_PAIR_CHUNK`` pairs.
+
+    Every unordered pair once, row by row, when there are at most
+    ``budget``; otherwise ``budget`` seeded draws of ordered pairs of
+    distinct points: all first points from ``default_rng(seed)``, then all
+    second points from the same stream.  A second generator skips the
+    first points' draws, so the chunks join into the same two arrays as
+    one draw of each (bounded draws form one stream across calls).
+    """
     total = n * (n - 1) // 2
+    count = min(total, budget)
+
+    def sizes():
+        return (min(_PAIR_CHUNK, count - s) for s in range(0, count, _PAIR_CHUNK))
+
     if total <= budget:
-        a, b = np.triu_indices(n, k=1)
-        return a.astype(np.int64), b.astype(np.int64), True
-    rng = np.random.default_rng(seed)
-    a = rng.integers(0, n, size=budget, dtype=np.int64)
-    b = rng.integers(0, n - 1, size=budget, dtype=np.int64)
-    b += (b >= a).astype(np.int64)
-    return a, b, False
+        i, j = 0, 1  # the next pair
+        for size in sizes():
+            a, b = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+            k = 0
+            while k < size:
+                take = min(size - k, n - j)
+                a[k : k + take] = i
+                b[k : k + take] = np.arange(j, j + take)
+                k += take
+                i, j = (i + 1, i + 2) if j + take == n else (i, j + take)
+            yield a, b
+        return
+    firsts, seconds = np.random.default_rng(seed), np.random.default_rng(seed)
+    for size in sizes():
+        seconds.integers(0, n, size=size, dtype=np.int64)
+    for size in sizes():
+        a = firsts.integers(0, n, size=size, dtype=np.int64)
+        b = seconds.integers(0, n - 1, size=size, dtype=np.int64)
+        b += b >= a
+        yield a, b
 
 
-def _radius_bins(dist, radii):
-    """Each distance's bin: the first grid radius it lies within (``radii.size``: beyond all)."""
-    return np.searchsorted(radii, dist, side="left")
+def _disagreement_counts(emb, keys, radii, budget, seed, metric):
+    """Bin the pair sample over the first ``keys.shape[1]`` points by distance, in one streamed pass.
+
+    Returns the number of pairs, whether they are every pair, the pairs
+    within each grid radius and, per row of ``keys``, the pairs within
+    each radius whose two keys differ: integer totals, whatever the chunk.
+    """
+    n = keys.shape[1]
+    total = n * (n - 1) // 2
+    hist = np.zeros(radii.size + 1, dtype=np.int64)
+    flagged = np.zeros((keys.shape[0], radii.size + 1), dtype=np.int64)
+    for a, b in _pair_chunks(n, budget, seed):
+        # each pair's bin: the first grid radius it lies within (radii.size: beyond all)
+        bins = np.searchsorted(radii, paired_distances(emb, a, b, metric), side="left")
+        hist += np.bincount(bins, minlength=radii.size + 1)
+        for row, differ in zip(flagged, keys[:, a] != keys[:, b]):
+            row += np.bincount(bins[differ], minlength=radii.size + 1)
+    within = np.cumsum(hist[:-1])
+    return min(total, budget), total <= budget, within, np.cumsum(flagged[:, :-1], axis=1)
 
 
-def _within(bins, radii):
-    """Pairs within each grid radius."""
-    return np.cumsum(np.bincount(bins, minlength=radii.size + 1)[: radii.size])
-
-
-def _rates_by_radius(bins, radii, flags):
+def _rates(flagged, within):
     """Disagreement rate among pairs within each radius; nan when empty."""
-    cuts = _within(bins, radii)
-    flagged = _within(bins[flags], radii)
     with np.errstate(invalid="ignore", divide="ignore"):
-        rates = np.where(cuts > 0, flagged / np.maximum(cuts, 1), np.nan)
-    return rates, cuts
+        return np.where(within > 0, flagged / np.maximum(within, 1), np.nan)
 
 
 def estimate_profile(
@@ -147,60 +185,57 @@ def estimate_profile(
     Support-indicator rates are measured per source when ``votes`` is
     given.  Label rates are measured when ``labels`` is given; a label
     vector shorter than the dataset refers to the first ``len(labels)``
-    points and gets its own pair sample over that prefix.
+    points and gets its own pair sample over that prefix.  Pairs are
+    drawn, measured and counted ``_PAIR_CHUNK`` at a time, so memory does
+    not grow with ``budget``.
     """
     radii = check_radius_grid(radii)
     if budget < 1:
         raise ValueError("pair budget must be positive")
     metric = Metric(metric)
-
-    a, b, exhaustive = _sample_pairs(emb.n, budget, seed)
-    bins = _radius_bins(paired_distances(emb, a, b, metric), radii)
-    cuts = _within(bins, radii)
-    pair_fraction = cuts / a.size
-
-    support_rates = None
-    if votes is not None:
-        if votes.n != emb.n:
-            raise ValueError(f"votes have {votes.n} rows but embeddings have {emb.n}")
-        support_rates = np.empty((votes.m, radii.size))
-        nz = votes.votes != 0
-        for j in range(votes.m):
-            flags = nz[a, j] != nz[b, j]
-            support_rates[j], _ = _rates_by_radius(bins, radii, flags)
-
-    label_rates = None
-    label_counts = None
-    label_sampled = 0
-    label_exh = False
+    if votes is not None and votes.n != emb.n:
+        raise ValueError(f"votes have {votes.n} rows but embeddings have {emb.n}")
     if labels is not None:
         if labels.n > emb.n:
             raise ValueError(f"labels cover {labels.n} points but embeddings have {emb.n}")
         if labels.n < 2:
             raise ValueError("label disagreement needs at least 2 labeled points")
-        if labels.n == emb.n:
-            la, lb, lbins = a, b, bins
-            label_exh = exhaustive
+    shared = labels is not None and labels.n == emb.n  # label flags come from the same pairs
+
+    keys = [np.empty((0, emb.n), dtype=np.int8)]  # one row per compared column
+    if votes is not None:
+        keys.append((votes.votes != 0).T)
+    if shared:
+        keys.append(labels.labels[None, :])
+    pairs, exhaustive, cuts, flagged = _disagreement_counts(
+        emb, np.concatenate(keys, dtype=np.int8), radii, budget, seed, metric
+    )
+
+    label = {}
+    if labels is not None:
+        if shared:
+            sampled, exh, counts, flags = pairs, exhaustive, cuts, flagged[-1]
         else:
-            la, lb, label_exh = _sample_pairs(labels.n, budget, seed + 1)
-            lbins = _radius_bins(paired_distances(emb, la, lb, metric), radii)
-        flags = labels.labels[la] != labels.labels[lb]
-        label_rates, label_counts = _rates_by_radius(lbins, radii, flags)
-        label_sampled = la.size
+            sampled, exh, counts, (flags,) = _disagreement_counts(
+                emb, labels.labels[None, :], radii, budget, seed + 1, metric
+            )
+        label = dict(
+            label_disagreement=_rates(flags, counts),
+            label_pair_count=counts,
+            label_pairs_sampled=sampled,
+            label_exhaustive=exh,
+        )
 
     return LipschitzProfile(
         radii=radii,
         metric=metric,
         seed=seed,
-        pairs_sampled=a.size,
+        pairs_sampled=pairs,
         exhaustive=exhaustive,
         pair_count=cuts,
-        pair_fraction=pair_fraction,
-        support_disagreement=support_rates,
-        label_disagreement=label_rates,
-        label_pair_count=label_counts if label_counts is not None else None,
-        label_pairs_sampled=label_sampled,
-        label_exhaustive=label_exh,
+        pair_fraction=cuts / pairs,
+        support_disagreement=_rates(flagged[: votes.m], cuts) if votes is not None else None,
+        **label,
     )
 
 
@@ -554,7 +589,9 @@ def _nan_to_none(x):
 
 
 def _pattern_floor(votes: VoteMatrix) -> float:
-    _, counts = np.unique(votes.votes, axis=0, return_counts=True)
+    """Share of the rarest vote pattern: each row is read as one ``m``-byte key."""
+    rows = np.ascontiguousarray(votes.votes).view(np.dtype((np.void, votes.m)))
+    _, counts = np.unique(rows.ravel(), return_counts=True)
     return float(counts.min() / votes.n)
 
 

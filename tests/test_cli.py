@@ -123,6 +123,14 @@ class TestStagedCommands:
         assert (pred_dir / "posteriors.csv").read_bytes() == (pipe / "posteriors.csv").read_bytes()
         assert (pred_dir / "hard_labels.csv").read_bytes() == (pipe / "hard_labels.csv").read_bytes()
 
+    def test_posteriors_are_one_float_repr_per_line(self, tmp_path):
+        from weakext.cli import _write_posteriors
+
+        _write_posteriors(np.array([0.1, 1.0, 1e-300, 0.5, 2.0 / 3.0]), tmp_path / "q.csv")
+        assert (tmp_path / "q.csv").read_bytes() == b"0.1\n1.0\n1e-300\n0.5\n0.6666666666666666\n"
+        _write_posteriors(np.array([]), tmp_path / "empty.csv")
+        assert (tmp_path / "empty.csv").read_bytes() == b""
+
     def test_eval_prints_metrics(self, task_dir, tmp_path):
         pipe = tmp_path / "pipe"
         assert main(pipeline_args(task_dir, pipe)) == 0

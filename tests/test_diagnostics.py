@@ -1,10 +1,12 @@
 """Smoothness profiles and bound arithmetic against independent oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from weakext import diagnostics
 from weakext.core import (
     DegeneracyError,
     EmbeddingSet,
@@ -12,6 +14,7 @@ from weakext.core import (
     Metric,
     RadiusConfig,
     VoteMatrix,
+    paired_distances,
 )
 from weakext.diagnostics import (
     EstimationBoundInputs,
@@ -35,6 +38,50 @@ from weakext.label_model import estimate_accuracies
 def covering(emb):
     """A one-radius grid beyond every distance of ``emb``'s rows (twice the bound of two largest norms): a 1nn table capped there keeps every nearest point."""
     return [4.0 * float(np.linalg.norm(emb.data, axis=1).max())]
+
+
+def _sample_pairs(n, budget, seed):
+    """The whole pair sample at once: every pair (upper triangle) or ``budget`` seeded ordered draws."""
+    total = n * (n - 1) // 2
+    if total <= budget:
+        a, b = np.triu_indices(n, k=1)
+        return a.astype(np.int64), b.astype(np.int64), True
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, n, size=budget, dtype=np.int64)
+    b = rng.integers(0, n - 1, size=budget, dtype=np.int64)
+    b += (b >= a).astype(np.int64)
+    return a, b, False
+
+
+def _rates_by_radius(dist, radii, flags):
+    """Disagreement rate and pair count within each radius, from every pair's distance at once."""
+    cuts = np.array([(dist <= r).sum() for r in radii])
+    flagged = np.array([(flags & (dist <= r)).sum() for r in radii])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(cuts > 0, flagged / np.maximum(cuts, 1), np.nan), cuts
+
+
+def one_shot_profile(emb, radii, votes, labels, budget, seed, metric):
+    """Oracle for ``estimate_profile``: every sampled pair held at once, counted per radius."""
+    radii = np.asarray(radii, dtype=np.float64)
+    a, b, exhaustive = _sample_pairs(emb.n, budget, seed)
+    dist = paired_distances(emb, a, b, metric)
+    out = {"pairs_sampled": a.size, "exhaustive": exhaustive}
+    _, out["pair_count"] = _rates_by_radius(dist, radii, np.zeros(a.size, dtype=bool))
+    out["pair_fraction"] = out["pair_count"] / a.size
+    if votes is not None:
+        nz = votes.votes != 0
+        out["support_disagreement"] = np.array(
+            [_rates_by_radius(dist, radii, nz[a, j] != nz[b, j])[0] for j in range(votes.m)]
+        )
+    if labels is not None:
+        if labels.n < emb.n:
+            a, b, exhaustive = _sample_pairs(labels.n, budget, seed + 1)
+            dist = paired_distances(emb, a, b, metric)
+        flags = labels.labels[a] != labels.labels[b]
+        out["label_disagreement"], out["label_pair_count"] = _rates_by_radius(dist, radii, flags)
+        out["label_pairs_sampled"], out["label_exhaustive"] = a.size, exhaustive
+    return out
 
 
 class TestEstimateProfile:
@@ -117,6 +164,70 @@ class TestEstimateProfile:
             estimate_profile(emb, np.array([]))
         with pytest.raises(ValueError, match="ascending"):
             estimate_profile(emb, np.array([0.5, 0.2]))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 2**14, 2**16])
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_streamed_profile_equals_the_one_shot_sample(self, monkeypatch, chunk, metric):
+        monkeypatch.setattr(diagnostics, "_PAIR_CHUNK", chunk)
+        rng = np.random.default_rng(13)
+        n = 800 if chunk > 7 else 60  # more pairs than the largest budget below
+        emb = EmbeddingSet(rng.standard_normal((n, 5)) + 0.5)
+        votes = VoteMatrix(rng.choice([-1, 0, 0, 1], size=(n, 3)))
+        gold = rng.choice([-1, 1], size=n)
+        dist = paired_distances(emb, rng.integers(0, n, 500), rng.integers(0, n, 500), metric)
+        at = paired_distances(emb, [0], [1], metric)  # every exhaustive case holds this pair exactly at a radius
+        radii = np.unique(np.r_[np.quantile(dist, [0.05, 0.3, 0.6, 0.9]), at])
+        cases = [(n, budget, label_n)  # below, at and just above a chunk multiple; full and prefix labels
+                 for budget in (3 * chunk - 1, 3 * chunk, 3 * chunk + 1) for label_n in (n, n // 3)]
+        # 780 pairs: the exhaustive edge; None: neither votes nor labels
+        cases += [(40, 780, 40), (40, 779, 40), (40, 779, 39), (40, 780, None)]
+        for (size, budget, label_n) in cases:
+            for seed in (0, 5):
+                sub = EmbeddingSet(emb.data[:size])
+                sub_votes = VoteMatrix(votes.votes[:size]) if label_n is not None else None
+                labels = LabelVector(gold[:label_n]) if label_n is not None else None
+                got = estimate_profile(sub, radii, votes=sub_votes, labels=labels, budget=budget,
+                                       seed=seed, metric=metric)
+                want = one_shot_profile(sub, radii, sub_votes, labels, budget, seed, metric)
+                assert got.exhaustive == (size * (size - 1) // 2 <= budget)
+                for field, value in want.items():
+                    np.testing.assert_array_equal(getattr(got, field), value, err_msg=f"{field} {size} {budget} {seed}")
+
+    def test_one_point_has_no_pairs(self):
+        emb = EmbeddingSet(np.ones((1, 2)))
+        with pytest.warns(RuntimeWarning):  # 0 / 0 pairs, as the profile has always read
+            profile = estimate_profile(emb, [0.5], votes=VoteMatrix([[1]]))
+        assert profile.pairs_sampled == 0 and profile.exhaustive
+        assert profile.pair_count.tolist() == [0] and np.isnan(profile.pair_fraction).all()
+        assert np.isnan(profile.support_disagreement).all()
+
+    def test_scratch_does_not_grow_with_the_budget(self):
+        rng = np.random.default_rng(21)
+        emb = EmbeddingSet(rng.standard_normal((4000, 16)))
+        votes = VoteMatrix(rng.choice([-1, 0, 1], size=(4000, 3)))
+        labels = LabelVector(rng.choice([-1, 1], size=3000))
+        radii = default_radius_grid()
+
+        def peak(size, budget, label_n):
+            sub = EmbeddingSet(emb.data[:size])
+            sub_votes = VoteMatrix(votes.votes[:size])
+            sub_labels = LabelVector(labels.labels[:label_n])
+            estimate_profile(sub, radii, sub_votes, sub_labels, budget=10)  # caches the norms
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                profile = estimate_profile(sub, radii, sub_votes, sub_labels, budget=budget)
+                return tracemalloc.get_traced_memory()[1] - before, profile.exhaustive
+            finally:
+                tracemalloc.stop()
+
+        chunk = diagnostics._PAIR_CHUNK * 64  # two indices, a distance and a bin per pair, and the flags
+        small, exh = peak(4000, 20_000, 3000)
+        assert not exh
+        for size, label_n, exhaustive in ((4000, 3000, False), (2000, 2000, True)):  # sampled; every pair
+            big, exh = peak(size, 2_000_000, label_n)
+            assert exh == exhaustive
+            assert big < small + chunk, (size, big, small)
 
 
 class TestExtendedAccuracyBound:
@@ -220,6 +331,15 @@ class TestEstimationErrorBound:
         inputs = EstimationBoundInputs(**{**self.BASE, "n": 100, "min_pattern_prob": 0.01})
         with pytest.raises(DegeneracyError, match="vacuous"):
             estimation_error_bound(inputs)
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 17])
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_pattern_floor_is_the_rarest_row_share(self, m, n):
+        rng = np.random.default_rng(m * 1000 + n)
+        for p_zero in (0.2, 0.9):  # many patterns; a few common ones
+            votes = VoteMatrix(rng.choice([-1, 0, 1], p=[(1 - p_zero) / 2, p_zero, (1 - p_zero) / 2], size=(n, m)))
+            _, counts = np.unique(votes.votes, axis=0, return_counts=True)
+            assert diagnostics._pattern_floor(votes) == float(counts.min() / n)
 
 
 class TestSmoothnessAndRiskBounds:
