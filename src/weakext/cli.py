@@ -4,6 +4,10 @@ All inputs are explicit flags (or a JSON config file whose entries serve
 as flag defaults).  Outputs are byte-deterministic given identical
 inputs and seeds; wall-clock timings go to stdout only.  Exit codes:
 0 success, 1 usage error, 2 data error, 3 numeric degeneracy.
+
+The parser and the dispatch import no numpy: each command imports the
+modules it uses, so ``--help``, usage errors and ``--config`` faults
+answer before numpy loads, and no command compiles a module it skips.
 """
 
 from __future__ import annotations
@@ -14,34 +18,7 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from .core import (
-    DataError,
-    DegeneracyError,
-    LabelModelParams,
-    LabelVector,
-    Metric,
-    RadiusConfig,
-    Weighting,
-    load_embeddings,
-    load_labels,
-    load_votes,
-    save_embeddings,
-    save_labels,
-    save_votes,
-)
-from .diagnostics import DEFAULT_PAIR_BUDGET, check_radius_grid, curves_cap, default_radius_grid, diagnose
-from .experiments import (
-    _extendable,
-    _resolve_metric_name,
-    evaluate,
-    generate_checkerboard,
-    refine_radii,
-    tune_shared_radius,
-)
-from .extension import extend_from_tables, extend_votes, neighbor_tables
-from .label_model import estimate_accuracies, majority_vote, predict
+from ._base import DEFAULT_PAIR_BUDGET, DataError, DegeneracyError, Metric, Weighting
 
 __all__ = ["main"]
 
@@ -70,8 +47,11 @@ def _read_json(path) -> dict:
 
 
 def _write_posteriors(q, path) -> None:
+    import numpy as np
+
+    values = np.asarray(q, dtype=np.float64).tolist()
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("".join(repr(v) + "\n" for v in np.asarray(q, dtype=np.float64).tolist()))
+        fh.write("\n".join(map(repr, values)) + "\n" if values else "")
 
 
 def _parse_float_list(text: str, name: str):
@@ -81,7 +61,11 @@ def _parse_float_list(text: str, name: str):
         raise UsageError(f"{name} must be a comma-separated list of numbers, got {text!r}") from None
 
 
-def _resolve_radii(args, m: int) -> RadiusConfig:
+def _resolve_radii(args, m: int):
+    import numpy as np
+
+    from .core import RadiusConfig
+
     has_r = getattr(args, "radii", None) is not None
     has_s = getattr(args, "similarity_thresholds", None) is not None
     has_c = getattr(args, "radius_config", None) is not None
@@ -107,7 +91,7 @@ def _resolve_radii(args, m: int) -> RadiusConfig:
     return make(np.asarray(vals), weighting)
 
 
-def _resolve_prior(args, dev: LabelVector | None) -> float:
+def _resolve_prior(args, dev) -> float:
     if args.prior is not None:
         if not (0.0 < args.prior < 1.0):
             raise UsageError(f"--prior must lie strictly in (0, 1), got {args.prior}")
@@ -118,16 +102,21 @@ def _resolve_prior(args, dev: LabelVector | None) -> float:
     raise UsageError("class balance prior required: pass --prior or --dev-labels")
 
 
-def _resolve_grid(args) -> np.ndarray:
+def _resolve_grid(args):
+    import numpy as np
+
     if getattr(args, "grid", None):
         vals = np.asarray(_parse_float_list(args.grid, "--grid"))
         if vals.size == 0:
             raise UsageError("--grid must be nonempty")
         return vals
-    return default_radius_grid(args.grid_min, args.grid_max, args.grid_size)
+    # diagnostics.default_radius_grid, which tune does not import
+    return np.geomspace(args.grid_min, args.grid_max, args.grid_size)
 
 
-def _load_dev(args) -> LabelVector | None:
+def _load_dev(args):
+    from .core import load_labels
+
     if getattr(args, "dev_labels", None):
         return load_labels(args.dev_labels)
     return None
@@ -266,6 +255,9 @@ def build_parser() -> _Parser:
 
 
 def cmd_synth(args) -> int:
+    from .core import save_embeddings, save_labels, save_votes
+    from .experiments import generate_checkerboard
+
     out = _out_dir(args)
     acc = _parse_float_list(args.accuracies, "--accuracies")
     frac = _parse_float_list(args.support_fractions, "--support-fractions")
@@ -293,6 +285,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_extend(args) -> int:
+    from .core import load_embeddings, load_votes, save_votes
+    from .extension import extend_votes
+
     out = _out_dir(args)
     emb = load_embeddings(args.embeddings)
     votes = load_votes(args.votes)
@@ -306,6 +301,9 @@ def cmd_extend(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from .core import load_votes
+    from .label_model import estimate_accuracies
+
     out = _out_dir(args)
     votes = load_votes(args.votes)
     dev = _load_dev(args)
@@ -318,6 +316,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    from .core import LabelModelParams, load_votes, save_labels
+    from .label_model import predict
+
     out = _out_dir(args)
     votes = load_votes(args.votes)
     params = LabelModelParams.from_dict(_read_json(args.model))
@@ -328,6 +329,11 @@ def cmd_predict(args) -> int:
 
 
 def cmd_tune(args) -> int:
+    import numpy as np
+
+    from .core import RadiusConfig, load_embeddings, load_votes
+    from .experiments import _extendable, refine_radii, tune_shared_radius
+
     out = _out_dir(args)
     emb = load_embeddings(args.embeddings)
     votes = load_votes(args.votes)
@@ -373,6 +379,11 @@ def cmd_tune(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    from .core import load_embeddings, load_votes
+    from .diagnostics import check_radius_grid, curves_cap, diagnose
+    from .extension import extend_from_tables, extend_votes, neighbor_tables
+    from .label_model import estimate_accuracies
+
     grid = check_radius_grid(_resolve_grid(args))  # before any file is read
     out = _out_dir(args)
     emb = load_embeddings(args.embeddings)
@@ -420,6 +431,9 @@ def _write_profile_csv(data: dict, path) -> None:
 
 
 def cmd_eval(args) -> int:
+    from .core import load_labels
+    from .experiments import evaluate
+
     pred = load_labels(args.predictions)
     gold = load_labels(args.gold)
     rep = evaluate(pred, gold)
@@ -432,6 +446,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    from .core import LabelVector, load_embeddings, load_labels, load_votes, save_labels, save_votes
+    from .experiments import _resolve_metric_name, evaluate
+    from .extension import extend_votes
+    from .label_model import estimate_accuracies, majority_vote, predict
+
     out = _out_dir(args)
     emb = load_embeddings(args.embeddings)
     votes = load_votes(args.votes)

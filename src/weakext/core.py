@@ -19,10 +19,11 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
+
+from ._base import DataError, DegeneracyError, Metric, Weighting
 
 __all__ = [
     "DataError",
@@ -43,24 +44,6 @@ __all__ = [
     "load_labels",
     "save_labels",
 ]
-
-
-class DataError(ValueError):
-    """Malformed or out-of-contract input data (files, matrices)."""
-
-
-class DegeneracyError(ValueError):
-    """A numeric degeneracy: estimator or bound undefined for these inputs."""
-
-
-class Metric(str, Enum):
-    COSINE = "cosine"
-    EUCLIDEAN = "euclidean"
-
-
-class Weighting(str, Enum):
-    ONE_NEAREST_NEIGHBOR = "1nn"
-    THRESHOLDED_WEIGHTED_SUM = "wsum"
 
 
 def _freeze(val):

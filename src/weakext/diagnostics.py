@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from ._base import DEFAULT_PAIR_BUDGET
 from .core import (
     DegeneracyError,
     EmbeddingSet,
@@ -50,8 +51,6 @@ __all__ = [
     "DiagnosticsReport",
     "diagnose",
 ]
-
-DEFAULT_PAIR_BUDGET = 500_000
 
 
 def default_radius_grid(lo: float = 0.01, hi: float = 1.0, size: int = 32) -> np.ndarray:

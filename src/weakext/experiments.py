@@ -12,9 +12,11 @@ monotone in the accuracy.  Distances in this planar space are Euclidean.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._base import DEFAULT_PAIR_BUDGET
 from .core import (
     DegeneracyError,
     EmbeddingSet,
@@ -24,15 +26,11 @@ from .core import (
     VoteMatrix,
     Weighting,
 )
-from .diagnostics import (
-    DEFAULT_PAIR_BUDGET,
-    LipschitzProfile,
-    estimate_profile,
-    leave_one_out_constant,
-    lift_bound_curve,
-)
 from .extension import NeighborTable, coverage, neighbor_tables
 from .label_model import estimate_accuracies, predict
+
+if TYPE_CHECKING:  # diagnostics loads only in the functions that use it
+    from .diagnostics import LipschitzProfile
 
 __all__ = [
     "SyntheticTask",
@@ -294,6 +292,8 @@ def sweep_radius(
     bound = None
     profile = None
     if compute_bound:
+        from .diagnostics import estimate_profile, leave_one_out_constant, lift_bound_curve
+
         profile = estimate_profile(
             emb, radii, votes=votes, labels=gold, budget=pair_budget,
             seed=profile_seed, metric=task.metric,
@@ -510,6 +510,8 @@ def theory_guided_radius(
     supplied, chained lower bounds otherwise.  Returns radius 0 flagged
     non-informative when the bound is nowhere positive.
     """
+    from .diagnostics import lift_bound_curve
+
     if radii is not None:
         radii = np.asarray(radii, dtype=np.float64)
         if radii.shape != profile.radii.shape or not np.array_equal(radii, profile.radii):

@@ -262,6 +262,24 @@ class TestErrorHandling:
         assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("bad.json", '{"prior": 0.5,',
+             "{path}: invalid JSON: Expecting property name enclosed in double quotes: line 1 column 15 (char 14)"),
+            ("list.json", "[1, 2]\n", "{path}: config must be a JSON object"),
+            ("missing.json", None, "[Errno 2] No such file or directory: '{path}'"),
+        ],
+    )
+    def test_config_fault_is_data_error(self, tmp_path, name, text, message):
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        proc = run_cli("--config", path, "eval", "--predictions", tmp_path / "p.csv", "--gold", tmp_path / "g.csv")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: data: " + message.format(path=path) + "\n"
+        assert proc.stdout == ""
+
     def test_data_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("1,2\n")
