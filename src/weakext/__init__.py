@@ -15,8 +15,8 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     "core": (
         "DataError", "DegeneracyError", "EmbeddingSet", "LabelModelParams", "LabelVector", "Metric",
-        "RadiusConfig", "VoteMatrix", "Weighting", "cosine_distance", "load_embeddings", "load_labels",
-        "load_votes", "save_embeddings", "save_labels", "save_votes",
+        "RadiusConfig", "VoteMatrix", "Weighting", "cosine_distance", "coverage", "load_embeddings",
+        "load_labels", "load_votes", "save_embeddings", "save_labels", "save_votes",
     ),
     "diagnostics": (
         "DiagnosticsReport", "LipschitzProfile", "default_radius_grid", "diagnose", "ensemble_risk_bound",
@@ -28,10 +28,11 @@ _EXPORTS = {
         "refine_radii", "sweep_radius", "theory_guided_radius", "tune_shared_radius",
     ),
     "extension": (
-        "ExtensionReport", "NeighborSet", "coverage", "extend_votes", "min_overlap", "neighbors_in_support",
+        "ExtensionReport", "NeighborSet", "extend_votes", "neighbors_in_support",
     ),
     "label_model": (
-        "TripletAssignment", "estimate_accuracies", "majority_vote", "posterior", "predict", "select_triplets",
+        "TripletAssignment", "estimate_accuracies", "majority_vote", "min_overlap", "posterior", "predict",
+        "select_triplets",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -66,9 +66,9 @@ def _resolve_radii(args, m: int):
 
     from .core import RadiusConfig
 
-    has_r = getattr(args, "radii", None) is not None
-    has_s = getattr(args, "similarity_thresholds", None) is not None
-    has_c = getattr(args, "radius_config", None) is not None
+    has_r = args.radii is not None
+    has_s = args.similarity_thresholds is not None
+    has_c = args.radius_config is not None
     if has_r + has_s + has_c != 1:
         raise UsageError(
             "exactly one of --radii, --similarity-thresholds, or --radius-config is required"
@@ -105,7 +105,7 @@ def _resolve_prior(args, dev) -> float:
 def _resolve_grid(args):
     import numpy as np
 
-    if getattr(args, "grid", None):
+    if args.grid:
         vals = np.asarray(_parse_float_list(args.grid, "--grid"))
         if vals.size == 0:
             raise UsageError("--grid must be nonempty")
@@ -117,7 +117,7 @@ def _resolve_grid(args):
 def _load_dev(args):
     from .core import load_labels
 
-    if getattr(args, "dev_labels", None):
+    if args.dev_labels:
         return load_labels(args.dev_labels)
     return None
 
@@ -137,13 +137,16 @@ def _add_common_io(p, votes=True, embeddings=True, dev=True):
         p.add_argument("--dev-labels", help="labels CSV for the first rows of the dataset")
 
 
-def _add_extension_flags(p):
+def _add_radius_flags(p):
     p.add_argument("--radii", help="extension radius, single value or one per source")
     p.add_argument(
         "--similarity-thresholds",
         help="cosine-similarity thresholds s, converted to radii 1 - s",
     )
     p.add_argument("--radius-config", help="RadiusConfig JSON (as written by tune)")
+
+
+def _add_scan_flags(p):
     p.add_argument("--weighting", choices=[w.value for w in Weighting], default="1nn")
     p.add_argument("--distance", choices=[m.value for m in Metric], default="cosine")
     p.add_argument("--threads", type=int, default=None)
@@ -160,15 +163,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="weakext", description=__doc__)
     parser.add_argument("--config", help="JSON file of flag defaults (flags override)")
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.command_parsers = {}
-    _orig_add = sub.add_parser
-
-    def add_parser(name, **kw):
-        p = _orig_add(name, **kw)
-        parser.command_parsers[name] = p
-        return p
-
-    sub.add_parser = add_parser
+    parser.command_parsers = sub.choices  # argparse's own map of command name to parser
 
     p = sub.add_parser("synth", help="generate a synthetic planar task")
     p.add_argument("--out", required=True)
@@ -183,7 +178,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("extend", help="extend votes through embedding space")
     _add_common_io(p, dev=False)
-    _add_extension_flags(p)
+    _add_radius_flags(p)
+    _add_scan_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_extend)
 
@@ -203,7 +199,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("tune", help="tune extension radii on a labeled dev set")
     _add_common_io(p)
-    _add_extension_flags(p)
+    _add_scan_flags(p)
     _add_grid_flags(p)
     p.add_argument("--prior", type=float)
     p.add_argument("--metric", choices=["accuracy", "f1", "auto"], default="auto")
@@ -213,7 +209,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("diagnose", help="smoothness profiles and bound evaluation")
     _add_common_io(p)
-    _add_extension_flags(p)
+    _add_radius_flags(p)
+    _add_scan_flags(p)
     _add_grid_flags(p)
     p.add_argument("--prior", type=float)
     p.add_argument(
@@ -237,7 +234,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("pipeline", help="extend, fit, predict, and evaluate in one run")
     _add_common_io(p)
-    _add_extension_flags(p)
+    _add_radius_flags(p)
+    _add_scan_flags(p)
     p.add_argument("--prior", type=float)
     p.add_argument("--gold", help="gold labels CSV for evaluation over all rows")
     p.add_argument("--metric", choices=["accuracy", "f1", "auto"], default="auto")

@@ -32,6 +32,7 @@ __all__ = [
     "Weighting",
     "EmbeddingSet",
     "VoteMatrix",
+    "coverage",
     "LabelVector",
     "RadiusConfig",
     "LabelModelParams",
@@ -151,6 +152,11 @@ class VoteMatrix:
     def support(self, j: int) -> np.ndarray:
         """Indices of the points source ``j`` votes on, ascending."""
         return np.flatnonzero(self.votes[:, j] != 0)
+
+
+def coverage(votes: VoteMatrix) -> np.ndarray:
+    """Fraction of points with a nonzero vote, per source."""
+    return (votes.votes != 0).mean(axis=0)
 
 
 @dataclass

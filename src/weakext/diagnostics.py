@@ -26,10 +26,11 @@ from .core import (
     RadiusConfig,
     VoteMatrix,
     Weighting,
+    coverage,
     paired_distances,
 )
-from .extension import ExtensionReport, NeighborTable, coverage, min_overlap, neighbor_tables
-from .label_model import estimate_accuracies, pairwise_moments, predict, select_triplets
+from .extension import ExtensionReport, NeighborTable, neighbor_tables
+from .label_model import estimate_accuracies, min_overlap, pairwise_moments, predict, select_triplets
 
 __all__ = [
     "DEFAULT_PAIR_BUDGET",
@@ -469,6 +470,16 @@ def curves_cap(grid) -> float:
     return float(np.fmax.reduce(np.minimum(grid, np.finfo(np.float64).max), initial=0.0))
 
 
+def _region_accuracies(col, base, labels) -> tuple:
+    """``(extended, new_region)`` accuracy of extended column ``col`` on the prefix ``labels`` covers.
+
+    The new region is where ``col`` votes and the source's own ``base`` does not; nan where a region is empty.
+    """
+    nd = labels.shape[0]
+    voted, right = col[:nd] != 0, col[:nd] == labels
+    return tuple(float(right[m].mean()) if m.any() else np.nan for m in (voted, voted & (base[:nd] == 0)))
+
+
 def measured_accuracy_curves(
     table: NeighborTable,
     votes: VoteMatrix,
@@ -728,19 +739,9 @@ def diagnose(
                 }
             )
         entry["recommend_extension"] = bool(entry["lift_bound_at_radius"] > 0)
-        if dev_labels is not None and r > 0:
-            nd = dev_labels.n
-            new_mask = (votes.votes[:nd, j] == 0) & (extended.votes[:nd, j] != 0)
-            ext_mask = extended.votes[:nd, j] != 0
-            entry["measured_new_region_accuracy"] = (
-                float((extended.votes[:nd, j][new_mask] == dev_labels.labels[new_mask]).mean())
-                if new_mask.any()
-                else None
-            )
-            entry["measured_extended_accuracy"] = (
-                float((extended.votes[:nd, j][ext_mask] == dev_labels.labels[ext_mask]).mean())
-                if ext_mask.any()
-                else None
+        if dev_labels is not None and r > 0:  # nan reads null once cleaned
+            entry["measured_extended_accuracy"], entry["measured_new_region_accuracy"] = _region_accuracies(
+                extended.votes[:, j], votes.votes[:, j], dev_labels.labels
             )
         per_source.append(entry)
 

@@ -25,8 +25,9 @@ from .core import (
     RadiusConfig,
     VoteMatrix,
     Weighting,
+    coverage,
 )
-from .extension import NeighborTable, coverage, neighbor_tables
+from .extension import NeighborTable, neighbor_tables
 from .label_model import estimate_accuracies, predict
 
 if TYPE_CHECKING:  # diagnostics loads only in the functions that use it
@@ -238,6 +239,8 @@ def sweep_radius(
     ``on_degenerate="skip"`` reports nan for such radii instead of
     raising.
     """
+    from .diagnostics import _region_accuracies, estimate_profile, leave_one_out_constant, lift_bound_curve
+
     if on_degenerate not in ("raise", "skip"):
         raise ValueError(f"on_degenerate must be 'raise' or 'skip', got {on_degenerate!r}")
     radii = np.asarray(radii, dtype=np.float64)
@@ -262,12 +265,10 @@ def sweep_radius(
     else:
         table = replace(table, source=source)
 
-    orig_col = votes.votes[:, source]
-    gold_arr = gold.labels
     cov = np.empty(radii.size)
     met = np.empty(radii.size)
-    a_bar = np.full(radii.size, np.nan)
-    a_new = np.full(radii.size, np.nan)
+    a_bar = np.empty(radii.size)
+    a_new = np.empty(radii.size)
     work = np.array(votes.votes, copy=True)
     for k, r in enumerate(radii):
         col = table.column(votes, float(r))
@@ -282,18 +283,11 @@ def sweep_radius(
             if on_degenerate == "raise":
                 raise
             met[k] = np.nan
-        ext_mask = col != 0
-        new_mask = ext_mask & (orig_col == 0)
-        if ext_mask.any():
-            a_bar[k] = (col[ext_mask] == gold_arr[ext_mask]).mean()
-        if new_mask.any():
-            a_new[k] = (col[new_mask] == gold_arr[new_mask]).mean()
+        a_bar[k], a_new[k] = _region_accuracies(col, votes.votes[:, source], gold.labels)
 
     bound = None
     profile = None
     if compute_bound:
-        from .diagnostics import estimate_profile, leave_one_out_constant, lift_bound_curve
-
         profile = estimate_profile(
             emb, radii, votes=votes, labels=gold, budget=pair_budget,
             seed=profile_seed, metric=task.metric,

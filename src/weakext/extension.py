@@ -94,9 +94,11 @@ from .core import (
     VoteMatrix,
     Weighting,
     _row_chunks,
+    coverage,
     paired_distances,
     pairwise_distances,
 )
+from .label_model import min_overlap
 
 __all__ = [
     "NeighborSet",
@@ -155,21 +157,6 @@ class ExtensionReport:
             "min_overlap_before": self.min_overlap_before,
             "min_overlap_after": self.min_overlap_after,
         }
-
-
-def coverage(votes: VoteMatrix) -> np.ndarray:
-    """Fraction of points with a nonzero vote, per source."""
-    return (votes.votes != 0).mean(axis=0)
-
-
-def min_overlap(votes: VoteMatrix) -> float:
-    """Empirical minimal overlap: min_i max_{j != i} of pairwise support overlap."""
-    if votes.m < 2:
-        raise ValueError("min_overlap requires at least 2 sources")
-    nz = (votes.votes != 0).astype(np.float64)
-    pair = (nz.T @ nz) / votes.n
-    np.fill_diagonal(pair, -np.inf)
-    return float(pair.max(axis=1).min())
 
 
 def neighbors_in_support(

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DegeneracyError, LabelModelParams, LabelVector, VoteMatrix
-from .extension import coverage
+from .core import DegeneracyError, LabelModelParams, LabelVector, VoteMatrix, coverage
 
 __all__ = [
     "ACCURACY_CLAMP",
     "TripletAssignment",
     "pairwise_moments",
+    "min_overlap",
     "select_triplets",
     "estimate_accuracies",
     "posterior",
@@ -55,6 +55,15 @@ def pairwise_moments(votes: VoteMatrix):
     with np.errstate(invalid="ignore"):
         moments = np.where(both > 0, prod / np.maximum(both, 1.0), np.nan)
     return moments, both / votes.n
+
+
+def min_overlap(votes: VoteMatrix) -> float:
+    """Empirical minimal overlap: min_i max_{j != i} of pairwise support overlap."""
+    if votes.m < 2:
+        raise ValueError("min_overlap requires at least 2 sources")
+    _, pair = pairwise_moments(votes)
+    np.fill_diagonal(pair, -np.inf)
+    return float(pair.max(axis=1).min())
 
 
 def select_triplets(votes: VoteMatrix) -> TripletAssignment:

@@ -1,14 +1,17 @@
 """End-to-end command-line behavior: artifacts, determinism, exit codes."""
 
+import argparse
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from weakext.cli import main
+from weakext.cli import build_parser, main
+from weakext.core import EmbeddingSet, LabelVector, VoteMatrix, save_embeddings, save_labels, save_votes
 
 
 def run_cli(*args):
@@ -315,3 +318,136 @@ class TestErrorHandling:
         ]) == 0
         model = json.loads((out / "model.json").read_text())
         assert model["accuracies"][2] < 0.5 < model["accuracies"][0]
+
+
+class TestTuneTakesNoRadius:
+    def tune_args(self, task_dir, out):
+        return [
+            "tune", "--embeddings", str(task_dir / "embeddings.emb"),
+            "--votes", str(task_dir / "votes.csv"),
+            "--dev-labels", str(task_dir / "labels.csv"),
+            "--prior", "0.5", "--distance", "euclidean",
+            "--grid-size", "4", "--refine-passes", "0", "--out", str(out),
+        ]
+
+    @pytest.mark.parametrize("flag, value", [("--radii", "0.3"), ("--similarity-thresholds", "0.9"),
+                                             ("--radius-config", "radius_config.json")])
+    def test_tune_refuses_the_radius_flags(self, task_dir, tmp_path, capsys, flag, value):
+        assert main([*self.tune_args(task_dir, tmp_path / "t"), flag, value]) == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
+    def test_a_config_holding_radii_still_runs_tune_and_pipeline(self, task_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"radii": "0.3"}))
+        assert main(["--config", str(cfg), *self.tune_args(task_dir, tmp_path / "t")]) == 0
+        args = pipeline_args(task_dir, tmp_path / "p")
+        i = args.index("--radii")
+        del args[i : i + 2]
+        assert main(["--config", str(cfg), *args]) == 0
+        report = json.loads((tmp_path / "p" / "extension_report.json").read_text())
+        assert report["radii"] == [0.3, 0.3, 0.3]
+
+
+def read_args(argv) -> set:
+    """Runs ``main(argv)`` and returns the names its command read off the parsed arguments."""
+    reads, parsed = set(), []
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            if parsed:  # argparse's own reads while parsing do not count
+                reads.add(name)
+            return super().__getattribute__(name)
+
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording_parse_args(self, args=None, namespace=None):
+        ns = parse_args(self, args, Recorder())
+        parsed.append(True)
+        return ns
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(argparse.ArgumentParser, "parse_args", recording_parse_args)
+        assert main(argv) == 0
+    return reads
+
+
+@pytest.fixture(scope="module")
+def command_reads(tmp_path_factory):
+    """Each command run once on a small task with its options given (one of the three exclusive radius flags)."""
+    root = tmp_path_factory.mktemp("audit")
+    t = root / "task"
+    io = ["--embeddings", str(t / "embeddings.emb"), "--votes", str(t / "votes.csv")]
+    dev = ["--dev-labels", str(t / "labels.csv"), "--prior", "0.5"]
+    scan = ["--weighting", "1nn", "--distance", "euclidean", "--threads", "1"]
+    grid = ["--grid-min", "0.02", "--grid-max", "0.2", "--grid-size", "4"]
+    runs = {
+        "synth": ["synth", "--out", str(t), "--n", "400", "--cells", "4", "--layout", "random", "--sources", "3",
+                  "--accuracies", "0.9,0.8,0.8", "--support-fractions", "0.3,0.3,0.3", "--seed", "1"],
+        "extend": ["extend", *io, "--radii", "0.05", *scan, "--out", str(root / "extend")],
+        "fit": ["fit", "--votes", str(t / "votes.csv"), *dev, "--flip-source", "2", "--out", str(root / "fit")],
+        "predict": ["predict", "--votes", str(t / "votes.csv"), "--model", str(root / "fit" / "model.json"),
+                    "--out", str(root / "predict")],
+        "eval": ["eval", "--predictions", str(root / "predict" / "hard_labels.csv"), "--gold", str(t / "labels.csv"),
+                 "--out", str(root / "eval")],
+        "tune": ["tune", *io, *dev, *scan, *grid, "--metric", "accuracy", "--refine-passes", "1",
+                 "--out", str(root / "tune")],
+        "diagnose": ["diagnose", *io, *dev, "--similarity-thresholds", "0.95", *scan, *grid,
+                     "--pair-budget", "2000", "--seed", "1", "--delta", "0.1",
+                     "--profile-csv", str(root / "profile.csv"), "--out", str(root / "diagnose")],
+        "pipeline": ["pipeline", *io, *dev, "--radius-config", str(root / "tune" / "radius_config.json"), *scan,
+                     "--gold", str(t / "labels.csv"), "--metric", "accuracy", "--seed", "0", "--majority-baseline",
+                     "--out", str(root / "pipeline")],
+    }
+    return {name: read_args(argv) for name, argv in runs.items()}
+
+
+@pytest.mark.parametrize("command", ["synth", "extend", "fit", "predict", "eval", "tune", "diagnose", "pipeline"])
+def test_every_option_is_read_by_its_command(command_reads, command):
+    parser = build_parser().command_parsers[command]
+    dests = {a.dest for a in parser._actions} - {"help", "config", "command", "func"}
+    if command == "pipeline":
+        dests.discard("seed")  # read by nothing, but test_c8_io_determinism passes it
+    assert dests - command_reads[command] == set()
+
+
+def test_the_audit_runs_every_command(command_reads):
+    assert set(build_parser().command_parsers) == set(command_reads)
+
+
+class TestPipelineMemory:
+    @staticmethod
+    def write_task(root, n, seed=0):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, 16))
+        gold = np.where(x @ rng.standard_normal(16) >= 0, 1, -1)
+        votes = np.zeros((n, 3), dtype=np.int8)
+        for j in range(3):
+            covered = rng.random(n) < 0.3
+            right = rng.random(n) < 0.8
+            votes[covered, j] = np.where(right, gold, -gold)[covered]
+        root.mkdir()
+        save_embeddings(EmbeddingSet(x), root / "embeddings.emb")
+        save_votes(VoteMatrix(votes), root / "votes.csv")
+        save_labels(LabelVector(gold), root / "labels.csv")
+        return root
+
+    @pytest.mark.parametrize("weighting", ["1nn", "wsum"])
+    def test_peak_grows_no_faster_than_the_rows(self, tmp_path, weighting):
+        # what grows as queries x support would read about 16 times the peak at n
+        def peak(task, out):
+            args = ["pipeline", "--embeddings", str(task / "embeddings.emb"), "--votes", str(task / "votes.csv"),
+                    "--prior", "0.5", "--radii", "0.5", "--distance", "cosine", "--weighting", weighting,
+                    "--threads", "1", "--gold", str(task / "labels.csv"), "--out", str(out)]
+            tracemalloc.start()
+            try:
+                assert main(args) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small = self.write_task(tmp_path / "small", 2000)
+        large = self.write_task(tmp_path / "large", 8000)
+        peak(small, tmp_path / "warm")
+        p_small, p_large = peak(small, tmp_path / "s"), peak(large, tmp_path / "l")
+        assert p_large <= 4 * p_small, (p_small, p_large)

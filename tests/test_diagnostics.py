@@ -14,6 +14,7 @@ from weakext.core import (
     Metric,
     RadiusConfig,
     VoteMatrix,
+    Weighting,
     paired_distances,
 )
 from weakext.diagnostics import (
@@ -487,6 +488,29 @@ class TestDiagnose:
         new_mask = (task.votes.votes[:, 0] == 0) & (ext.votes[:, 0] != 0)
         expected = float((ext.votes[new_mask, 0] == task.gold.labels[new_mask]).mean())
         assert abs(entry["measured_new_region_accuracy"] - expected) < 1e-15
+
+    @pytest.mark.parametrize("weighting", list(Weighting))
+    def test_measured_accuracies_agree_with_the_sweep(self, weighting):
+        from weakext.experiments import generate_checkerboard, sweep_radius
+
+        task = generate_checkerboard(1500, 10, 3, (0.9, 0.8, 0.8), (0.2, 0.8, 0.8), seed=11)
+        # source 1's radius reaches no point beyond its support: its new region is empty
+        config = RadiusConfig(np.array([0.08, 1e-9, 0.08]), weighting)
+        ext, report = extend_votes(task.embeddings, task.votes, config, metric=Metric.EUCLIDEAN)
+        params = estimate_accuracies(task.votes, 0.5)
+        diag = diagnose(
+            task.embeddings, task.votes, ext, task.gold, params, config,
+            report=report, metric=Metric.EUCLIDEAN, pair_budget=50_000,
+        ).to_dict()
+        for j, r in enumerate(config.radii):
+            sweep = sweep_radius(task, j, [r], prior=0.5, weighting=weighting, compute_bound=False)
+            entry = diag["sources"][j]
+            assert entry["measured_extended_accuracy"] == sweep.extended_accuracy[0]
+            if j == 1:
+                assert entry["measured_new_region_accuracy"] is None
+                assert np.isnan(sweep.new_region_accuracy[0])
+            else:
+                assert entry["measured_new_region_accuracy"] == sweep.new_region_accuracy[0]
 
 
 class TestMeasuredAccuracyCurves:

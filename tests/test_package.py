@@ -98,6 +98,30 @@ class TestImportSet:
             assert "numpy" in step["loaded"] and "weakext.diagnostics" not in step["loaded"], step
         assert "weakext.diagnostics" in steps[3]["loaded"]
 
+    def test_fit_and_predict_load_neither_the_scan_nor_its_pool(self, tmp_path):
+        votes = tmp_path / "votes.csv"
+        votes.write_text("1,1,-1\n-1,-1,-1\n1,0,1\n0,1,1\n1,1,1\n-1,1,-1\n")
+        model = tmp_path / "fit"
+        script = (
+            "import contextlib, io, sys\n"
+            "from weakext import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main(['fit', '--votes', {str(votes)!r}, '--prior', '0.5', '--out', {str(model)!r}]) == 0\n"
+            f"    assert cli.main(['predict', '--votes', {str(votes)!r}, '--model', {str(model / 'model.json')!r},"
+            f" '--out', {str(tmp_path / 'pred')!r}]) == 0\n"
+            "print(sorted(m for m in ('weakext.extension', 'concurrent.futures', 'weakext.label_model')"
+            " if m in sys.modules))\n"
+        )
+        proc = run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "['weakext.label_model']"
+
+    def test_vote_statistics_are_one_object_under_each_name(self):
+        from weakext import extension, label_model
+
+        assert weakext.coverage is core.coverage is extension.coverage
+        assert weakext.min_overlap is label_model.min_overlap is extension.min_overlap
+
 
 # the top-level names by home module, as the package exported them eagerly
 EXPORTS = {
