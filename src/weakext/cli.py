@@ -47,11 +47,14 @@ def _read_json(path) -> dict:
 
 
 def _write_posteriors(q, path) -> None:
+    """One ``repr`` per line; each distinct value is formatted once, keyed on its bits (``-0.0`` is not ``0.0``)."""
     import numpy as np
 
-    values = np.asarray(q, dtype=np.float64).tolist()
+    bits = np.ascontiguousarray(q, dtype=np.float64).view(np.uint64)
+    keys, inverse = np.unique(bits, return_inverse=True)
+    lines = [repr(v) + "\n" for v in keys.view(np.float64).tolist()]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(map(repr, values)) + "\n" if values else "")
+        fh.write("".join(map(lines.__getitem__, inverse.tolist())))
 
 
 def _parse_float_list(text: str, name: str):
@@ -239,7 +242,6 @@ def build_parser() -> _Parser:
     p.add_argument("--prior", type=float)
     p.add_argument("--gold", help="gold labels CSV for evaluation over all rows")
     p.add_argument("--metric", choices=["accuracy", "f1", "auto"], default="auto")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--majority-baseline", action="store_true",
                    help="also write majority-vote predictions")
     p.add_argument("--out", required=True)

@@ -186,7 +186,7 @@ def neighbors_in_support(
 
 def _centered(data, sel, mean, e, t):
     """Rows ``sel`` of ``data`` minus ``mean``, scaled by ``2**e`` and then by ``2**(t - e)``, in float64."""
-    x = data[sel] - mean
+    x = np.subtract(data[sel], mean, dtype=np.float64)
     np.ldexp(x, e, out=x)
     return np.ldexp(x, t - e, out=x)
 
@@ -267,8 +267,8 @@ class _ScoreSpace:
         [1/4, 1).  Each is a maximum over chunks of rows.
         """
         data = self.emb.data
-        chunks, mean = _row_chunks(*data.shape), data.mean(axis=0)
-        e = -int(np.frexp(max(np.abs(data[s] - mean).max() for s in chunks))[1])
+        chunks, mean = _row_chunks(*data.shape), data.mean(axis=0, dtype=np.float64)
+        e = -int(np.frexp(max(np.abs(np.subtract(data[s], mean, dtype=np.float64)).max() for s in chunks))[1])
 
         def top(t):  # the largest squared norm of the centered rows scaled by 2**e, then by 2**(t - e)
             return max(np.einsum("ij,ij->i", x, x).max() for x in (_centered(data, s, mean, e, t) for s in chunks))
@@ -281,7 +281,7 @@ class _ScoreSpace:
         """The float64 score rows of the points ``sel`` (a slice or indices), before rounding to float32."""
         if self.metric is Metric.EUCLIDEAN:
             return _centered(self.emb.data, sel, self.mean, *self.exps)
-        return self.emb.data[sel] / self.emb.norms[sel][:, None]
+        return np.divide(self.emb.data[sel], self.emb.norms[sel][:, None], dtype=np.float64)
 
     def _project(self):
         """``(proj, resid)``, from the top eigenvectors of a strided sample's scatter.

@@ -411,7 +411,7 @@ def test_c8_io_determinism(tmp_path):
             rc = main([
                 "pipeline", "--embeddings", str(tmp_path / "x.emb"),
                 "--votes", str(tmp_path / "v.csv"), "--prior", "0.5",
-                "--radii", "0.6", "--threads", threads, "--seed", "0",
+                "--radii", "0.6", "--threads", threads,
                 "--out", str(out),
             ])
             assert rc == 0

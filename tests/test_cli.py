@@ -134,6 +134,17 @@ class TestStagedCommands:
         _write_posteriors(np.array([]), tmp_path / "empty.csv")
         assert (tmp_path / "empty.csv").read_bytes() == b""
 
+    def test_posteriors_match_a_per_value_join(self, tmp_path):
+        from weakext.cli import _write_posteriors
+
+        rng = np.random.default_rng(19)
+        repeated = rng.choice([0.25, 1 / 3, 0.0, -0.0, 1e-300, 5e-324, np.nan, np.inf], 600)
+        arbitrary = rng.integers(0, 2**64, 100, dtype=np.uint64, endpoint=False).view(np.float64)
+        q = rng.permutation(np.concatenate([rng.random(400), repeated, arbitrary]))
+        assert (q == 0).sum() > 100 and np.signbit(q[q == 0]).any() and not np.signbit(q[q == 0]).all()
+        _write_posteriors(q, tmp_path / "q.csv")
+        assert (tmp_path / "q.csv").read_text() == "\n".join(map(repr, q.tolist())) + "\n"
+
     def test_eval_prints_metrics(self, task_dir, tmp_path):
         pipe = tmp_path / "pipe"
         assert main(pipeline_args(task_dir, pipe)) == 0
@@ -396,7 +407,7 @@ def command_reads(tmp_path_factory):
                      "--pair-budget", "2000", "--seed", "1", "--delta", "0.1",
                      "--profile-csv", str(root / "profile.csv"), "--out", str(root / "diagnose")],
         "pipeline": ["pipeline", *io, *dev, "--radius-config", str(root / "tune" / "radius_config.json"), *scan,
-                     "--gold", str(t / "labels.csv"), "--metric", "accuracy", "--seed", "0", "--majority-baseline",
+                     "--gold", str(t / "labels.csv"), "--metric", "accuracy", "--majority-baseline",
                      "--out", str(root / "pipeline")],
     }
     return {name: read_args(argv) for name, argv in runs.items()}
@@ -406,8 +417,6 @@ def command_reads(tmp_path_factory):
 def test_every_option_is_read_by_its_command(command_reads, command):
     parser = build_parser().command_parsers[command]
     dests = {a.dest for a in parser._actions} - {"help", "config", "command", "func"}
-    if command == "pipeline":
-        dests.discard("seed")  # read by nothing, but test_c8_io_determinism passes it
     assert dests - command_reads[command] == set()
 
 

@@ -1,6 +1,7 @@
 """Domain types, cosine distance, and bit-exact file round-trips."""
 
 import math
+import os
 import sys
 import threading
 import time
@@ -9,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from weakext import core
 from weakext.core import (
     DataError,
     EmbeddingSet,
@@ -201,6 +203,27 @@ class TestTypeInvariants:
         with pytest.raises(DataError, match="row 2"):
             EmbeddingSet(np.array([[1.0, 2.0], [2.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize(
+        "dtype, held",
+        [(np.float32, np.float32), (np.float64, np.float64), (np.float16, np.float64), (np.int64, np.float64)],
+    )
+    def test_embedding_dtype_follows_the_input(self, dtype, held):
+        x = np.arange(1, 7).reshape(3, 2).astype(dtype)
+        emb = EmbeddingSet(x)
+        assert emb.data.dtype == held and emb.data.tolist() == x.tolist()
+        assert emb.norms.dtype == np.float64 and emb.unit.dtype == np.float64
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_embedding_checks_run_over_chunks_of_rows(self, dtype):
+        # 3 rows per 2**16-entry chunk: the zero row's chunk comes first, yet non-finite rows are reported first
+        x = np.ones((12, 2**14), dtype=dtype)
+        x[1] = 0.0
+        with pytest.raises(DataError, match="all-zero embedding row 1"):
+            EmbeddingSet(x)
+        x[10, 5] = np.inf
+        with pytest.raises(DataError, match="non-finite embedding entry in row 10"):
+            EmbeddingSet(x)
+
     def test_embedding_rejects_wrong_ndim(self):
         with pytest.raises(DataError):
             EmbeddingSet(np.ones(4))
@@ -208,6 +231,8 @@ class TestTypeInvariants:
     def test_votes_alphabet(self):
         with pytest.raises(DataError, match=r"\(row 1, col 0\)"):
             VoteMatrix(np.array([[1, 0], [2, 0]]))
+        with pytest.raises(DataError, match=r"entry 257 at \(row 0, col 1\)"):  # not wrapped to 1 by int8
+            VoteMatrix(np.array([[0, 257]]))
 
     def test_labels_alphabet(self):
         with pytest.raises(DataError, match="row 1"):
@@ -312,11 +337,61 @@ class TestEmbeddingIO:
         with pytest.raises(DataError, match="row 2"):
             load_embeddings(path)
 
-    def test_bad_header(self, tmp_path):
+    @pytest.mark.parametrize("header", [b"not json", b'[1, 2]', b'{"n": null, "d": 1}', b'{"n": 1, "d": "\xe9"}'])
+    def test_bad_header(self, tmp_path, header):
         path = tmp_path / "x.emb"
-        path.write_bytes(b"not json\n\x00\x00\x00\x00")
+        path.write_bytes(header + b"\n\x00\x00\x00\x00")
         with pytest.raises(DataError, match="header"):
             load_embeddings(path)
+
+    def test_load_holds_the_float32_payload_once(self, tmp_path):
+        x = np.random.default_rng(16).standard_normal((8000, 64)).astype(np.float32)
+        path = tmp_path / "x.emb"
+        save_embeddings(EmbeddingSet(x), path)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            emb = load_embeddings(path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert emb.data.dtype == np.float32 and emb.data.tobytes() == x.tobytes()
+        assert not emb.data.flags.writeable
+        # one copy of the data and the checks' chunk temporaries (2.0 MB), where the file's bytes, their
+        # float64 conversion and the set's copy of that peaked at 8.3 MB
+        assert peak < x.nbytes + 2**18, peak
+
+    def test_float64_sets_are_written_rounded_chunk_by_chunk(self, tmp_path):
+        x = np.random.default_rng(17).standard_normal((1000, 200))  # several 2**16-entry chunks, the last one short
+        path = tmp_path / "x.emb"
+        save_embeddings(EmbeddingSet(x), path)
+        assert path.read_bytes() == b'{"d": 200, "n": 1000}\n' + x.astype("<f4").tobytes()
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b'{"d": 2, "n": 3}\n' + np.arange(1, 7, dtype="<f4").tobytes(), None),
+            (b'{"d": 2, "n": 3}\n' + np.arange(1, 6, dtype="<f4").tobytes(), "truncated payload"),
+            (b'{"d": 2, "n": 3}\n' + np.arange(1, 8, dtype="<f4").tobytes(), "mismatch"),
+            (b'{"d": 1000000, "n": 1000000000}\n' + bytes(8), "does not fit in memory"),  # 4 PB
+        ],
+        ids=["whole", "short", "long", "huge-header"],
+    )
+    def test_load_from_a_pipe(self, tmp_path, raw, message):
+        # no file size to check ahead: the payload's length shows as it is read
+        fifo = tmp_path / "pipe.emb"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(raw,), daemon=True)
+        writer.start()
+        try:
+            if message is None:
+                assert load_embeddings(fifo).data.tolist() == [[1, 2], [3, 4], [5, 6]]
+            else:
+                with pytest.raises(DataError, match=message):
+                    load_embeddings(fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
 
     def test_zero_row_rejected_at_load(self, tmp_path):
         path = tmp_path / "x.emb"
@@ -400,13 +475,21 @@ class TestCsvIO:
             ("1,0\n\n1,0,1\n", "row 2 has 3 columns, expected 2"),
             ("\n\n \n", "no rows"),
             ("1,2\n", "vote entry 2 at (row 0, col 1) not in [-1, 0, 1]"),
+            ("1,0\n-1,257\n", "vote entry 257 at (row 1, col 1) not in [-1, 0, 1]"),
+            ("99999999999999999999,0\n", "vote entry '99999999999999999999' at (row 0, col 0) is outside the int64 range"),
+            ("0,1\n-9223372036854775809,0\n", "vote entry '-9223372036854775809' at (row 1, col 0) is outside the int64 range"),
+            ("1,0\r\n\r0,caf\xe9\n", "non-ASCII byte 0xe9 in row 2"),
+            ("-,1\n", "non-integer vote entry '-' at (row 0, col 0)"),
+            ("1,0-1\n", "non-integer vote entry '0-1' at (row 0, col 1)"),
+            ("1,0\n1,\n", "non-integer vote entry '' at (row 1, col 1)"),
         ],
         ids=["float", "letter", "empty-cell", "letter-before-ragged", "ragged-before-letter",
-             "wide-after-blank", "only-blank", "out-of-alphabet"],
+             "wide-after-blank", "only-blank", "out-of-alphabet", "beyond-int8", "beyond-int64",
+             "below-int64", "non-ascii", "sign-alone", "inner-sign", "empty-last-cell"],
     )
     def test_rejected_spellings(self, tmp_path, text, message):
         path = tmp_path / "v.csv"
-        path.write_bytes(text.encode("ascii"))
+        path.write_bytes(text.encode("latin-1"))
         with pytest.raises(DataError) as err:
             load_votes(path)
         assert str(err.value) == f"{path}: {message}"
@@ -425,6 +508,29 @@ class TestCsvIO:
             want = [[int(c) for c in line.strip().split(",")] for line in text.split("\n") if line.strip()]
             assert load_votes(path).votes.tolist() == want
 
+    @pytest.mark.parametrize(
+        "big", [["9"], ["99", "10"], ["9" * 18, "1" + "0" * 17], ["1" + "0" * 18, "9223372036854775807"]],
+        ids=["1-digit", "2-digit", "18-digit", "19-digit"],
+    )
+    def test_canonical_files_match_a_per_cell_loop(self, tmp_path, big):
+        # only digits, "-", "," and "\n": parsed as one array up to 18 digits a cell, line by line past them
+        rng = np.random.default_rng(len(big[0]))
+        spellings = ["0", "1", "-1", "-0", "007", "-10", *big, *("-" + c for c in big)]
+        path = tmp_path / "v.csv"
+        for width in (1, 3, 7):
+            for _ in range(5):
+                lines = [",".join(rng.choice(spellings, width)) for _ in range(int(rng.integers(1, 60)))]
+                for k in rng.integers(0, len(lines) + 1, 4):
+                    lines.insert(k, "")
+                text = "\n".join(lines) + rng.choice(["", "\n"])
+                path.write_text(text)
+                want = [[int(c) for c in line.split(",")] for line in text.split("\n") if line]
+                fast = core._parse_canonical(path.read_bytes())
+                assert (fast is None) == any(len(c.lstrip("-")) > 18 for c in text.replace(",", "\n").split())
+                assert core._load_int_csv(path, "vote").tolist() == want
+                if fast is not None:
+                    assert fast.dtype == np.int64 and fast.tolist() == want
+
     def test_written_bytes(self, tmp_path):
         path = tmp_path / "v.csv"
         save_votes(VoteMatrix(np.array([[1, 0, -1], [0, 0, 1]])), path)
@@ -433,6 +539,17 @@ class TestCsvIO:
         assert path.read_bytes() == b"-1\n1\n"
         save_votes(VoteMatrix(np.zeros((0, 2))), path)
         assert path.read_bytes() == b""
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    def test_writer_matches_a_per_row_join(self, tmp_path, dtype):
+        rng = np.random.default_rng(18)
+        hi = np.iinfo(dtype).max
+        path = tmp_path / "v.csv"
+        for shape in ((500, 4), (300, 1), (1, 6), (0, 3), (4, 0)):
+            arr = rng.integers(-hi - 1, hi, shape, endpoint=True, dtype=dtype)
+            arr[: shape[0] // 2] = arr[: shape[0] // 2] % 3 - 1  # repeated rows beside distinct ones
+            core._save_int_csv(arr, path)
+            assert path.read_text() == "".join(",".join(map(str, row)) + "\n" for row in arr.tolist())
 
     def test_labels_reject_zero(self, tmp_path):
         path = tmp_path / "l.csv"

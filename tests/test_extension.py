@@ -1140,6 +1140,48 @@ def test_translation_does_not_widen_the_float64_band(weighting, rechecked):
     assert np.array_equal(outs[0], outs[1])
 
 
+def _bits(val):
+    """A value as comparable bytes: arrays by dtype and contents, tuples item by item."""
+    if isinstance(val, tuple):
+        return tuple(map(_bits, val))
+    return (val.dtype.str, val.tobytes()) if isinstance(val, np.ndarray) else val
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("metric, offset", [("cosine", 0.0), ("euclidean", 0.0), ("euclidean", 1e3)],
+                         ids=["cosine", "euclidean", "euclidean-offset"])
+def test_a_float32_held_set_scans_as_its_float64_copy(metric, offset, threads):
+    # a loaded set holds its file's float32 rows, and every reader casts them to float64 (exactly), so each
+    # value the set derives, every table field and the extended votes equal those of a float64 set, to the bit
+    rng = np.random.default_rng(35)
+    n, m = 900, 4
+    x = (rng.standard_normal((n, 24)) + offset).astype(np.float32)
+    votes = VoteMatrix(rng.choice([-1, 0, 1], size=(n, m), p=[0.15, 0.7, 0.15]))
+    held, wide = EmbeddingSet(x), EmbeddingSet(x.astype(np.float64))
+    assert held.data.dtype == np.float32 and wide.data.dtype == np.float64
+    metric = Metric(metric)
+    dist = pairwise_distances(wide, np.arange(40), np.arange(n), metric)
+    grid = np.quantile(dist[dist > 0], [0.002, 0.01, 0.05])
+    pairs, order = rng.integers(0, n, (2, 5000)), rng.permutation(n)
+    seen = []
+    for emb in (held, wide):
+        space = extension._ScoreSpace(emb, metric)
+        derived = [emb.norms, emb.unit, space.tau, space.proj, space.resid, space.permuted(order).rows,
+                   extension.paired_distances(emb, *pairs, metric), pairwise_distances(emb, [3, 1], [0, 7, 2], metric)]
+        if metric is Metric.EUCLIDEAN:
+            derived += [space.mean, space.exps, space.scale]
+        with mock.patch.object(extension, "_CHUNK_ELEMS", 20_000):  # many tasks for the second worker
+            tables = [neighbor_tables(emb, votes, dict.fromkeys(range(m), grid), w, metric, threads) for w in Weighting]
+            extended = [extend_votes(emb, votes, RadiusConfig(np.full(m, grid[1]), w), metric, threads) for w in Weighting]
+        seen.append((
+            [_bits(v) for v in derived],
+            [_bits(getattr(t[j], f.name)) for t in tables for j in range(m) for f in fields(t[j])],
+            [(ext.votes.tobytes(), report.to_dict()) for ext, report in extended],
+        ))
+    assert seen[0] == seen[1]
+    assert any((ext.votes != votes.votes).any() for ext, _ in extended)  # the radii extend something
+
+
 @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
 def test_chunks_of_different_shapes_share_a_worker_buffer(metric):
     # sources at 5%, 40% and 90% coverage in one pool: every worker scores
