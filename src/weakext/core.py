@@ -345,6 +345,20 @@ def _row_chunks(n: int, d: int) -> list:
     return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
+def _distinct(x) -> np.ndarray:
+    """The distinct values of ``x``, ascending: ``np.unique``'s, without the ``numpy.ma`` import it pays for.
+
+    Equal values keep their first in input order (so of ``0.0`` and
+    ``-0.0``, the earlier); NaNs, sorted last, become one NaN.
+    """
+    x = np.sort(x, axis=None, kind="stable")
+    keep = np.ones(x.size, dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    if x.size and x[-1] != x[-1]:
+        keep[np.searchsorted(x, x[-1]) + 1 :] = False
+    return x[keep]
+
+
 def _scaled_norms(diff: np.ndarray) -> np.ndarray:
     """Euclidean norms of ``diff`` over its last axis, exact to rounding at any spread.
 

@@ -25,6 +25,7 @@ from .core import (
     RadiusConfig,
     VoteMatrix,
     Weighting,
+    _distinct,
     coverage,
 )
 from .extension import NeighborTable, neighbor_tables
@@ -257,7 +258,7 @@ def sweep_radius(
         table = neighbor_tables(emb, votes, {source: radii}, weighting, task.metric, threads)[source]
     elif not (
         table.weighting is weighting
-        and np.array_equal(table.radii, np.unique(radii))
+        and np.array_equal(table.radii, _distinct(radii))
         and np.array_equal(table.queries, np.flatnonzero(votes.votes[:, source] == 0))
         and np.array_equal(table.support, votes.support(source))
     ):
@@ -420,7 +421,7 @@ class RefineResult:
 
 def default_local_grid(r_star: float) -> np.ndarray:
     """Per-coordinate search grid around a shared radius."""
-    return np.unique(r_star * np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0]))
+    return _distinct(r_star * np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0]))
 
 
 def refine_radii(
@@ -459,7 +460,7 @@ def refine_radii(
 
     for _ in range(passes):
         for j in extendable:
-            candidates = np.unique(np.append(np.asarray(local_grids[j], dtype=np.float64), current[j]))
+            candidates = _distinct(np.append(np.asarray(local_grids[j], dtype=np.float64), current[j]))
             for r in candidates:  # ascending: ties keep the smaller radius
                 if r == current[j]:
                     continue

@@ -22,9 +22,10 @@ most ``_CHUNK_ELEMS`` cells (8 MB): rows stay tall (``_BLOCK_ROWS`` or
 more where the class has them) and a wide block is cut by columns, so
 the buffers do not grow with queries x support, as in exact blocked
 search, which selects from each tile of scores in turn (Johnson, Douze &
-Jegou 2017).  While two or more workers run, the bundled OpenBLAS is
-held at one thread, so one worker's GEMM runs beside the other's fold
-(``_run_batches``).  Two points of one class are never a query/support
+Jegou 2017).  A scan of two or more workers holds the bundled OpenBLAS
+at one thread from its projection to its last merge, so one worker's
+GEMM runs beside the other's fold and no BLAS helper thread spins beside
+them (``_OneBlasThread``).  Two points of one class are never a query/support
 pair of any source, so no such pair is scored.  Each source's
 abstainers are first cut into k-d tiles of about 256 rows on a
 cached low-dimensional projection, and exact float64 bounds drop, per
@@ -81,7 +82,7 @@ import os
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -93,6 +94,7 @@ from .core import (
     RadiusConfig,
     VoteMatrix,
     Weighting,
+    _distinct,
     _row_chunks,
     coverage,
     paired_distances,
@@ -184,9 +186,14 @@ def neighbors_in_support(
 # Bulk scan machinery
 
 
+def _gather(a, sel):
+    """Rows ``sel`` of ``a``: a view for a slice, else a copy by ``np.take`` (on short rows, several times faster than ``a[sel]``)."""
+    return a[sel] if isinstance(sel, slice) else np.take(a, sel, axis=0)
+
+
 def _centered(data, sel, mean, e, t):
-    """Rows ``sel`` of ``data`` minus ``mean``, scaled by ``2**e`` and then by ``2**(t - e)``, in float64."""
-    x = np.subtract(data[sel], mean, dtype=np.float64)
+    """Rows ``sel`` (a slice or indices) of ``data`` minus ``mean``, scaled by ``2**e`` and then by ``2**(t - e)``, in float64."""
+    x = np.subtract(_gather(data, sel), mean, dtype=np.float64)
     np.ldexp(x, e, out=x)
     return np.ldexp(x, t - e, out=x)
 
@@ -281,7 +288,7 @@ class _ScoreSpace:
         """The float64 score rows of the points ``sel`` (a slice or indices), before rounding to float32."""
         if self.metric is Metric.EUCLIDEAN:
             return _centered(self.emb.data, sel, self.mean, *self.exps)
-        return np.divide(self.emb.data[sel], self.emb.norms[sel][:, None], dtype=np.float64)
+        return np.divide(_gather(self.emb.data, sel), _gather(self.emb.norms, sel)[:, None], dtype=np.float64)
 
     def _project(self):
         """``(proj, resid)``, from the top eigenvectors of a strided sample's scatter.
@@ -453,7 +460,7 @@ def _kd_tiles(p):
     starts, sizes = np.zeros(1, dtype=np.int64), np.array([p.shape[0]])
     while (sizes > _TILE_ROWS).any():
         cut = np.where(sizes > _TILE_ROWS, -(-sizes // _TILE_ROWS) // 2 * _TILE_ROWS, sizes)
-        for s in np.unique(sizes[sizes > _TILE_ROWS]):
+        for s in _distinct(sizes[sizes > _TILE_ROWS]):
             at = starts[sizes == s][:, None] + np.arange(s)
             idx = order[at]
             x = np.take(cols, idx, axis=1)  # (coordinate, node, row), C order
@@ -969,32 +976,43 @@ def _openblas():
 
 
 class _OneBlasThread:
-    """Holds the bundled OpenBLAS at one thread, process-wide, while any scan pool of two or more workers runs.
+    """Holds the bundled OpenBLAS at one thread, process-wide, while any scan of two or more workers runs.
 
-    The library is looked up at the first such pool (``_openblas``), so
-    a run without one never loads ``ctypes``.  A count of running pools,
-    under a lock, lets the first pool to enter save the thread count and
-    set 1, and the last to leave restore it, so pools that overlap (scans
-    from concurrent caller threads) cannot leave the process at one
-    thread.  Where the library or a symbol is missing, it does nothing.
+    ``neighbor_tables`` enters it before it builds the scan's score space
+    and leaves it after the last batch's ``finish``, so no BLAS call of
+    such a scan runs threaded: not the workers' GEMMs, which then run
+    beside each other's folds instead of spreading over every core, and
+    not the calling thread's projection (a scatter product and ``eigh``)
+    or 1nn tile planning either.  After a threaded call, OpenBLAS's idle
+    helper threads spin-wait before they sleep (``OPENBLAS_THREAD_TIMEOUT``,
+    by default about 2^28 cycles, some 0.1 s), so one such call just
+    before the pool opens leaves a helper spinning on a core the two
+    workers need for about that long.
+
+    The library is looked up at the first such scan (``_openblas``), so
+    a run without one never loads ``ctypes``.  A count of running scans,
+    under a lock, lets the first scan to enter save the thread count and
+    set 1, and the last to leave restore it, so scans that overlap (from
+    concurrent caller threads) cannot leave the process at one thread.
+    Where the library or a symbol is missing, it does nothing.
     """
 
     def __init__(self):
-        self.lock, self.calls, self.pools, self.saved = threading.Lock(), None, 0, 0
+        self.lock, self.calls, self.scans, self.saved = threading.Lock(), None, 0, 0
 
     def __enter__(self):
         with self.lock:
             if self.calls is None:
                 self.calls = _openblas() or ()
-            if self.calls and not self.pools:
+            if self.calls and not self.scans:
                 self.saved = self.calls[0]()
                 self.calls[1](1)
-            self.pools += 1
+            self.scans += 1
 
     def __exit__(self, *exc):
         with self.lock:
-            self.pools -= 1
-            if self.calls and not self.pools:
+            self.scans -= 1
+            if self.calls and not self.scans:
                 self.calls[1](self.saved)
 
 
@@ -1020,17 +1038,7 @@ def _run_batches(batches, threads):
     batch is built, so one sorted copy is alive at a time.  The first batch
     of two or more tasks opens one pool for the rest of the scan; a task
     that raises ends the scan once the batch's other workers have drained
-    its tasks.
-
-    While the pool runs, the OpenBLAS bundled with numpy is held at one
-    thread (``_OneBlasThread``), so each worker's GEMMs run beside the
-    other's folds instead of spreading over every core and contending
-    with them.  The setting is process-wide: other numpy calls of the
-    process, on any thread, run single-threaded while a pool runs.  The
-    count from before the first pool comes back after the last one ends,
-    also when a task raises.  Where the library or its thread-count
-    symbols are not found, BLAS threading is left as it is.  A one-worker
-    scan never touches it.
+    its tasks.  BLAS threading is the caller's (``neighbor_tables``).
     """
     with ExitStack() as stack:
         pool = None
@@ -1041,7 +1049,6 @@ def _run_batches(batches, threads):
                 cp.finish([_drain(cp, queue, cells)])
             else:
                 if pool is None:
-                    stack.enter_context(_ONE_BLAS_THREAD)
                     pool = stack.enter_context(ThreadPoolExecutor(max_workers=threads))
                 cp.finish([f.result() for f in [pool.submit(_drain, cp, queue, cells) for _ in range(workers)]])
             del cp  # its copies go before the next batch is built
@@ -1084,10 +1091,20 @@ def neighbor_tables(
     cells alone (``_ClassPairs``).  Every group is planned first; then
     the batches run one at a time, each built just before it runs, on one
     pool of ``threads`` workers (default: the cores, at most 4), each
-    scoring into its own buffer sized for the batch's largest block;
-    while the pool runs, the OpenBLAS bundled with numpy is held at one
-    thread for the whole process (``_run_batches``).  A batch's first
-    table owns its scan's ``cells`` (the others count 0).
+    scoring into its own buffer sized for the batch's largest block
+    (``_run_batches``).  A batch's first table owns its scan's ``cells``
+    (the others count 0).
+
+    With ``threads`` of 2 or more and something to scan, the OpenBLAS
+    bundled with numpy is held at one thread for the whole process from
+    before the score space is built to after the last batch's merge
+    (``_OneBlasThread``): an idle OpenBLAS helper spin-waits after each
+    threaded call, and one left spinning by the projection would take a
+    core from the workers.  Other numpy calls of the process, on any
+    thread, run single-threaded meanwhile.  The caller's count comes back
+    when the scan ends, also when it raises.  Where the library or its
+    thread-count symbols are not found, BLAS threading is left as it is;
+    a one-worker scan never touches it.
     """
     weighting = Weighting(weighting)
     if emb.n != votes.n:
@@ -1098,7 +1115,7 @@ def neighbor_tables(
     for j, radii in grids.items():
         if not 0 <= j < votes.m:
             raise ValueError(f"source {j} out of range for {votes.m} sources")
-        radii = np.unique(np.asarray(radii, dtype=np.float64))
+        radii = _distinct(np.asarray(radii, dtype=np.float64))
         if not np.isfinite(radii).all() or (radii < 0).any():
             raise DataError(f"radius grid of source {j} must be finite and nonnegative")
         abstain = votes.votes[:, j] == 0
@@ -1122,17 +1139,18 @@ def neighbor_tables(
              if g[0].queries.size and g[0].support.size and g[0].radii.size and (g[0].radii[-1] > 0 or not wsum)]
     if not scans:
         return tables
-    space, untiled, batches = _ScoreSpace(emb, metric), {}, []
-    for g in scans:
-        tiles = _tile_tasks(space, g[0])
-        if tiles is None:  # a 1nn scan takes any caps: each table drops the winners beyond its own
-            untiled.setdefault(g[0].radii.tobytes() if wsum else b"", []).append(g)
-        elif tiles[1]:  # no task where every tile is beyond a wsum scan's largest radius
-            batches.append(([g], tiles))
-    batches += [(same[i : i + _CLASS_SOURCES], None)
-                for same in untiled.values() for i in range(0, len(same), _CLASS_SOURCES)]
     threads = min(4, os.cpu_count() or 1) if threads is None else int(threads)
-    _run_batches((_ClassPairs(space, votes, *b) for b in batches), threads)
+    with _ONE_BLAS_THREAD if threads > 1 else nullcontext():
+        space, untiled, batches = _ScoreSpace(emb, metric), {}, []
+        for g in scans:
+            tiles = _tile_tasks(space, g[0])
+            if tiles is None:  # a 1nn scan takes any caps: each table drops the winners beyond its own
+                untiled.setdefault(g[0].radii.tobytes() if wsum else b"", []).append(g)
+            elif tiles[1]:  # no task where every tile is beyond a wsum scan's largest radius
+                batches.append(([g], tiles))
+        batches += [(same[i : i + _CLASS_SOURCES], None)
+                    for same in untiled.values() for i in range(0, len(same), _CLASS_SOURCES)]
+        _run_batches((_ClassPairs(space, votes, *b) for b in batches), threads)
     return tables
 
 

@@ -556,3 +556,22 @@ class TestCsvIO:
         path.write_text("1\n0\n")
         with pytest.raises(DataError):
             load_labels(path)
+
+
+class TestDistinct:
+    def test_matches_numpy_unique_bit_for_bit(self):
+        rng = np.random.default_rng(24)
+        for _ in range(500):
+            k = int(rng.integers(0, 30))
+            x = rng.choice(np.round(rng.standard_normal(6), 1), k) if k else np.empty(0)
+            x[x == 0] = 0.0  # one zero: numpy's hash keeps either of 0.0 and -0.0
+            if k and rng.random() < 0.3:
+                x[rng.integers(0, k, 2)] = np.nan
+            for arr in (x, (x[~np.isnan(x)] * 10).astype(np.int64), x.reshape(1, -1)):
+                want = np.unique(arr)
+                got = core._distinct(arr)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), arr
+
+    def test_of_zeros_keeps_the_first(self):
+        assert np.signbit(core._distinct(np.array([1.0, -0.0, 0.0]))).tolist() == [True, False]
+        assert np.signbit(core._distinct(np.array([0.0, -0.0]))).tolist() == [False]

@@ -4,6 +4,7 @@ import itertools
 import sys
 import threading
 import tracemalloc
+from contextlib import ExitStack
 from dataclasses import fields
 from functools import partial
 from unittest import mock
@@ -1447,18 +1448,22 @@ def test_all_duplicate_support_peak_is_one_block_and_one_piece(metric, n):
 _BLAS = extension._openblas()
 
 
-def _blas_scan(threads, weighting=Weighting.ONE_NEAREST_NEIGHBOR):
-    """Tables of a class-pair scan of 900 points in 96 dims, in many small blocks."""
+def _blas_scan(threads, weighting=Weighting.ONE_NEAREST_NEIGHBOR, planar=False):
+    """Tables of a class-pair scan of 900 points in 96 dims, in many small blocks.
+
+    ``planar``: of 2,000 points in 2 dims, Euclidean, whose groups are
+    tiled and pruned instead.
+    """
     rng = np.random.default_rng(33)
-    n = 900
-    x = rng.standard_normal((n, 96))
+    n, d, metric, radius = (2000, 2, Metric.EUCLIDEAN, 0.1) if planar else (900, 96, Metric.COSINE, 0.8)
+    x = rng.standard_normal((n, d))
     votes = np.zeros((n, 3), dtype=int)
     for j in range(3):
         on = rng.random(n) < 0.35
         votes[on, j] = rng.choice([-1, 1], on.sum())
     with mock.patch.object(extension, "_CHUNK_ELEMS", 20_000):
-        return neighbor_tables(EmbeddingSet(x), VoteMatrix(votes), dict.fromkeys(range(3), [0.8]), weighting,
-                               Metric.COSINE, threads)
+        return neighbor_tables(EmbeddingSet(x), VoteMatrix(votes), dict.fromkeys(range(3), [radius]), weighting,
+                               metric, threads)
 
 
 def _same_tables(a, b):
@@ -1467,15 +1472,25 @@ def _same_tables(a, b):
                for j in a for f in ("best_dist", "best_col", "in_count", "vote_sum"))
 
 
-def _blas_in_tasks(get):
-    """A patch recording ``get()``, the BLAS thread count, at the start of every scan task, into the list it returns."""
-    seen, call = [], extension._ClassPairs.__call__
+def _blas_in_scan(get):
+    """A patch recording ``(step, get())``, the BLAS thread count, at the start of each projection, plan and scan task.
 
-    def spy(self, *args):
-        seen.append(get())
-        return call(self, *args)
+    The steps are ``_project``, ``_tile_tasks`` and ``task``, into the
+    list it returns.
+    """
+    seen, project, plan, call = [], extension._ScoreSpace._project, extension._tile_tasks, extension._ClassPairs.__call__
 
-    return mock.patch.object(extension._ClassPairs, "__call__", spy), seen
+    def spy(step, fn):
+        def run(*args):
+            seen.append((step, get()))
+            return fn(*args)
+        return run
+
+    patch = ExitStack()
+    patch.enter_context(mock.patch.object(extension._ScoreSpace, "_project", spy("_project", project)))
+    patch.enter_context(mock.patch.object(extension, "_tile_tasks", spy("_tile_tasks", plan)))
+    patch.enter_context(mock.patch.object(extension._ClassPairs, "__call__", spy("task", call)))
+    return patch, seen
 
 
 @pytest.mark.skipif(_BLAS is None, reason="no OpenBLAS with thread-count symbols bundled with numpy")
@@ -1491,15 +1506,20 @@ class TestBlasThreads:
         finally:
             put(before)
 
-    def test_a_pool_runs_at_one_blas_thread_and_restores_the_count(self, get):
-        patch, seen = _blas_in_tasks(get)
+    @pytest.mark.parametrize("planar", [False, True], ids=["class-pairs", "tiled"])
+    def test_a_multi_worker_scan_runs_every_blas_call_at_one_thread(self, get, planar):
+        # the projection and the tile plans too, not only the pool's tasks:
+        # a threaded call just before the pool leaves a BLAS helper spinning
+        patch, seen = _blas_in_scan(get)
         with patch:
             for threads, inside in ((2, 1), (4, 1), (1, 2)):  # one worker leaves BLAS as it is
-                seen.clear()
                 for w in Weighting:
-                    _blas_scan(threads, w)
-                assert len(seen) > 4 and set(seen) == {inside}, (threads, seen)
-                assert get() == 2, threads
+                    seen.clear()
+                    _blas_scan(threads, w, planar)
+                    steps = [step for step, _ in seen]
+                    assert steps[:2] == ["_project", "_tile_tasks"] and steps.count("task") > 4, (threads, w, steps)
+                    assert {count for _, count in seen} == {inside}, (threads, w, seen)
+                    assert get() == 2, (threads, w)
 
     def test_a_raising_fold_still_restores_the_count(self, get):
         def fold(self, *args):
@@ -1509,6 +1529,38 @@ class TestBlasThreads:
             with pytest.raises(RuntimeError, match="fold"):
                 _blas_scan(2)
         assert get() == 2
+
+    def test_a_raising_plan_still_restores_the_count(self, get):
+        seen = []
+
+        def plan(space, st):
+            seen.append(get())
+            raise RuntimeError("plan")
+
+        with mock.patch.object(extension, "_tile_tasks", plan):
+            with pytest.raises(RuntimeError, match="plan"):
+                _blas_scan(2, planar=True)
+        assert seen == [1] and get() == 2
+
+    def test_nothing_to_scan_never_looks_the_library_up(self, get):
+        rng = np.random.default_rng(37)
+        emb, votes = EmbeddingSet(rng.standard_normal((50, 3))), VoteMatrix(rng.choice([-1, 0, 1], (50, 2)))
+        lookup = mock.Mock(wraps=extension._openblas)
+        with (mock.patch.object(extension, "_openblas", lookup),
+              mock.patch.object(extension._ONE_BLAS_THREAD, "calls", None)):
+            for grids, w in (({}, Weighting.ONE_NEAREST_NEIGHBOR), ({0: [], 1: []}, Weighting.ONE_NEAREST_NEIGHBOR),
+                             ({0: [0.0]}, Weighting.THRESHOLDED_WEIGHTED_SUM)):
+                neighbor_tables(emb, votes, grids, w, Metric.EUCLIDEAN, 2)
+            assert lookup.call_count == 0
+            neighbor_tables(emb, votes, {0: [0.5]}, Weighting.ONE_NEAREST_NEIGHBOR, Metric.EUCLIDEAN, 2)  # the control
+            assert lookup.call_count == 1
+        assert get() == 2
+
+    @pytest.mark.parametrize("planar", [False, True], ids=["class-pairs", "tiled"])
+    def test_tables_are_the_same_at_one_two_and_four_workers(self, get, planar):
+        for w in Weighting:
+            one = _blas_scan(1, w, planar)
+            assert all(_same_tables(_blas_scan(threads, w, planar), one) for threads in (2, 4)), w
 
     def test_a_scan_folds_its_batches_in_turn_on_one_pool(self, get):
         # eight cosine 1nn sources in 96 dims prune nothing, so they are two
@@ -1591,12 +1643,12 @@ class TestBlasThreads:
 
     def test_without_the_library_the_scan_leaves_blas_alone_with_the_same_tables(self, get):
         guarded = {w: _blas_scan(2, w) for w in Weighting}
-        patch, seen = _blas_in_tasks(get)
+        patch, seen = _blas_in_scan(get)
         with mock.patch.object(extension, "_openblas", lambda: None), patch:
             with mock.patch.object(extension._ONE_BLAS_THREAD, "calls", None):  # looked up again: not found
                 for w in Weighting:
                     assert _same_tables(_blas_scan(2, w), guarded[w]), w
-        assert seen and set(seen) == {2}
+        assert seen and {count for _, count in seen} == {2}
 
 
 class TestScoreSpace:

@@ -17,6 +17,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 HEAVY = (
     "numpy",
+    "numpy.ma",
     "weakext.core",
     "weakext.extension",
     "weakext.label_model",
@@ -97,6 +98,26 @@ class TestImportSet:
         for step in steps[1:3]:
             assert "numpy" in step["loaded"] and "weakext.diagnostics" not in step["loaded"], step
         assert "weakext.diagnostics" in steps[3]["loaded"]
+
+    def test_scan_commands_never_load_numpy_ma(self, task_dir, tmp_path):
+        # np.unique without return_* flags imports numpy.ma, some 9 ms of a
+        # cold command; these runs reach every distinct-value step of the
+        # scan, tune, refine and diagnose paths
+        io_args = ["--embeddings", str(task_dir / "embeddings.emb"), "--votes", str(task_dir / "votes.csv"),
+                   "--prior", "0.5"]
+        labels = str(task_dir / "labels.csv")
+        steps = probe([
+            ["tune", *io_args, "--dev-labels", labels, "--weighting", "wsum", "--grid-size", "4",
+             "--refine-passes", "1", "--out", str(tmp_path / "tw")],
+            ["tune", *io_args, "--distance", "euclidean", "--dev-labels", labels, "--grid-size", "4",
+             "--grid-max", "0.2", "--refine-passes", "1", "--out", str(tmp_path / "t1")],
+            ["pipeline", *io_args, "--distance", "euclidean", "--weighting", "wsum", "--radii", "0.05",
+             "--gold", labels, "--out", str(tmp_path / "p")],
+            ["diagnose", *io_args, "--dev-labels", labels, "--radii", "0.05", "--grid-size", "4",
+             "--pair-budget", "1000", "--out", str(tmp_path / "d")],
+        ])
+        assert [s["code"] for s in steps] == [None, 0, 0, 0, 0]
+        assert all("numpy" in s["loaded"] and "numpy.ma" not in s["loaded"] for s in steps[1:]), steps
 
     def test_fit_and_predict_load_neither_the_scan_nor_its_pool(self, tmp_path):
         votes = tmp_path / "votes.csv"
