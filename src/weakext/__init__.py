@@ -24,15 +24,15 @@ _EXPORTS = {
         "extended_source_risk_bound", "generalization_lift_lower_bound", "label_smoothness_bound",
     ),
     "experiments": (
-        "MetricsReport", "SweepResult", "SyntheticTask", "evaluate", "generate_checkerboard",
-        "refine_radii", "sweep_radius", "theory_guided_radius", "tune_shared_radius",
+        "SweepResult", "SyntheticTask", "generate_checkerboard", "refine_radii", "sweep_radius",
+        "theory_guided_radius", "tune_shared_radius",
     ),
     "extension": (
         "ExtensionReport", "NeighborSet", "extend_votes", "neighbors_in_support",
     ),
     "label_model": (
-        "TripletAssignment", "estimate_accuracies", "majority_vote", "min_overlap", "posterior", "predict",
-        "select_triplets",
+        "MetricsReport", "TripletAssignment", "estimate_accuracies", "evaluate", "majority_vote", "min_overlap",
+        "posterior", "predict", "select_triplets",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -113,6 +113,8 @@ def _resolve_grid(args):
         if vals.size == 0:
             raise UsageError("--grid must be nonempty")
         return vals
+    if args.grid_size < 1:
+        raise UsageError(f"--grid-size must be at least 1, got {args.grid_size}")
     # diagnostics.default_radius_grid, which tune does not import
     return np.geomspace(args.grid_min, args.grid_max, args.grid_size)
 
@@ -334,6 +336,9 @@ def cmd_tune(args) -> int:
     from .core import RadiusConfig, load_embeddings, load_votes
     from .experiments import _extendable, refine_radii, tune_shared_radius
 
+    if args.refine_passes < 0:
+        raise UsageError(f"--refine-passes must be at least 0, got {args.refine_passes}")
+    grid = _resolve_grid(args)  # before any file is read
     out = _out_dir(args)
     emb = load_embeddings(args.embeddings)
     votes = load_votes(args.votes)
@@ -341,7 +346,6 @@ def cmd_tune(args) -> int:
     if dev is None:
         raise UsageError("tune requires --dev-labels")
     prior = _resolve_prior(args, dev)
-    grid = _resolve_grid(args)
     metric = Metric(args.distance)
     weighting = Weighting(args.weighting)
     shared = tune_shared_radius(
@@ -432,7 +436,7 @@ def _write_profile_csv(data: dict, path) -> None:
 
 def cmd_eval(args) -> int:
     from .core import load_labels
-    from .experiments import evaluate
+    from .label_model import evaluate
 
     pred = load_labels(args.predictions)
     gold = load_labels(args.gold)
@@ -447,9 +451,8 @@ def cmd_eval(args) -> int:
 
 def cmd_pipeline(args) -> int:
     from .core import LabelVector, load_embeddings, load_labels, load_votes, save_labels, save_votes
-    from .experiments import _resolve_metric_name, evaluate
     from .extension import extend_votes
-    from .label_model import estimate_accuracies, majority_vote, predict
+    from .label_model import _resolve_metric_name, estimate_accuracies, evaluate, majority_vote, predict
 
     out = _out_dir(args)
     emb = load_embeddings(args.embeddings)

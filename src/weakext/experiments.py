@@ -1,4 +1,4 @@
-"""Synthetic planar tasks, radius sweeps, tuning, and evaluation metrics.
+"""Synthetic planar tasks, radius sweeps, tuning, and (from ``label_model``) evaluation metrics.
 
 The synthetic family draws points uniformly on the unit square, labels
 them by an alternating checkerboard of ``cells x cells`` squares (or
@@ -29,7 +29,7 @@ from .core import (
     coverage,
 )
 from .extension import NeighborTable, neighbor_tables
-from .label_model import estimate_accuracies, predict
+from .label_model import MetricsReport, _resolve_metric_name, estimate_accuracies, evaluate, predict  # re-exports the first two
 
 if TYPE_CHECKING:  # diagnostics loads only in the functions that use it
     from .diagnostics import LipschitzProfile
@@ -124,47 +124,6 @@ def generate_checkerboard(
         cells=cells,
         accuracies=accuracies,
         support_fractions=support_fractions,
-    )
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    accuracy: float
-    precision: float
-    recall: float
-    f1: float
-    n: int
-
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "n": self.n,
-        }
-
-
-def evaluate(predictions: LabelVector, gold: LabelVector) -> MetricsReport:
-    """Accuracy, precision, recall, and F1 with +1 as the positive class.
-
-    Zero-denominator precision/recall/F1 are reported as 0.
-    """
-    if predictions.n != gold.n:
-        raise ValueError(f"predictions have {predictions.n} entries but gold has {gold.n}")
-    p, g = predictions.labels, gold.labels
-    tp = int(((p == 1) & (g == 1)).sum())
-    fp = int(((p == 1) & (g == -1)).sum())
-    fn = int(((p == -1) & (g == 1)).sum())
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return MetricsReport(
-        accuracy=float((p == g).mean()),
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        n=gold.n,
     )
 
 
@@ -316,13 +275,6 @@ def sweep_radius(
 
 # ---------------------------------------------------------------------------
 # Radius tuning on a labeled dev set
-
-
-def _resolve_metric_name(name: str, dev_labels: LabelVector) -> str:
-    if name != "auto":
-        return name
-    balance = float((dev_labels.labels == 1).mean())
-    return "f1" if balance < 0.35 else "accuracy"
 
 
 def _extendable(votes: VoteMatrix) -> list:

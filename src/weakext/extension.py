@@ -14,10 +14,11 @@ centered and scaled by a power of two) are derived from the set's
 float64 rows in key order, chunk by chunk, into the batch's one copy,
 and each task scores a run of one class's rows against a range of
 columns of higher classes in one GEMM block, written into a buffer that
-each scan worker owns and reuses.  A scan runs one batch at a time, so
-it holds, beside the set's data, one float32 copy, each worker's block
-buffer and bounded scratch: the set keeps no ``n x d`` array of its own
-but the data (``_ScoreSpace``).  Every block, whichever plan made it, holds at
+each scan worker (the calling thread and ``threads - 1`` helper threads,
+joined before the batch merges) owns and reuses.  A scan runs one batch
+at a time, so it holds, beside the set's data, one float32 copy, each
+worker's block buffer and bounded scratch: the set keeps no ``n x d``
+array of its own but the data (``_ScoreSpace``).  Every block, whichever plan made it, holds at
 most ``_CHUNK_ELEMS`` cells (8 MB): rows stay tall (``_BLOCK_ROWS`` or
 more where the class has them) and a wide block is cut by columns, so
 the buffers do not grow with queries x support, as in exact blocked
@@ -53,11 +54,12 @@ dense 1nn fold keeps its store to), the block is folded from its hits
 alone: 1nn stores each as a candidate in both orientations, and wsum
 decides each per grid radius.  Other blocks are folded densely: 1nn
 keeps per-source maxima and the cells within ``tau`` of them.  1nn
-re-decides the survivors of each source's final threshold, taken from
-those maxima and the candidates' own scores, in one float64 call and
-drops winners beyond the table's cap; wsum re-decides its band cells in
-float64 and adds both sides' voter counts and vote sums into per-worker
-integer arrays.  Every merge is a maximum, an integer sum or a least
+keeps one candidate list (a candidate's float64 distance NaN until
+measured) and re-decides the survivors of each source's final
+threshold, taken from those maxima and the candidates' own scores, in
+one float64 call and drops winners beyond the table's cap; wsum
+re-decides its band cells in float64 and adds both sides' voter counts
+and vote sums into per-worker integer arrays.  Every merge is a maximum, an integer sum or a least
 (distance, point id), so the tables are those of a pure float64 scan
 per source whatever the tiling, blocking, folding, thread count, data
 offset or scale.
@@ -80,9 +82,7 @@ import copy
 import math
 import os
 import threading
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -667,7 +667,7 @@ class _ClassPairs:
         if not self.wsum:
             vote = self.bits[cls] & ~self.bits[a]
             used = np.flatnonzero(vote.any(axis=0))
-            return cls.size, (cls, edges[cls - a - 1] - c0, colq, vote[:, used], used)
+            return cls.size, (np.flatnonzero(self.bits[a]), edges[cls - a - 1] - c0, colq, vote[:, used], used)
         ga = ~self.bits[a]
         into = np.flatnonzero(np.concatenate([ga, ga[self.owner]]))
         if into[-1] - into[0] + 1 == into.size:
@@ -681,9 +681,8 @@ class _ClassPairs:
     def local(self):
         if self.wsum:
             return np.zeros((self.store_rows, self.batch[0][0].radii.size, self.w.shape[1]), dtype=np.int32)
-        # per (position, group) best float32 score, (query, partner, score) candidates not yet
-        # measured, and measured ones with their float64 distance
-        return np.full((self.key.size, len(self.batch)), -np.inf, dtype=np.float32), [], []
+        # per (position, group) best float32 score, and (query, partner, score, float64 distance or NaN) candidates
+        return np.full((self.key.size, len(self.batch)), -np.inf, dtype=np.float32), []
 
     def __call__(self, own, a, r0, r1, cols, buf):
         sub = self.view.block(slice(r0, r1), cols, buf)
@@ -700,7 +699,7 @@ class _ClassPairs:
             self._weighted(r0, cols, sub, own, *side)
         else:
             pos = cols if isinstance(cols, np.ndarray) else np.arange(cols.start, cols.stop)
-            self._nearest(a, r0, pos, sub, own, *side)
+            self._nearest(r0, pos, sub, own, *side)
 
     def _hits(self, sub, limit):
         """``(row, column, score)`` of the block's cells scoring at least ``floor``, or None past ``limit`` of them.
@@ -749,7 +748,7 @@ class _ClassPairs:
         np.minimum.at(first, groups[tie], pid[tie])
         return tie[pid[tie] == first[groups[tie]]]
 
-    def _nearest(self, a, r0, pos, sub, own, cls, ls, colq, vote, used):
+    def _nearest(self, r0, pos, sub, own, voted, ls, colq, vote, used):
         """Dense 1nn fold: per-group row maxima, column maxima and the cells within ``tau`` of them.
 
         It folds the blocks with too many hits to fold from them alone
@@ -757,17 +756,18 @@ class _ClassPairs:
         Row side, per piece: each row's best score over the slices voting
         on each group it abstains on, and the cells within ``tau`` of the least such
         threshold a slice answers to.  Column side, after the rows: each
-        column's best over the block and the cells within ``tau`` of it.
-        A local best never exceeds the group's, so the cells kept hold
-        every cell the final threshold keeps.  Where a piece keeps more
-        than two cells per (row, slice) pair, or the column pass more than
-        two per column, only each pair's or column's float64 winner stays
+        column's best over the block, written to every group the rows vote
+        on (``voted``; ``finish`` reads it only for those the column
+        abstains on), and the cells within ``tau`` of it.  A local best
+        never exceeds the group's, so the cells kept hold every cell the
+        final threshold keeps.  Where a piece keeps more than two cells per
+        (row, slice) pair, or the column pass more than two per column, only
+        each pair's or column's float64 winner stays, with its distance
         (the group's nearest is its winner wherever it lies), so the store
-        holds a few entries per query and class; a lone cell stays
-        unmeasured, for ``finish`` to re-decide; the store keeps a float64
-        distance only for the measured.
+        holds a few candidates per query and class; a lone cell's distance
+        stays NaN, for ``finish`` to measure.
         """
-        best, found, measured = own
+        best, cands = own
         tau, (rows, width) = self.space.tau, sub.shape
         step = max(1, _PIECE_CELLS // width)
         mask = np.empty(min(rows, step) * width, dtype=bool)
@@ -803,10 +803,8 @@ class _ClassPairs:
             if hi > lo:
                 np.maximum(colmax, part[:, lo:hi].max(axis=0), out=colmax)
         if hi > lo:
-            for g in np.flatnonzero(self.bits[a]):  # the columns abstaining on a group the rows vote on
-                on = ~self.bits[cls[of[lo:hi]], g]
-                at = pos[lo:hi][on]
-                best[at, g] = np.maximum(best[at, g], colmax[on])
+            at = np.ix_(pos[lo:hi], voted)
+            best[at] = np.maximum(best[at], colmax[:, None])
             cut = colmax - tau
             cut[~live[lo:hi]] = np.inf
             cols, kept = [], 0
@@ -822,21 +820,19 @@ class _ClassPairs:
                     cols, kept = [(cq[pick], cp[pick], sc[pick], dist[pick])], pick.size
             hits += cols
         q, p, sc, dist = _merged(hits)
-        q, p, known = q.astype(np.int32), p.astype(np.int32), ~np.isnan(dist)
-        found.append((q[~known], p[~known], sc[~known]))
-        measured.append((q[known], p[known], sc[known], dist[known]))
+        cands.append((q.astype(np.int32), p.astype(np.int32), sc, dist))
 
     def _nearest_hits(self, q, p, cc, sc, own, ls, colq):
         """1nn fold of a block's hits, at positions ``q`` (rows) and ``p`` (block columns ``cc``).
 
-        Each hit is an unmeasured candidate with its row as query and, where
-        its column's slice is a query of some group the rows vote on
+        Each hit is a candidate (distance NaN) with its row as query and,
+        where its column's slice is a query of some group the rows vote on
         (``colq``), with its column as query too; ``finish`` takes each
         group's threshold from the candidates' own scores.
         """
         side = colq[np.searchsorted(ls, cc, side="right") - 1]
-        q, p = q.astype(np.int32), p.astype(np.int32)
-        own[1].append((np.concatenate([q, p[side]]), np.concatenate([p, q[side]]), np.concatenate([sc, sc[side]])))
+        q, p = np.concatenate([q, p[side]]).astype(np.int32), np.concatenate([p, q[side]]).astype(np.int32)
+        own[1].append((q, p, np.concatenate([sc, sc[side]]), np.full(q.size, np.nan)))
 
     def _weighted(self, r0, cols, sub, acc, both, into, gv, tv):
         """Dense wsum fold: each inside mask counts and sums votes for the rows and, if ``both``, the columns.
@@ -932,13 +928,8 @@ class _ClassPairs:
                 for t in g:
                     t.vote_sum[...] = acc[pos, :, next(cols)]
             return
-        best = owns[0][0]
-        for o in owns[1:]:
-            np.maximum(best, o[0], out=best)
-        # the unmeasured candidates, then the measured ones, whose distances are `known`
-        q, p, sc = _merged([f for o in owns for f in o[1]] + [f[:3] for o in owns for f in o[2]])
-        known = np.concatenate([np.empty(0), *(f[3] for o in owns for f in o[2])])
-        first = q.size - known.size
+        best = np.max([o[0] for o in owns], axis=0)
+        q, p, sc, dist = _merged([c for o in owns for c in o[1]])
         kq, kp = self.key[q], self.key[p]
         row = np.empty(n, dtype=np.int64)
         for b, g in enumerate(self.batch):
@@ -948,9 +939,7 @@ class _ClassPairs:
             qo, so, top = q[ok], sc[ok], best[:, b]
             np.maximum.at(top, qo, so)  # a hit-folded block's best is among its hits
             sel = ok[so >= (top - self.space.tau)[qo]]  # float32, as the scores
-            qs, ps, d = q[sel], p[sel], np.full(sel.size, np.nan)
-            was = sel >= first
-            d[was] = known[sel[was] - first]
+            qs, ps, d = q[sel], p[sel], dist[sel]
             pick = self._winners(qs, qs, ps, d)
             pick = pick[d[pick] <= st.radii[-1]]  # only winners within the table's own cap stay
             pos = row[self.order[qs[pick]]]
@@ -986,7 +975,7 @@ class _OneBlasThread:
     or 1nn tile planning either.  After a threaded call, OpenBLAS's idle
     helper threads spin-wait before they sleep (``OPENBLAS_THREAD_TIMEOUT``,
     by default about 2^28 cycles, some 0.1 s), so one such call just
-    before the pool opens leaves a helper spinning on a core the two
+    before the tasks start leaves a helper spinning on a core the two
     workers need for about that long.
 
     The library is looked up at the first such scan (``_openblas``), so
@@ -1019,39 +1008,39 @@ class _OneBlasThread:
 _ONE_BLAS_THREAD = _OneBlasThread()
 
 
-def _drain(cp, queue, cells):
-    """Fold batch ``cp``'s tasks from ``queue`` until it is empty, each into one reused buffer of ``cells``; return the store."""
-    buf, own = np.empty(cells, dtype=np.float32), cp.local()
-    while True:
-        try:
-            task = queue.popleft()
-        except IndexError:  # drained
-            return own
-        cp(own, *task, buf)
-
-
 def _run_batches(batches, threads):
-    """Fold the class-pair batches ``batches`` yields one at a time, each on up to ``threads`` workers.
+    """Fold the class-pair batches ``batches`` yields one at a time.
 
-    The workers take a batch's tasks in order (``_drain``), and its
-    ``finish`` merges their stores on the calling thread before the next
-    batch is built, so one sorted copy is alive at a time.  The first batch
-    of two or more tasks opens one pool for the rest of the scan; a task
-    that raises ends the scan once the batch's other workers have drained
-    its tasks.  BLAS threading is the caller's (``neighbor_tables``).
+    The calling thread and ``min(threads, tasks) - 1`` helper threads take
+    a batch's tasks from one iterator, each into its own store and buffer.
+    Once the helpers have joined, the first error a worker raised is
+    raised on the calling thread, else ``finish`` merges the stores, so
+    no helper outlives its batch and one sorted copy is alive at a time.
+    BLAS threading is the caller's (``neighbor_tables``).
     """
-    with ExitStack() as stack:
-        pool = None
-        for cp in batches:
-            queue, cells = deque(cp.plan), max(map(cp.cells, cp.plan))
-            workers = min(threads, len(cp.plan))
-            if workers <= 1:
-                cp.finish([_drain(cp, queue, cells)])
-            else:
-                if pool is None:
-                    pool = stack.enter_context(ThreadPoolExecutor(max_workers=threads))
-                cp.finish([f.result() for f in [pool.submit(_drain, cp, queue, cells) for _ in range(workers)]])
-            del cp  # its copies go before the next batch is built
+    for cp in batches:
+        # one task per next(): a list iterator's step is atomic under the GIL
+        tasks, cells, owns, errors = iter(cp.plan), max(map(cp.cells, cp.plan)), [], []
+
+        def work():
+            try:
+                buf, own = np.empty(cells, dtype=np.float32), cp.local()
+                owns.append(own)
+                for task in tasks:
+                    cp(own, *task, buf)
+            except BaseException as exc:  # raised again below, once every worker is done
+                errors.append(exc)
+
+        helpers = [threading.Thread(target=work) for _ in range(min(threads, len(cp.plan)) - 1)]
+        for t in helpers:
+            t.start()
+        work()
+        for t in helpers:
+            t.join()
+        if errors:
+            raise errors[0]
+        cp.finish(owns)
+        del cp, owns  # its copies and stores go before the next batch is built
 
 
 def neighbor_tables(
@@ -1062,7 +1051,7 @@ def neighbor_tables(
     metric: Metric = Metric.COSINE,
     threads: int | None = None,
 ) -> dict:
-    """Scan every source of ``grids`` (source -> radii) in one pool.
+    """Scan every source of ``grids`` (source -> radii) in one pass of class-pair batches.
 
     Returns a ``NeighborTable`` per source, whose ``column(votes, r)``
     is that source's column as ``extend_votes`` extends it at radius
@@ -1089,10 +1078,11 @@ def neighbor_tables(
     worker's buffer does not grow with queries x support, and a block
     with few cells within its batch's widest cap is folded from those
     cells alone (``_ClassPairs``).  Every group is planned first; then
-    the batches run one at a time, each built just before it runs, on one
-    pool of ``threads`` workers (default: the cores, at most 4), each
-    scoring into its own buffer sized for the batch's largest block
-    (``_run_batches``).  A batch's first table owns its scan's ``cells``
+    the batches run one at a time, each built just before it runs, on the
+    calling thread and ``threads - 1`` helper threads (default: the
+    cores, at most 4), each scoring into its own buffer sized for the
+    batch's largest block; every helper is joined before the batch
+    merges, also when a task raises (``_run_batches``).  A batch's first table owns its scan's ``cells``
     (the others count 0).
 
     With ``threads`` of 2 or more and something to scan, the OpenBLAS

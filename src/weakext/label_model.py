@@ -6,6 +6,7 @@ pairwise support overlap, and the accuracy follows from the square-root
 ratio of the three conditional second moments.  Inference multiplies the
 per-source likelihood factors with the class-balance prior; abstains
 carry no information about the label and cancel out of the posterior.
+Hard labels are scored against gold ones by ``evaluate``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ __all__ = [
     "posterior",
     "predict",
     "majority_vote",
+    "MetricsReport",
+    "evaluate",
 ]
 
 # Moment-scale accuracy estimates are clamped to [ACCURACY_CLAMP, 1 - ACCURACY_CLAMP]
@@ -180,3 +183,51 @@ def majority_vote(votes: VoteMatrix, prior: float) -> LabelVector:
     tie = 1 if prior >= 0.5 else -1
     hard = np.where(s > 0, 1, np.where(s < 0, -1, tie)).astype(np.int8)
     return LabelVector(hard)
+
+
+@dataclass(frozen=True)
+class MetricsReport:
+    accuracy: float
+    precision: float
+    recall: float
+    f1: float
+    n: int
+
+    def to_dict(self) -> dict:
+        return {
+            "accuracy": self.accuracy,
+            "precision": self.precision,
+            "recall": self.recall,
+            "f1": self.f1,
+            "n": self.n,
+        }
+
+
+def evaluate(predictions: LabelVector, gold: LabelVector) -> MetricsReport:
+    """Accuracy, precision, recall, and F1 with +1 as the positive class.
+
+    Zero-denominator precision/recall/F1 are reported as 0.
+    """
+    if predictions.n != gold.n:
+        raise ValueError(f"predictions have {predictions.n} entries but gold has {gold.n}")
+    p, g = predictions.labels, gold.labels
+    tp = int(((p == 1) & (g == 1)).sum())
+    fp = int(((p == 1) & (g == -1)).sum())
+    fn = int(((p == -1) & (g == 1)).sum())
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return MetricsReport(
+        accuracy=float((p == g).mean()),
+        precision=precision,
+        recall=recall,
+        f1=f1,
+        n=gold.n,
+    )
+
+
+def _resolve_metric_name(name: str, dev_labels: LabelVector) -> str:
+    if name != "auto":
+        return name
+    balance = float((dev_labels.labels == 1).mean())
+    return "f1" if balance < 0.35 else "accuracy"

@@ -262,6 +262,28 @@ class TestErrorHandling:
         assert message in err and "No such file" not in err, err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("tune", ["--refine-passes", "-2"], "--refine-passes must be at least 0, got -2"),
+            ("tune", ["--grid-size", "0"], "--grid-size must be at least 1, got 0"),
+            ("tune", ["--grid-size", "-3", "--refine-passes", "0"], "--grid-size must be at least 1, got -3"),
+            ("tune", ["--grid", ","], "--grid must be nonempty"),
+            ("diagnose", ["--radii", "0.1", "--grid-size", "0"], "--grid-size must be at least 1, got 0"),
+        ],
+    )
+    def test_tune_and_diagnose_refuse_bad_counts_before_reading_any_file(self, tmp_path, capsys, command, flags,
+                                                                         message):
+        # these files do not exist: a missing-file error (exit 2) would mean
+        # the command read its inputs first
+        args = [command, "--embeddings", str(tmp_path / "none.emb"), "--votes", str(tmp_path / "none.csv"),
+                "--dev-labels", str(tmp_path / "none_labels.csv"), "--prior", "0.5", *flags,
+                "--out", str(tmp_path / "o")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert f"error: usage: {message}" in err and "No such file" not in err, err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("threads", [0, -1])
     def test_threads_below_one_is_usage_error(self, tmp_path, capsys, threads):
         # refused before any input is read (these files do not exist: a data

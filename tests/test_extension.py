@@ -3,6 +3,7 @@
 import itertools
 import sys
 import threading
+import time
 import tracemalloc
 from contextlib import ExitStack
 from dataclasses import fields
@@ -1376,10 +1377,53 @@ def test_threads_below_one_are_refused_before_any_worker_starts(threads):
         partial(tune_shared_radius, emb, vm, labels, 0.5, [0.2, 0.5]),
     ]
     refuse = dict(side_effect=AssertionError("a scan started"))
-    with mock.patch.object(extension, "ThreadPoolExecutor", **refuse), mock.patch.object(extension, "_run_batches", **refuse):
+    alive = threading.enumerate()
+    with mock.patch.object(extension, "_ClassPairs", **refuse), mock.patch.object(extension, "_run_batches", **refuse):
         for scan in calls:
             with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
                 scan(threads=threads)
+    assert threading.enumerate() == alive
+
+
+@pytest.mark.parametrize("threads", [2, 4])
+@pytest.mark.parametrize("raises", [False, True], ids=["folds", "raises"])
+def test_no_helper_thread_outlives_the_scan(threads, raises):
+    # the scan is one wsum batch of many tasks, run on the calling thread
+    # and threads - 1 helpers that share one task iterator; each worker
+    # waits at its first task until all are inside one, so every helper
+    # folds (or raises) at least once, and all are joined before the batch
+    # merges or its first error is raised (the helpers dawdle, so one not
+    # joined would still be running); a task lost or run twice would change
+    # the wsum sums
+    barrier, lock, idents = threading.Barrier(threads, timeout=60), threading.Lock(), set()
+    call, caller = extension._ClassPairs.__call__, threading.get_ident()
+
+    def spy(self, *args):
+        with lock:
+            first = threading.get_ident() not in idents
+            idents.add(threading.get_ident())
+        if first:
+            barrier.wait()
+        if threading.get_ident() != caller:
+            time.sleep(0.02)
+            if raises:
+                raise RuntimeError("fold")
+        return call(self, *args)
+
+    wsum = Weighting.THRESHOLDED_WEIGHTED_SUM
+    want, alive, switch = _blas_scan(1, wsum), threading.enumerate(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the workers switch often
+    try:
+        with mock.patch.object(extension._ClassPairs, "__call__", spy):
+            if raises:
+                with pytest.raises(RuntimeError, match="fold"):
+                    _blas_scan(threads, wsum)
+            else:
+                assert _same_tables(_blas_scan(threads, wsum), want)
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(idents) == threads and caller in idents
+    assert threading.enumerate() == alive
 
 
 @pytest.mark.parametrize("n", [1600, 6400])
@@ -1562,11 +1606,13 @@ class TestBlasThreads:
             one = _blas_scan(1, w, planar)
             assert all(_same_tables(_blas_scan(threads, w, planar), one) for threads in (2, 4)), w
 
-    def test_a_scan_folds_its_batches_in_turn_on_one_pool(self, get):
+    def test_a_scan_folds_its_batches_in_turn(self, get):
         # eight cosine 1nn sources in 96 dims prune nothing, so they are two
         # class-pair batches (sources 0-5, then 6-7) of many blocks each; a
-        # two-worker scan opens one pool and one BLAS hold for both, and
-        # once a fold raises, no task of the second batch runs
+        # two-worker scan takes one BLAS hold for both, runs each batch on
+        # the calling thread and one helper, every task of the first before
+        # any of the second, and once a fold raises, no task of the second
+        # batch runs and no helper is left
         rng = np.random.default_rng(36)
         n, m = 900, 8
         x = rng.standard_normal((n, 96))
@@ -1586,12 +1632,13 @@ class TestBlasThreads:
 
             def spy(self, *args):
                 firsts.append(self.batch[0][0].source)  # each task's batch, by its first source
+                workers.setdefault(self.batch[0][0].source, set()).add(threading.get_ident())
                 if raises and next(started) == 0:
                     raise RuntimeError("fold")
                 return call(self, *args)
 
-            with (mock.patch.object(extension, "ThreadPoolExecutor", wraps=extension.ThreadPoolExecutor) as pools,
-                  mock.patch.object(extension._OneBlasThread, "__enter__", enter),
+            workers, alive = {}, threading.enumerate()
+            with (mock.patch.object(extension._OneBlasThread, "__enter__", enter),
                   mock.patch.object(extension._ClassPairs, "__call__", spy),
                   mock.patch.object(extension, "_CHUNK_ELEMS", 20_000)):
                 if raises:
@@ -1599,13 +1646,15 @@ class TestBlasThreads:
                         scan()
                 else:
                     scan()
-            assert pools.call_count == 1 and holds == [2], (raises, pools.call_count, holds)
+            assert holds == [2], (raises, holds)
             assert set(firsts) == ({0} if raises else {0, 6}) and len(firsts) > 8, (raises, len(firsts))
-            assert get() == 2, raises
+            assert firsts == sorted(firsts), raises  # batch by batch
+            assert all(len(w) <= 2 for w in workers.values()), (raises, workers)  # the caller and one helper
+            assert threading.enumerate() == alive and get() == 2, raises
 
     def test_overlapping_scans_from_two_threads_restore_the_count(self, get):
-        # each pool's two workers wait at their first task until all four are
-        # inside one, so the pools overlap; the first to end leaves BLAS at
+        # each scan's two workers wait at their first task until all four are
+        # inside one, so the scans overlap; the first to end leaves BLAS at
         # one thread for the other, the last restores it
         want = _blas_scan(1)
         barrier, lock, started = threading.Barrier(4, timeout=60), threading.Lock(), set()

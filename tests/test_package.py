@@ -18,6 +18,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = (
     "numpy",
     "numpy.ma",
+    "concurrent.futures",
+    "logging",
     "weakext.core",
     "weakext.extension",
     "weakext.label_model",
@@ -99,12 +101,29 @@ class TestImportSet:
             assert "numpy" in step["loaded"] and "weakext.diagnostics" not in step["loaded"], step
         assert "weakext.diagnostics" in steps[3]["loaded"]
 
-    def test_scan_commands_never_load_numpy_ma(self, task_dir, tmp_path):
-        # np.unique without return_* flags imports numpy.ma, some 9 ms of a
-        # cold command; these runs reach every distinct-value step of the
-        # scan, tune, refine and diagnose paths
+    def test_pipeline_and_eval_never_load_experiments(self, task_dir, tmp_path):
+        # evaluate and the metric resolver live in label_model
         io_args = ["--embeddings", str(task_dir / "embeddings.emb"), "--votes", str(task_dir / "votes.csv"),
                    "--prior", "0.5"]
+        labels = str(task_dir / "labels.csv")
+        steps = probe([
+            ["pipeline", *io_args, "--radii", "0.05", "--gold", labels, "--out", str(tmp_path / "p")],
+            ["eval", "--predictions", str(tmp_path / "p" / "hard_labels.csv"), "--gold", labels],
+            # the control: a command that uses experiments loads it
+            ["synth", "--out", str(tmp_path / "s"), "--n", "50"],
+        ])
+        assert [s["code"] for s in steps] == [None, 0, 0, 0]
+        for step in steps[1:3]:
+            assert "weakext.label_model" in step["loaded"] and "weakext.experiments" not in step["loaded"], step
+        assert "weakext.experiments" in steps[3]["loaded"]
+
+    def test_scan_commands_never_load_numpy_ma_nor_a_thread_pool(self, task_dir, tmp_path):
+        # np.unique without return_* flags imports numpy.ma, some 9 ms of a
+        # cold command, and concurrent.futures imports logging, some 7 ms;
+        # these runs reach every distinct-value step of the scan, tune,
+        # refine and diagnose paths, each scan on two workers
+        io_args = ["--embeddings", str(task_dir / "embeddings.emb"), "--votes", str(task_dir / "votes.csv"),
+                   "--prior", "0.5", "--threads", "2"]
         labels = str(task_dir / "labels.csv")
         steps = probe([
             ["tune", *io_args, "--dev-labels", labels, "--weighting", "wsum", "--grid-size", "4",
@@ -117,7 +136,8 @@ class TestImportSet:
              "--pair-budget", "1000", "--out", str(tmp_path / "d")],
         ])
         assert [s["code"] for s in steps] == [None, 0, 0, 0, 0]
-        assert all("numpy" in s["loaded"] and "numpy.ma" not in s["loaded"] for s in steps[1:]), steps
+        pool = {"numpy.ma", "concurrent.futures", "logging"}
+        assert all("numpy" in s["loaded"] and not pool & set(s["loaded"]) for s in steps[1:]), steps
 
     def test_fit_and_predict_load_neither_the_scan_nor_its_pool(self, tmp_path):
         votes = tmp_path / "votes.csv"
@@ -142,6 +162,12 @@ class TestImportSet:
 
         assert weakext.coverage is core.coverage is extension.coverage
         assert weakext.min_overlap is label_model.min_overlap is extension.min_overlap
+
+    def test_metrics_are_one_object_under_each_name(self):
+        from weakext import experiments, label_model
+
+        assert weakext.evaluate is label_model.evaluate is experiments.evaluate
+        assert weakext.MetricsReport is label_model.MetricsReport is experiments.MetricsReport
 
 
 # the top-level names by home module, as the package exported them eagerly
