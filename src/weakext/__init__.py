@@ -15,7 +15,7 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     "core": (
         "DataError", "DegeneracyError", "EmbeddingSet", "LabelModelParams", "LabelVector", "Metric",
-        "RadiusConfig", "VoteMatrix", "Weighting", "cosine_distance", "coverage", "load_embeddings",
+        "RadiusConfig", "VoteMatrix", "Weighting", "coverage", "load_embeddings",
         "load_labels", "load_votes", "save_embeddings", "save_labels", "save_votes",
     ),
     "diagnostics": (
@@ -28,7 +28,7 @@ _EXPORTS = {
         "theory_guided_radius", "tune_shared_radius",
     ),
     "extension": (
-        "ExtensionReport", "NeighborSet", "extend_votes", "neighbors_in_support",
+        "ExtensionReport", "extend_votes",
     ),
     "label_model": (
         "MetricsReport", "TripletAssignment", "estimate_accuracies", "evaluate", "majority_vote", "min_overlap",

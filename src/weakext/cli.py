@@ -1,9 +1,10 @@
 """Command-line pipeline: synth, extend, fit, predict, tune, diagnose, eval.
 
 All inputs are explicit flags (or a JSON config file whose entries serve
-as flag defaults).  Outputs are byte-deterministic given identical
-inputs and seeds; wall-clock timings go to stdout only.  Exit codes:
-0 success, 1 usage error, 2 data error, 3 numeric degeneracy.
+as flag defaults, each parsed as its flag parses the same value).
+Outputs are byte-deterministic given identical inputs and seeds;
+wall-clock timings go to stdout only.  Exit codes: 0 success, 1 usage
+error, 2 data error, 3 numeric degeneracy.
 
 The parser and the dispatch import no numpy: each command imports the
 modules it uses, so ``--help``, usage errors and ``--config`` faults
@@ -106,17 +107,27 @@ def _resolve_prior(args, dev) -> float:
 
 
 def _resolve_grid(args):
+    """The radius grid of ``tune`` and ``diagnose``, checked before any file is read."""
     import numpy as np
 
     if args.grid:
-        vals = np.asarray(_parse_float_list(args.grid, "--grid"))
-        if vals.size == 0:
+        grid = np.asarray(_parse_float_list(args.grid, "--grid"))
+        if grid.size == 0:
             raise UsageError("--grid must be nonempty")
-        return vals
-    if args.grid_size < 1:
-        raise UsageError(f"--grid-size must be at least 1, got {args.grid_size}")
-    # diagnostics.default_radius_grid, which tune does not import
-    return np.geomspace(args.grid_min, args.grid_max, args.grid_size)
+    else:
+        if args.grid_size < 1:
+            raise UsageError(f"--grid-size must be at least 1, got {args.grid_size}")
+        for flag, val in (("--grid-min", args.grid_min), ("--grid-max", args.grid_max)):
+            if not 0.0 < val < float("inf"):  # NaN fails too
+                raise UsageError(f"{flag} must be finite and above 0, got {val}")
+        if args.grid_min > args.grid_max:
+            raise UsageError(f"--grid-min must be at most --grid-max, got {args.grid_min} > {args.grid_max}")
+        # diagnostics.default_radius_grid, which tune does not import
+        grid = np.geomspace(args.grid_min, args.grid_max, args.grid_size)
+    # tune_shared_radius gives ties to the smaller radius, so a grid reads in ascending order
+    if np.isnan(grid).any() or not (np.diff(grid) > 0).all():
+        raise DataError("radius grid must be strictly ascending")
+    return grid
 
 
 def _load_dev(args):
@@ -384,11 +395,11 @@ def cmd_tune(args) -> int:
 
 def cmd_diagnose(args) -> int:
     from .core import load_embeddings, load_votes
-    from .diagnostics import check_radius_grid, curves_cap, diagnose
+    from .diagnostics import curves_cap, diagnose
     from .extension import extend_from_tables, extend_votes, neighbor_tables
     from .label_model import estimate_accuracies
 
-    grid = check_radius_grid(_resolve_grid(args))  # before any file is read
+    grid = _resolve_grid(args)  # before any file is read
     out = _out_dir(args)
     emb = load_embeddings(args.embeddings)
     votes = load_votes(args.votes)
@@ -505,23 +516,57 @@ def cmd_pipeline(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _flag_default(action, value):
+    """A ``--config`` value as its flag's default, spelled as text so argparse applies the flag's own type.
+
+    ``float(repr(x)) == x``, so a valid number parses to itself.  ``null``
+    is kept, and a ``store_true`` flag takes only a boolean; a list or
+    object for a one-value flag is refused, and a repeatable flag takes one
+    value or a list of them.  Faults are usage errors naming the flag, as
+    on the command line.
+    """
+    if value is None:
+        return None
+    flag = "/".join(action.option_strings)
+    if action.nargs == 0:  # a switch, on which the text "no" would read as true
+        if not isinstance(value, bool):
+            raise UsageError(f"argument {flag}: expected true or false, got {json.dumps(value)}")
+        return value
+    repeated = isinstance(action, argparse._AppendAction)
+    items = value if repeated and isinstance(value, list) else [value]
+    if any(isinstance(v, (list, dict)) for v in items):
+        raise UsageError(f"argument {flag}: expected one value, got {json.dumps(value)}")
+    texts = [v if isinstance(v, str) else repr(v) for v in items]
+    if not repeated:  # argparse converts a text default with the flag's type, but checks no choice
+        if action.choices is not None and texts[0] not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise UsageError(f"argument {flag}: invalid choice: {texts[0]!r} (choose from {choices})")
+        return texts[0]
+    try:  # argparse converts no list default, so each item is converted here
+        return [action.type(text) for text in texts]
+    except ValueError:
+        raise UsageError(f"argument {flag}: invalid value in {json.dumps(value)}") from None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        # pre-scan --config so file values become flag defaults
+        # pre-scan --config so file values become the command's flag defaults
         pre = _Parser(add_help=False)
         pre.add_argument("--config")
-        known, _ = pre.parse_known_args(argv)
+        known, rest = pre.parse_known_args(argv)
         if known.config:
             defaults = _read_json(known.config)
             if not isinstance(defaults, dict):
                 raise DataError(f"{known.config}: config must be a JSON object")
-            defaults = {k.replace("-", "_"): v for k, v in defaults.items()}
-            parser.set_defaults(**defaults)
-            for sub in parser.command_parsers.values():
-                sub.set_defaults(**defaults)  # subparsers re-apply their own defaults
+            # the top-level parser takes no other flag, so the first word left is the command
+            command = parser.command_parsers.get(next((a for a in rest if not a.startswith("-")), None))
+            if command is not None:  # keys naming no flag of the command are ignored
+                actions = {a.dest: a for a in command._actions}
+                defaults = {k.replace("-", "_"): v for k, v in defaults.items()}
+                command.set_defaults(**{k: _flag_default(actions[k], v) for k, v in defaults.items() if k in actions})
         args = parser.parse_args(argv)
         if getattr(args, "threads", None) is not None and args.threads < 1:  # also a --config value
             raise UsageError(f"--threads must be at least 1, got {args.threads}")

@@ -1,4 +1,4 @@
-"""Core domain types, distance functions, and file I/O.
+"""Core domain types, the exact float64 distance, and file I/O.
 
 Data model: an embedding matrix (one row per data point), a vote matrix
 over {-1, 0, +1} where 0 means the source abstains, hard label vectors
@@ -39,8 +39,6 @@ __all__ = [
     "LabelVector",
     "RadiusConfig",
     "LabelModelParams",
-    "cosine_distance",
-    "pairwise_distances",
     "load_embeddings",
     "save_embeddings",
     "load_votes",
@@ -71,8 +69,9 @@ class EmbeddingSet:
     and kept (the row norms, and ``extension``'s score-space scalars and
     low-dimensional projection) holds O(n) or O(d) numbers, each built
     once, lazily, by ``_cached``, even when several scan workers ask for
-    one at the same time; rows derived from the data (unit rows, float32
-    score rows) are computed from it in chunks of rows where they are used.
+    one at the same time.  Rows derived from the data are never kept:
+    ``paired_distances`` divides the rows it gathers by their norms, and
+    ``extension`` casts each scan batch's rows to float32, chunk by chunk.
     """
 
     data: np.ndarray
@@ -115,11 +114,6 @@ class EmbeddingSet:
         """Euclidean norms of the rows (float64), exact to rounding at any row scale (``_scaled_norms``)."""
         chunks = _row_chunks(self.n, self.d)
         return self._cached("norms", lambda: np.concatenate([_scaled_norms(_f64(self.data[s])) for s in chunks]))
-
-    @property
-    def unit(self) -> np.ndarray:
-        """Rows scaled to unit Euclidean norm (float64), a new array on every call: ``data / norms``."""
-        return np.divide(self.data, self.norms[:, None], dtype=np.float64)
 
 
 def _f64(x: np.ndarray) -> np.ndarray:
@@ -290,52 +284,6 @@ class LabelModelParams:
 # Distances
 
 
-def cosine_distance(u, v) -> float:
-    """Cosine distance ``1 - <u,v> / (|u||v|)`` in [0, 2].
-
-    Computed as half the squared difference of the unit vectors, as
-    ``paired_distances`` does, so near duplicates keep their relative
-    precision.  Exactly 0 for identical vectors; raises on zero-norm input.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape or u.ndim != 1:
-        raise ValueError(f"vectors must be 1-D and the same length, got {u.shape} and {v.shape}")
-    norms = _scaled_norms(np.stack([u, v]))
-    if (norms == 0.0).any():
-        raise ValueError("cosine distance undefined for zero-norm input")
-    diff = u / norms[0] - v / norms[1]
-    return min(0.5 * float(diff @ diff), 2.0)
-
-
-def pairwise_distances(emb: EmbeddingSet, rows, cols, metric: Metric = Metric.COSINE) -> np.ndarray:
-    """Exact float64 distance block ``len(rows) x len(cols)``.
-
-    Euclidean distances come from direct coordinate differences (no
-    norm-expansion cancellation near duplicates), each scaled by a power
-    of two before squaring (no overflow at any spread); cosine distances are
-    ``paired_distances`` of every pair, so both functions agree to the
-    bit.  Computed in chunks to bound memory.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    metric = Metric(metric)
-    out = np.empty((rows.size, cols.size))
-    if metric is Metric.COSINE:
-        step = max(1, 1_000_000 // max(1, cols.size))
-        for lo in range(0, rows.size, step):
-            r = rows[lo : lo + step]
-            pairs = paired_distances(emb, np.repeat(r, cols.size), np.tile(cols, r.size), metric)
-            out[lo : lo + step] = pairs.reshape(r.size, cols.size)
-        return out
-    a = _f64(emb.data[rows])
-    step = max(1, 2_000_000 // max(1, rows.size * emb.d))
-    for lo in range(0, cols.size, step):
-        diff = a[:, None, :] - _f64(emb.data[cols[lo : lo + step]])[None, :, :]
-        out[:, lo : lo + step] = _scaled_norms(diff)
-    return out
-
-
 _GATHER_ELEMS = 2**16  # float64 elements per chunk of rows derived from the data (512 KB)
 
 
@@ -389,8 +337,9 @@ def paired_distances(emb: EmbeddingSet, idx_a, idx_b, metric: Metric = Metric.CO
     to noise of 1e-16, which then picks the nearest of several).  The
     pairs are taken in chunks of ``_GATHER_ELEMS`` entries per side,
     gathered into two reused float64 buffers (a unit row is its data row
-    divided in place by its norm, the bits of ``emb.unit``), so scratch
-    memory does not grow with the number of pairs.
+    divided in place by its cached norm), so scratch memory does not grow
+    with the number of pairs.  This is the package's one float64
+    distance: every scan's re-decision and every profile reads it.
     """
     idx_a = np.asarray(idx_a, dtype=np.int64)
     idx_b = np.asarray(idx_b, dtype=np.int64)

@@ -98,15 +98,12 @@ from .core import (
     _row_chunks,
     coverage,
     paired_distances,
-    pairwise_distances,
 )
 from .label_model import min_overlap
 
 __all__ = [
-    "NeighborSet",
     "NeighborTable",
     "ExtensionReport",
-    "neighbors_in_support",
     "neighbor_tables",
     "extend_from_tables",
     "extend_votes",
@@ -122,19 +119,6 @@ _SLACK = 2.0**-22  # error of a bounded distance; see _ScoreSpace.reach
 _PIECE_CELLS = 2**17  # score cells per fold piece of whole rows (at least one row)
 _CLASS_SOURCES = 6  # groups keyed per class-pair scan: at most 2**6 vote-pattern classes
 _SPARSE_HITS = 2  # hits per (row, class slice) pair and per column a block may have to be folded from its hits
-
-
-@dataclass(frozen=True)
-class NeighborSet:
-    """Voting neighbors of one query point for one source.
-
-    Sorted by ascending distance, ties by ascending point index; every
-    index lies in the source's support.
-    """
-
-    query_index: int
-    indices: np.ndarray
-    distances: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -159,27 +143,6 @@ class ExtensionReport:
             "min_overlap_before": self.min_overlap_before,
             "min_overlap_after": self.min_overlap_after,
         }
-
-
-def neighbors_in_support(
-    emb: EmbeddingSet,
-    votes: VoteMatrix,
-    source: int,
-    query: int,
-    radius: float,
-    metric: Metric = Metric.COSINE,
-) -> NeighborSet:
-    """All support points of ``source`` within ``radius`` of ``query``."""
-    if radius < 0:
-        raise ValueError(f"radius must be nonnegative, got {radius}")
-    if votes.votes[query, source] != 0:
-        raise ValueError(f"point {query} is already voted on by source {source}")
-    supp = votes.support(source)
-    dist = pairwise_distances(emb, [query], supp, metric)[0]
-    keep = dist <= radius
-    idx, d = supp[keep], dist[keep]
-    order = np.lexsort((idx, d))
-    return NeighborSet(query, idx[order], d[order])
 
 
 # ---------------------------------------------------------------------------

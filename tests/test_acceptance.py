@@ -17,6 +17,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from oracles import brute_force_extend
 from weakext.core import (
     EmbeddingSet,
     LabelModelParams,
@@ -144,27 +145,6 @@ def test_c2_triplet_recovery_and_rate():
 # 3. extension semantics property suite
 
 
-def _brute_force_nearest(x, votes, radii):
-    # cosine distance as half the squared difference of the unit rows
-    u = x / np.linalg.norm(x, axis=1, keepdims=True)
-    dist = np.array([np.minimum(0.5 * np.einsum("ij,ij->i", u - row, u - row), 2.0) for row in u])
-    out = votes.copy()
-    for j in range(votes.shape[1]):
-        if radii[j] <= 0:
-            continue
-        supp = np.flatnonzero(votes[:, j] != 0)
-        if supp.size == 0:
-            continue
-        for i in range(x.shape[0]):
-            if votes[i, j] != 0:
-                continue
-            ds = dist[i, supp]
-            k = int(np.argmin(ds))
-            if ds[k] <= radii[j]:
-                out[i, j] = votes[supp[k], j]
-    return out
-
-
 def test_c3_extension_semantics():
     with criterion(3, "non-abstains preserved, 1nn coverage monotone, zero radii identity, "
                       "1nn equals O(n^2) brute force on 50 instances (<10 s)"):
@@ -180,7 +160,7 @@ def test_c3_extension_semantics():
             emb, vm = EmbeddingSet(x), VoteMatrix(votes)
 
             ext, rep = extend_votes(emb, vm, RadiusConfig(radii))
-            assert np.array_equal(ext.votes, _brute_force_nearest(x, votes, radii))
+            assert np.array_equal(ext.votes, brute_force_extend(x, votes, radii, "1nn"))
             mask = votes != 0
             assert np.array_equal(ext.votes[mask], votes[mask])
 

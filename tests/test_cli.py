@@ -251,16 +251,17 @@ class TestErrorHandling:
             (",", 1, "--grid must be nonempty"),
         ],
     )
-    def test_diagnose_refuses_a_bad_grid_before_reading_any_file(self, tmp_path, capsys, grid, rc, message):
+    def test_tune_and_diagnose_refuse_a_bad_grid_before_reading_any_file(self, tmp_path, capsys, grid, rc, message):
         # these files do not exist: a missing-file error would mean the
-        # command read its inputs before it looked at the grid
-        args = ["diagnose", "--embeddings", str(tmp_path / "none.emb"), "--votes", str(tmp_path / "none.csv"),
-                "--dev-labels", str(tmp_path / "none_labels.csv"), "--prior", "0.5", "--radii", "0.1",
-                f"--grid={grid}", "--out", str(tmp_path / "o")]
-        assert main(args) == rc
-        err = capsys.readouterr().err
-        assert message in err and "No such file" not in err, err
-        assert not (tmp_path / "o").exists()
+        # command read its inputs before it looked at the grid; tune gives
+        # ties to the smaller radius, so it too reads only ascending grids
+        io = ["--embeddings", str(tmp_path / "none.emb"), "--votes", str(tmp_path / "none.csv"),
+              "--dev-labels", str(tmp_path / "none_labels.csv"), "--prior", "0.5"]
+        for command in (["diagnose", "--radii", "0.1"], ["tune"]):
+            assert main([*command, *io, f"--grid={grid}", "--out", str(tmp_path / "o")]) == rc
+            err = capsys.readouterr().err
+            assert message in err and "No such file" not in err, err
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "command, flags, message",
@@ -270,6 +271,13 @@ class TestErrorHandling:
             ("tune", ["--grid-size", "-3", "--refine-passes", "0"], "--grid-size must be at least 1, got -3"),
             ("tune", ["--grid", ","], "--grid must be nonempty"),
             ("diagnose", ["--radii", "0.1", "--grid-size", "0"], "--grid-size must be at least 1, got 0"),
+            ("tune", ["--grid-min", "0"], "--grid-min must be finite and above 0, got 0.0"),
+            ("tune", ["--grid-min", "-1"], "--grid-min must be finite and above 0, got -1.0"),
+            ("tune", ["--grid-min", "nan"], "--grid-min must be finite and above 0, got nan"),
+            ("diagnose", ["--radii", "0.1", "--grid-max", "inf"], "--grid-max must be finite and above 0, got inf"),
+            ("tune", ["--grid-min", "0.5", "--grid-max", "0.1"], "--grid-min must be at most --grid-max, got 0.5 > 0.1"),
+            ("diagnose", ["--radii", "0.1", "--grid-min", "0.5", "--grid-max", "0.1"],
+             "--grid-min must be at most --grid-max, got 0.5 > 0.1"),
         ],
     )
     def test_tune_and_diagnose_refuse_bad_counts_before_reading_any_file(self, tmp_path, capsys, command, flags,
@@ -315,6 +323,47 @@ class TestErrorHandling:
         assert proc.returncode == 2
         assert proc.stderr == "error: data: " + message.format(path=path) + "\n"
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "config, command, flags, rc, message",
+        [
+            ({"radii": 0.1}, ["extend"], ["--radii", "0.1"], 0, ""),
+            ({"majority_baseline": True, "threads": None}, ["pipeline", "--radii", "0.1", "--prior", "0.5"],
+             ["--majority-baseline"], 0, ""),
+            ({"flip_source": [2], "prior": 0.5}, ["fit"], ["--flip-source", "2", "--prior", "0.5"], 0, ""),
+            ({"grid_size": 2.5}, ["tune", "--prior", "0.5"], None, 1, "argument --grid-size: invalid int value: '2.5'"),
+            ({"threads": [1]}, ["pipeline", "--radii", "0.1", "--prior", "0.5"], None, 1,
+             "argument --threads: expected one value, got [1]"),
+            ({"weighting": "bogus"}, ["extend", "--radii", "0.1"], None, 1,
+             "argument --weighting: invalid choice: 'bogus' (choose from '1nn', 'wsum')"),
+            ({"majority_baseline": "no"}, ["pipeline", "--radii", "0.1", "--prior", "0.5"], None, 1,
+             'argument --majority-baseline: expected true or false, got "no"'),
+        ],
+        ids=["number-for-text", "boolean-and-null", "repeated", "float-for-int", "list-for-one-value", "choice",
+             "text-for-switch"],
+    )
+    def test_config_values_parse_as_their_flags(self, task_dir, tmp_path, capsys, config, command, flags, rc,
+                                                message):
+        # a config value is read as the same value given on the command line: the
+        # same outputs, or a usage error naming the flag before any file is read
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        io = ["--votes", str(task_dir / "votes.csv")]
+        if command[0] != "fit":
+            io += ["--embeddings", str(task_dir / "embeddings.emb")]
+        if command[0] == "tune":
+            io += ["--dev-labels", str(task_dir / "labels.csv")]
+        out = tmp_path / "config"
+        assert main(["--config", str(cfg), *command, *io, "--out", str(out)]) == rc
+        err = capsys.readouterr().err
+        if rc:
+            assert err == f"error: usage: {message}\n" and not out.exists()
+            return
+        assert err == ""
+        assert main([*command, *io, *flags, "--out", str(tmp_path / "flags")]) == 0
+        files = sorted(f.name for f in out.iterdir())
+        assert files == sorted(f.name for f in (tmp_path / "flags").iterdir())
+        assert all((out / f).read_bytes() == (tmp_path / "flags" / f).read_bytes() for f in files)
 
     def test_data_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"

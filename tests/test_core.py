@@ -1,4 +1,4 @@
-"""Domain types, cosine distance, and bit-exact file round-trips."""
+"""Domain types, the float64 distance, and bit-exact file round-trips."""
 
 import math
 import os
@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import brute_force_distances
 from weakext import core
 from weakext.core import (
     DataError,
@@ -18,97 +19,95 @@ from weakext.core import (
     LabelVector,
     RadiusConfig,
     VoteMatrix,
-    cosine_distance,
     load_embeddings,
     load_labels,
     load_votes,
     paired_distances,
-    pairwise_distances,
     save_embeddings,
     save_labels,
     save_votes,
 )
 
 
+def pair_distance(u, v, metric="cosine") -> float:
+    """``paired_distances`` of the two rows ``u`` and ``v``."""
+    return float(paired_distances(EmbeddingSet(np.array([u, v], dtype=np.float64)), [0], [1], metric)[0])
+
+
+def all_pairs(emb, metric="cosine"):
+    """``paired_distances`` of every ordered pair of ``emb``'s rows, as an ``n x n`` block."""
+    idx = np.arange(emb.n)
+    return paired_distances(emb, np.repeat(idx, emb.n), np.tile(idx, emb.n), metric).reshape(emb.n, emb.n)
+
+
 class TestCosineDistance:
     def test_identical_direction_is_exactly_zero(self):
-        assert cosine_distance([3.0, 4.0], [3.0, 4.0]) == 0.0
+        assert pair_distance([3.0, 4.0], [3.0, 4.0]) == 0.0
 
     def test_orthogonal(self):
-        assert cosine_distance([1.0, 0.0], [0.0, 1.0]) == 1.0
+        assert pair_distance([1.0, 0.0], [0.0, 1.0]) == 1.0
 
     def test_antipodal(self):
-        assert cosine_distance([1.0, 0.0], [-1.0, 0.0]) == 2.0
+        assert pair_distance([1.0, 0.0], [-1.0, 0.0]) == 2.0
 
     def test_hand_value_45_degrees(self):
         # hand arithmetic: 1 - <(1,0),(1,1)> / (1 * sqrt(2))
         expected = 1.0 - 1.0 / math.sqrt(2.0)
-        assert abs(cosine_distance([1.0, 0.0], [1.0, 1.0]) - expected) < 1e-15
+        assert abs(pair_distance([1.0, 0.0], [1.0, 1.0]) - expected) < 1e-15
 
     def test_symmetry_property(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             d = int(rng.integers(1, 20))
             u, v = rng.standard_normal(d), rng.standard_normal(d)
-            assert cosine_distance(u, v) == cosine_distance(v, u)
+            assert pair_distance(u, v) == pair_distance(v, u)
 
     def test_power_of_two_scaling_exactly_zero(self):
         rng = np.random.default_rng(8)
         for k in range(-8, 9):
             u = rng.standard_normal(6)
-            assert cosine_distance(u, (2.0**k) * u) == 0.0
+            assert pair_distance(u, (2.0**k) * u) == 0.0
 
     def test_general_positive_scaling_near_zero(self):
         rng = np.random.default_rng(9)
         for _ in range(200):
             u = rng.standard_normal(5)
             c = float(rng.uniform(0.1, 10.0))
-            assert 0.0 <= cosine_distance(u, c * u) <= 1e-12
+            assert 0.0 <= pair_distance(u, c * u) <= 1e-12
 
     def test_range_bounds(self):
         rng = np.random.default_rng(10)
         for _ in range(200):
             u, v = rng.standard_normal(4), rng.standard_normal(4)
-            assert 0.0 <= cosine_distance(u, v) <= 2.0
+            assert 0.0 <= pair_distance(u, v) <= 2.0
 
     @pytest.mark.parametrize("t", [1e-10, 3e-9])
     def test_near_duplicates_keep_their_distance(self, t):
         # 2 sin^2(t/2): 5.0e-21 and 4.5e-18, where 1 - cos t rounds to 0
         want = 2.0 * math.sin(t / 2) ** 2
-        got = cosine_distance([1.0, 0.0], [math.cos(t), math.sin(t)])
+        got = pair_distance([1.0, 0.0], [math.cos(t), math.sin(t)])
         assert abs(got - want) <= 1e-3 * want, (got, want)
 
-    def test_zero_norm_rejected(self):
-        with pytest.raises(ValueError, match="zero-norm"):
-            cosine_distance([0.0, 0.0], [1.0, 0.0])
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            cosine_distance([1.0, 0.0], [1.0, 0.0, 0.0])
-
-
-class TestPairwiseDistances:
-    def test_matches_scalar_op(self):
+class TestPairedDistances:
+    def test_matches_the_oracle(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((12, 5))
         emb = EmbeddingSet(x)
         rows, cols = [0, 3, 7], [1, 2, 9, 11]
-        block = pairwise_distances(emb, rows, cols)
-        for i, r in enumerate(rows):
-            for j, c in enumerate(cols):
-                assert abs(block[i, j] - cosine_distance(x[r], x[c])) < 1e-12
+        got, want = all_pairs(emb), brute_force_distances(x)
+        for r in rows:
+            for c in cols:
+                assert abs(got[r, c] - want[r, c]) < 1e-12
 
     @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
-    def test_bitwise_equal_to_paired_distances(self, metric):
-        # the scan decides radii with paired_distances, so a block from
-        # pairwise_distances must carry the very same float64 values
+    def test_bitwise_equal_to_the_oracle(self, metric):
+        # the scan decides radii with paired_distances, and tests take exact radii from
+        # brute_force_distances, so the oracle must carry the very same float64 values
         rng = np.random.default_rng(13)
         for d in (2, 16, 128):
-            emb = EmbeddingSet(rng.standard_normal((150, d)))
-            idx = np.arange(150)
-            block = pairwise_distances(emb, idx, idx, metric)
-            pairs = paired_distances(emb, np.repeat(idx, idx.size), np.tile(idx, idx.size), metric)
-            assert np.array_equal(block, pairs.reshape(block.shape)), d
+            x = rng.standard_normal((150, d))
+            assert np.array_equal(all_pairs(EmbeddingSet(x), metric), brute_force_distances(x, metric)), d
 
     @pytest.mark.parametrize("power", [-60, 0, 60])
     def test_cosine_pairs_equal_whole_unit_row_differences_bit_for_bit(self, power):
@@ -166,29 +165,25 @@ class TestPairwiseDistances:
         # plain squares of these differences underflow or overflow
         rng = np.random.default_rng(14)
         x = rng.standard_normal((40, 3))
-        idx = np.arange(40)
-        want = np.ldexp(pairwise_distances(EmbeddingSet(x), idx, idx, "euclidean"), power)
+        want = np.ldexp(all_pairs(EmbeddingSet(x), "euclidean"), power)
         emb = EmbeddingSet(np.ldexp(x, power))
-        assert np.array_equal(pairwise_distances(emb, idx, idx, "euclidean"), want)
-        pairs = paired_distances(emb, np.repeat(idx, idx.size), np.tile(idx, idx.size), "euclidean")
-        assert np.array_equal(pairs, want.ravel())
+        assert np.array_equal(all_pairs(emb, "euclidean"), want)
+        assert np.array_equal(brute_force_distances(np.ldexp(x, power), "euclidean"), want)
 
     @pytest.mark.parametrize("power", [-600, 600])
     def test_unit_rows_ignore_the_scale(self, power):
-        # plain squared norms of these rows underflow or overflow
+        # plain squared norms of these rows underflow or overflow; the norms
+        # scale exactly, so the unit rows and their distances do not move
         rng = np.random.default_rng(16)
         x = rng.standard_normal((40, 5))
-        want = EmbeddingSet(x).unit
-        assert np.array_equal(EmbeddingSet(x * 2.0**power).unit, want)
-        idx = np.arange(40)
-        cos = pairwise_distances(EmbeddingSet(x * 2.0**power), idx, idx, "cosine")
-        assert np.array_equal(cos, pairwise_distances(EmbeddingSet(x), idx, idx, "cosine"))
+        assert np.array_equal(EmbeddingSet(x * 2.0**power).norms, np.ldexp(EmbeddingSet(x).norms, power))
+        assert np.array_equal(all_pairs(EmbeddingSet(x * 2.0**power)), all_pairs(EmbeddingSet(x)))
 
     def test_euclidean_matches_norm(self):
         rng = np.random.default_rng(12)
         x = rng.uniform(size=(10, 3))
         emb = EmbeddingSet(x)
-        block = pairwise_distances(emb, range(10), range(10), metric="euclidean")
+        block = all_pairs(emb, "euclidean")
         for i in range(10):
             for j in range(10):
                 assert abs(block[i, j] - np.linalg.norm(x[i] - x[j])) < 1e-9
@@ -211,7 +206,7 @@ class TestTypeInvariants:
         x = np.arange(1, 7).reshape(3, 2).astype(dtype)
         emb = EmbeddingSet(x)
         assert emb.data.dtype == held and emb.data.tolist() == x.tolist()
-        assert emb.norms.dtype == np.float64 and emb.unit.dtype == np.float64
+        assert emb.norms.dtype == np.float64 and paired_distances(emb, [0], [1]).dtype == np.float64
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_embedding_checks_run_over_chunks_of_rows(self, dtype):

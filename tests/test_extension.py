@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from oracles import brute_force_distances, brute_force_extend, brute_force_nearest
 from weakext import extension
 from weakext.core import (
     DataError,
@@ -24,79 +25,13 @@ from weakext.core import (
     RadiusConfig,
     VoteMatrix,
     Weighting,
-    cosine_distance,
-    pairwise_distances,
 )
 from weakext.extension import (
     coverage,
     extend_votes,
     min_overlap,
     neighbor_tables,
-    neighbors_in_support,
 )
-
-
-def brute_force_distances(x, metric="cosine"):
-    """All pairwise float64 distances.
-
-    Cosine distance is half the squared distance of the unit rows, which
-    keeps near duplicates apart where ``1 - u.v`` rounds to noise, summed
-    as ``paired_distances`` sums it, so a pair exactly at a radius taken
-    from these distances is inside it for the scan too.  Each Euclidean
-    difference is scaled by a power of two putting its largest entry in
-    [1/2, 1) before squaring, so no spread overflows.
-    """
-    if metric == "cosine":
-        u = x / np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
-        return np.array([np.minimum(0.5 * np.einsum("ij,ij->i", u - row, u - row), 2.0) for row in u])
-    out = []
-    for row in x:
-        diff = x - row
-        e = np.frexp(np.abs(diff).max(axis=1))[1]
-        out.append(np.ldexp(np.linalg.norm(np.ldexp(diff, -e[:, None]), axis=1), e))
-    return np.array(out)
-
-
-def brute_force_extend(x, votes, radii, weighting, metric="cosine"):
-    """Independent O(n^2) reference: per-pair distances, explicit loops."""
-    n, m = votes.shape
-    dist = brute_force_distances(x, metric)
-    out = votes.copy()
-    for j in range(m):
-        if radii[j] <= 0:
-            continue
-        supp = np.flatnonzero(votes[:, j] != 0)
-        if supp.size == 0:
-            continue
-        for i in range(n):
-            if votes[i, j] != 0:
-                continue
-            ds = dist[i, supp]
-            inside = ds <= radii[j]
-            if not inside.any():
-                continue
-            if weighting == "1nn":
-                k = int(np.argmin(ds))  # first minimum = lowest index
-                if ds[k] <= radii[j]:
-                    out[i, j] = votes[supp[k], j]
-            else:
-                out[i, j] = np.sign(votes[supp[inside], j].sum())
-    return out
-
-
-def brute_force_nearest(x, votes, source, metric="cosine", cap=None):
-    """Reference for a 1nn table: first minimum over the support; ``(inf, n)`` where it lies beyond ``cap``."""
-    n = votes.shape[0]
-    dist = brute_force_distances(x, metric)
-    queries = np.flatnonzero(votes[:, source] == 0)
-    supp = np.flatnonzero(votes[:, source] != 0)
-    if supp.size == 0:
-        return queries, np.full(queries.size, np.inf), np.full(queries.size, n)
-    k = dist[np.ix_(queries, supp)].argmin(axis=1)
-    best, col = dist[queries, supp[k]], supp[k]
-    if cap is not None:
-        best, col = np.where(best <= cap, best, np.inf), np.where(best <= cap, col, n)
-    return queries, best, col
 
 
 def covering(x, metric="cosine"):
@@ -123,48 +58,6 @@ def random_instance(rng, n_max=150):
     votes = rng.choice([-1, 0, 1], size=(n, m), p=[0.25, 0.5, 0.25])
     radii = rng.uniform(0.0, 1.5, m)
     return x, votes, radii
-
-
-class TestNeighborsInSupport:
-    def setup_method(self):
-        self.x = np.array([[1.0, 0.0], [1.0, 0.1], [0.0, 1.0], [1.0, 0.05]])
-        self.votes = VoteMatrix(np.array([[0], [1], [-1], [1]]))
-        self.emb = EmbeddingSet(self.x)
-
-    def test_zero_radius_empty(self):
-        ns = neighbors_in_support(self.emb, self.votes, 0, 0, 0.0)
-        assert ns.indices.size == 0
-
-    def test_max_radius_returns_all_support(self):
-        ns = neighbors_in_support(self.emb, self.votes, 0, 0, 2.0)
-        assert set(ns.indices.tolist()) == {1, 2, 3}
-
-    def test_hand_placed_radius(self):
-        # query (1,0) against support {(1,0.1), (0,1)}: distances are
-        # 1 - 1/sqrt(1.01) = 0.00496 and 1.0, so only the first is in
-        votes = VoteMatrix(np.array([[0], [1], [1], [0]]))
-        ns = neighbors_in_support(self.emb, votes, 0, 0, 0.1)
-        assert ns.indices.tolist() == [1]
-        assert abs(ns.distances[0] - cosine_distance(self.x[0], self.x[1])) < 1e-15
-
-    def test_sorted_by_distance_then_index(self):
-        ns = neighbors_in_support(self.emb, self.votes, 0, 0, 2.0)
-        assert ns.indices.tolist() == [3, 1, 2]  # 0.0012 < 0.0050 < 1.0
-        assert np.all(np.diff(ns.distances) >= 0)
-
-    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
-    def test_empty_support(self, metric):
-        ns = neighbors_in_support(self.emb, VoteMatrix(np.zeros((4, 1))), 0, 0, 2.0, Metric(metric))
-        assert ns.indices.dtype == np.int64 and ns.indices.size == 0
-        assert ns.distances.dtype == np.float64 and ns.distances.size == 0
-
-    def test_rejects_voted_query(self):
-        with pytest.raises(ValueError, match="already voted"):
-            neighbors_in_support(self.emb, self.votes, 0, 1, 0.5)
-
-    def test_rejects_negative_radius(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            neighbors_in_support(self.emb, self.votes, 0, 0, -0.1)
 
 
 class TestExtendVotes:
@@ -324,10 +217,9 @@ class TestNearestInSupport:
         x = rng.standard_normal((300, 16))
         votes = rng.choice([-1, 0, 1], size=(300, 1), p=[0.25, 0.5, 0.25])
         emb, vm = EmbeddingSet(x), VoteMatrix(votes)
-        queries, dist, best = nearest(emb, vm, 0, metric=Metric(metric))
-        for q, r, k in zip(queries, dist, best):
-            ns = neighbors_in_support(emb, vm, 0, int(q), float(r), metric=Metric(metric))
-            assert ns.indices[0] == k and ns.distances[0] == r
+        got = nearest(emb, vm, 0, metric=Metric(metric))
+        for have, want in zip(got, brute_force_nearest(x, votes, 0, metric)):
+            assert np.array_equal(have, want)
 
 
 class TestNeighborTables:
@@ -1162,14 +1054,14 @@ def test_a_float32_held_set_scans_as_its_float64_copy(metric, offset, threads):
     held, wide = EmbeddingSet(x), EmbeddingSet(x.astype(np.float64))
     assert held.data.dtype == np.float32 and wide.data.dtype == np.float64
     metric = Metric(metric)
-    dist = pairwise_distances(wide, np.arange(40), np.arange(n), metric)
+    dist = extension.paired_distances(wide, np.repeat(np.arange(40), n), np.tile(np.arange(n), 40), metric)
     grid = np.quantile(dist[dist > 0], [0.002, 0.01, 0.05])
     pairs, order = rng.integers(0, n, (2, 5000)), rng.permutation(n)
     seen = []
     for emb in (held, wide):
         space = extension._ScoreSpace(emb, metric)
-        derived = [emb.norms, emb.unit, space.tau, space.proj, space.resid, space.permuted(order).rows,
-                   extension.paired_distances(emb, *pairs, metric), pairwise_distances(emb, [3, 1], [0, 7, 2], metric)]
+        derived = [emb.norms, space.tau, space.proj, space.resid, space.permuted(order).rows,
+                   extension.paired_distances(emb, *pairs, metric)]
         if metric is Metric.EUCLIDEAN:
             derived += [space.mean, space.exps, space.scale]
         with mock.patch.object(extension, "_CHUNK_ELEMS", 20_000):  # many tasks for the second worker
@@ -1715,7 +1607,8 @@ class TestScoreSpace:
         c = (emb.data - emb.data.mean(axis=0)) * s
         assert 0.25 <= np.einsum("ij,ij->i", c, c).max() < 1.0
         rows, cols = np.arange(0, 120, 3), np.arange(120)
-        exact = -pairwise_distances(emb, rows, cols, Metric.EUCLIDEAN) ** 2
+        pairs = np.repeat(rows, cols.size), np.tile(cols, rows.size)
+        exact = -extension.paired_distances(emb, *pairs, Metric.EUCLIDEAN).reshape(rows.size, cols.size) ** 2
         block = space.permuted(np.arange(120)).block(rows, cols, np.empty(rows.size * cols.size, dtype=np.float32))
         assert block.dtype == np.float32
         # block / s^2 within tau / s^2 of the exact scores, compared in float64

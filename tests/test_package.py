@@ -170,11 +170,11 @@ class TestImportSet:
         assert weakext.MetricsReport is label_model.MetricsReport is experiments.MetricsReport
 
 
-# the top-level names by home module, as the package exported them eagerly
+# the top-level names by home module
 EXPORTS = {
     "core": [
         "DataError", "DegeneracyError", "EmbeddingSet", "LabelModelParams", "LabelVector", "Metric",
-        "RadiusConfig", "VoteMatrix", "Weighting", "cosine_distance", "load_embeddings", "load_labels",
+        "RadiusConfig", "VoteMatrix", "Weighting", "load_embeddings", "load_labels",
         "load_votes", "save_embeddings", "save_labels", "save_votes",
     ],
     "diagnostics": [
@@ -187,7 +187,7 @@ EXPORTS = {
         "refine_radii", "sweep_radius", "theory_guided_radius", "tune_shared_radius",
     ],
     "extension": [
-        "ExtensionReport", "NeighborSet", "coverage", "extend_votes", "min_overlap", "neighbors_in_support",
+        "ExtensionReport", "coverage", "extend_votes", "min_overlap",
     ],
     "label_model": [
         "TripletAssignment", "estimate_accuracies", "majority_vote", "posterior", "predict", "select_triplets",
@@ -218,6 +218,14 @@ class TestLazyPackage:
     def test_unknown_attribute_is_named(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             weakext.no_such_name  # noqa: B018
+
+    @pytest.mark.parametrize("home, name", [("extension", "neighbors_in_support"), ("extension", "NeighborSet"),
+                                            ("core", "cosine_distance")])
+    def test_removed_names_stay_removed(self, home, name):
+        # paired_distances is the one float64 distance and neighbor_tables the one neighbor search
+        with pytest.raises(AttributeError, match=f"'{name}'"):
+            getattr(weakext, name)
+        assert not hasattr(importlib.import_module(f"weakext.{home}"), name)
 
     def test_core_errors_are_the_classes_main_catches(self, tmp_path, capsys):
         assert cli.DataError is core.DataError and cli.DegeneracyError is core.DegeneracyError
