@@ -110,6 +110,8 @@ def _resolve_grid(args):
     """The radius grid of ``tune`` and ``diagnose``, checked before any file is read."""
     import numpy as np
 
+    from .core import check_radius_grid
+
     if args.grid:
         grid = np.asarray(_parse_float_list(args.grid, "--grid"))
         if grid.size == 0:
@@ -124,10 +126,7 @@ def _resolve_grid(args):
             raise UsageError(f"--grid-min must be at most --grid-max, got {args.grid_min} > {args.grid_max}")
         # diagnostics.default_radius_grid, which tune does not import
         grid = np.geomspace(args.grid_min, args.grid_max, args.grid_size)
-    # tune_shared_radius gives ties to the smaller radius, so a grid reads in ascending order
-    if np.isnan(grid).any() or not (np.diff(grid) > 0).all():
-        raise DataError("radius grid must be strictly ascending")
-    return grid
+    return check_radius_grid(grid)
 
 
 def _load_dev(args):
@@ -395,9 +394,7 @@ def cmd_tune(args) -> int:
 
 def cmd_diagnose(args) -> int:
     from .core import load_embeddings, load_votes
-    from .diagnostics import curves_cap, diagnose
-    from .extension import extend_from_tables, extend_votes, neighbor_tables
-    from .label_model import estimate_accuracies
+    from .diagnostics import diagnose
 
     grid = _resolve_grid(args)  # before any file is read
     out = _out_dir(args)
@@ -410,20 +407,10 @@ def cmd_diagnose(args) -> int:
         )
     prior = _resolve_prior(args, dev)
     config = _resolve_radii(args, votes.m)
-    metric = Metric(args.distance)
-    tables = None
-    if config.weighting is Weighting.ONE_NEAREST_NEIGHBOR:  # one scan serves extension and curves
-        grids = {j: [max(float(r), curves_cap(grid))] for j, r in enumerate(config.radii)}  # each read up to its cap
-        tables = neighbor_tables(emb, votes, grids, config.weighting, metric, args.threads)
-        ext, report = extend_from_tables(votes, config, tables)
-    else:
-        ext, report = extend_votes(emb, votes, config, metric=metric, threads=args.threads)
-    params = estimate_accuracies(votes, prior)
     diag = diagnose(
-        emb, votes, ext, dev, params, config,
-        report=report, metric=metric, radii=grid,
-        pair_budget=args.pair_budget, seed=args.seed, delta=args.delta,
-        threads=args.threads, tables=tables,
+        emb, votes, dev, prior, config,
+        metric=Metric(args.distance), radii=grid,
+        pair_budget=args.pair_budget, seed=args.seed, delta=args.delta, threads=args.threads,
     )
     _write_json(diag.to_dict(), out / "diagnostics.json")
     if args.profile_csv:

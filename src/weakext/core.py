@@ -237,6 +237,16 @@ class RadiusConfig:
         return cls(np.asarray(d["radii"], dtype=np.float64), Weighting(d["weighting"]))
 
 
+def check_radius_grid(radii) -> np.ndarray:
+    """``radii`` as float64; ``ValueError`` unless nonempty, strictly ascending and free of NaN."""
+    radii = np.asarray(radii, dtype=np.float64)
+    if radii.size == 0:
+        raise ValueError("radius grid must be nonempty")
+    if not np.all(np.diff(radii) > 0) or np.isnan(radii).any():
+        raise ValueError("radius grid must be strictly ascending")
+    return radii
+
+
 @dataclass
 class LabelModelParams:
     """Label-model parameters: accuracies a_i in (0,1), abstain rates, prior."""

@@ -6,8 +6,8 @@ source's voting indicator disagrees (its reach beyond its support), and
 what fraction of pairs falls within each radius.  The bound functions
 evaluate the closed-form expressions that tie those rates to extended
 source accuracy, generalization lift, parameter estimation error, and
-ensemble risk; ``diagnose`` runs all of them against a dataset and emits
-a JSON-ready report.
+ensemble risk; ``diagnose`` extends a dataset's votes, runs all of them
+against it and emits a JSON-ready report.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ from .core import (
     RadiusConfig,
     VoteMatrix,
     Weighting,
-    coverage,
+    check_radius_grid,
     paired_distances,
 )
-from .extension import ExtensionReport, NeighborTable, neighbor_tables
+from .extension import NeighborTable, extend_from_tables, extend_votes, neighbor_tables
 from .label_model import estimate_accuracies, min_overlap, pairwise_moments, predict, select_triplets
 
 __all__ = [
@@ -57,16 +57,6 @@ __all__ = [
 def default_radius_grid(lo: float = 0.01, hi: float = 1.0, size: int = 32) -> np.ndarray:
     """Log-spaced radius grid covering the useful cosine-distance range."""
     return np.geomspace(lo, hi, size)
-
-
-def check_radius_grid(radii) -> np.ndarray:
-    """``radii`` as float64; ``ValueError`` unless nonempty, strictly ascending and free of NaN."""
-    radii = np.asarray(radii, dtype=np.float64)
-    if radii.size == 0:
-        raise ValueError("radius grid must be nonempty")
-    if not np.all(np.diff(radii) > 0) or np.isnan(radii).any():
-        raise ValueError("radius grid must be strictly ascending")
-    return radii
 
 
 @dataclass(frozen=True)
@@ -626,11 +616,10 @@ def _estimation_inputs(votes, params, posteriors, delta):
 def diagnose(
     emb: EmbeddingSet,
     votes: VoteMatrix,
-    extended: VoteMatrix,
     dev_labels: LabelVector | None,
-    params: LabelModelParams,
+    prior: float,
     config: RadiusConfig,
-    report: ExtensionReport | None = None,
+    *,
     metric: Metric = Metric.COSINE,
     radii=None,
     pair_budget: int = DEFAULT_PAIR_BUDGET,
@@ -638,30 +627,41 @@ def diagnose(
     delta: float = 0.05,
     model_smoothness: tuple | None = None,
     threads: int | None = None,
-    tables: dict | None = None,
 ) -> DiagnosticsReport:
-    """Evaluate profiles, coverage deltas, and every bound on one dataset.
+    """Extend ``votes`` by ``config``, then evaluate profiles, coverage deltas, and every bound.
 
-    ``params`` must be the label model fitted on the original votes; the
-    extended model is re-fitted internally.  Label smoothness comes from
+    The label model is fitted at ``prior`` on the original votes and
+    again on the extended ones.  Label smoothness comes from
     ``dev_labels`` (a prefix of the dataset) or, failing that, from a
-    user-supplied ``(model_disagreement, model_risk)`` pair.  The measured
-    accuracy curves read 1nn ``tables`` (source -> ``NeighborTable``, as
-    ``neighbor_tables`` returns them, capped at ``curves_cap(radii)`` or
-    beyond); sources missing from ``tables`` are scanned at that cap in
-    one ``neighbor_tables`` call on ``threads`` workers.
+    user-supplied ``(model_disagreement, model_risk)`` pair.  With dev
+    labels, the measured accuracy curves read 1nn tables capped at
+    ``curves_cap(radii)``: under 1nn one ``neighbor_tables`` call, each
+    source capped at the larger of its radius and that cap, serves both
+    the extension and the curves; under wsum the extension's scan is
+    followed, after the profile, by one 1nn scan of every source with
+    support at that cap.  Without dev labels only the extension scans.
+    Every scan runs on ``threads`` workers.  The extension fails first,
+    then the fit on the original votes, then the profile.
     """
     if dev_labels is None and model_smoothness is None:
         raise ValueError(
             "label disagreement rates require a labeled dev set or a "
             "(model_disagreement, model_risk) smoothness bound"
         )
-    if emb.n != votes.n or votes.n != extended.n or votes.m != extended.m:
-        raise ValueError("embeddings, votes, and extended votes must agree in shape")
     if config.radii.shape[0] != votes.m:
         raise ValueError(f"config has {config.radii.shape[0]} radii for {votes.m} sources")
     grid = np.asarray(radii, dtype=np.float64) if radii is not None else default_radius_grid()
     metric = Metric(metric)
+    nn = Weighting.ONE_NEAREST_NEIGHBOR
+
+    tables = None
+    if dev_labels is not None and config.weighting is nn:
+        grids = {j: [max(float(r), curves_cap(grid))] for j, r in enumerate(config.radii)}
+        tables = neighbor_tables(emb, votes, grids, nn, metric, threads)
+        extended, report = extend_from_tables(votes, config, tables)
+    else:
+        extended, report = extend_votes(emb, votes, config, metric, threads)
+    params = estimate_accuracies(votes, prior)
 
     profile = estimate_profile(
         emb, grid, votes=votes, labels=dev_labels, budget=pair_budget, seed=seed, metric=metric
@@ -675,15 +675,11 @@ def diagnose(
             label_pair_count=np.full(grid.size, -1, dtype=np.int64),
         )
 
-    cov_before = coverage(votes)
-    cov_after = coverage(extended)
-    newly = report.newly_labeled_fraction if report is not None else cov_after - cov_before
-
+    cov_before, cov_after = report.original_coverage, report.extended_coverage
     base_post, _ = predict(votes, params)
-    tables = dict(tables or {})
-    if dev_labels is not None:
-        missing = {j: [curves_cap(grid)] for j in range(votes.m) if cov_before[j] > 0 and j not in tables}
-        tables.update(neighbor_tables(emb, votes, missing, Weighting.ONE_NEAREST_NEIGHBOR, metric, threads))
+    if dev_labels is not None and tables is None:
+        grids = {j: [curves_cap(grid)] for j in range(votes.m) if cov_before[j] > 0}
+        tables = neighbor_tables(emb, votes, grids, nn, metric, threads)
 
     per_source = []
     for j in range(votes.m):
@@ -708,7 +704,7 @@ def diagnose(
             "support_fraction": p_j,
             "original_coverage": p_j,
             "extended_coverage": float(cov_after[j]),
-            "newly_labeled_fraction": float(newly[j]),
+            "newly_labeled_fraction": float(report.newly_labeled_fraction[j]),
             "lift_bound_curve": curve,
             "recommended_radius": float(grid[best_k]) if curve[best_k] > 0 else 0.0,
             "recommended_radius_informative": bool(curve[best_k] > 0),
@@ -803,8 +799,8 @@ def diagnose(
         },
         "coverage_before": cov_before,
         "coverage_after": cov_after,
-        "min_overlap_before": min_overlap(votes) if votes.m >= 2 else None,
-        "min_overlap_after": min_overlap(extended) if votes.m >= 2 else None,
+        "min_overlap_before": report.min_overlap_before,
+        "min_overlap_after": report.min_overlap_after,
         "prior": params.prior,
         "accuracies": params.accuracies,
         "abstain_rates": params.abstain_rates,

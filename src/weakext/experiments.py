@@ -26,6 +26,7 @@ from .core import (
     VoteMatrix,
     Weighting,
     _distinct,
+    check_radius_grid,
     coverage,
 )
 from .extension import NeighborTable, neighbor_tables
@@ -315,9 +316,7 @@ def tune_shared_radius(
     Sources with full coverage have nothing to extend, so if every
     source is fully covered the search is skipped.
     """
-    radii = np.asarray(radii, dtype=np.float64)
-    if radii.size == 0:
-        raise ValueError("radius grid must be nonempty")
+    radii = check_radius_grid(radii)
     if dev_labels.n == 0 or dev_labels.n > votes.n:
         raise ValueError("dev labels must cover a nonempty prefix of the dataset")
     name = _resolve_metric_name(tune_metric, dev_labels)
@@ -447,7 +446,6 @@ def theory_guided_radius(
     accuracy: float,
     support_fraction: float,
     other_sources_constant: float,
-    radii=None,
     extended_accuracy_curve=None,
     new_region_accuracy_curve=None,
 ) -> TheoryRadiusResult:
@@ -459,10 +457,6 @@ def theory_guided_radius(
     """
     from .diagnostics import lift_bound_curve
 
-    if radii is not None:
-        radii = np.asarray(radii, dtype=np.float64)
-        if radii.shape != profile.radii.shape or not np.array_equal(radii, profile.radii):
-            raise ValueError("radius grid must match the profile's grid")
     bounds = lift_bound_curve(
         profile, source, accuracy, support_fraction, other_sources_constant,
         extended_accuracy_curve=extended_accuracy_curve,

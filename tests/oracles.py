@@ -13,20 +13,25 @@ def brute_force_distances(x, metric="cosine"):
     Cosine distance is half the squared distance of the unit rows, which
     keeps near duplicates apart where ``1 - u.v`` rounds to noise, summed
     as ``paired_distances`` sums it, so a pair exactly at a radius taken
-    from these distances is inside it for the scan too.  Each Euclidean
-    difference is scaled by a power of two putting its largest entry in
-    [1/2, 1) before squaring, so no spread overflows, and its squares are
-    summed as ``paired_distances`` sums them: the scaling is exact, so
-    both carry the same bits.
+    from these distances is inside it for the scan too.  Each cosine row,
+    and each Euclidean difference, is scaled by a power of two putting
+    its largest entry in [1/2, 1) before squaring, so no scale or spread
+    underflows or overflows; the scaling is exact, so squares summed as
+    ``paired_distances`` sums them carry its bits.
     """
+
+    def scaled(rows):
+        """``rows`` times the power of two putting each one's largest entry in [1/2, 1), and those exponents."""
+        e = np.frexp(np.abs(rows).max(axis=1))[1]
+        return np.ldexp(rows, -e[:, None]), e
+
     if metric == "cosine":
-        u = x / np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
+        s, _ = scaled(x)
+        u = s / np.sqrt(np.einsum("ij,ij->i", s, s))[:, None]
         return np.array([np.minimum(0.5 * np.einsum("ij,ij->i", u - row, u - row), 2.0) for row in u])
     out = []
     for row in x:
-        diff = x - row
-        e = np.frexp(np.abs(diff).max(axis=1))[1]
-        np.ldexp(diff, -e[:, None], out=diff)
+        diff, e = scaled(x - row)
         out.append(np.ldexp(np.sqrt(np.einsum("ij,ij->i", diff, diff)), e))
     return np.array(out)
 

@@ -178,6 +178,8 @@ class TestPairedDistances:
         x = rng.standard_normal((40, 5))
         assert np.array_equal(EmbeddingSet(x * 2.0**power).norms, np.ldexp(EmbeddingSet(x).norms, power))
         assert np.array_equal(all_pairs(EmbeddingSet(x * 2.0**power)), all_pairs(EmbeddingSet(x)))
+        # the oracle scales each row before norming it, so it too keeps every bit
+        assert np.array_equal(brute_force_distances(x * 2.0**power), all_pairs(EmbeddingSet(x)))
 
     def test_euclidean_matches_norm(self):
         rng = np.random.default_rng(12)

@@ -397,20 +397,16 @@ class TestOtherSourcesConstant:
 
 
 class TestDiagnose:
-    def _setup(self, radii_value):
+    def _setup(self, radii_value, weighting=Weighting.ONE_NEAREST_NEIGHBOR):
         from weakext.experiments import generate_checkerboard
 
         task = generate_checkerboard(1500, 10, 3, (0.9, 0.8, 0.8), (0.2, 0.8, 0.8), seed=11)
-        config = RadiusConfig(np.full(3, radii_value))
-        ext, report = extend_votes(task.embeddings, task.votes, config, metric=Metric.EUCLIDEAN)
-        params = estimate_accuracies(task.votes, 0.5)
-        return task, config, ext, report, params
+        return task, RadiusConfig(np.full(3, radii_value), weighting)
 
     def test_zero_radii_reports_no_change_and_zero_lift(self):
-        task, config, ext, report, params = self._setup(0.0)
+        task, config = self._setup(0.0)
         diag = diagnose(
-            task.embeddings, task.votes, ext, task.gold, params, config,
-            report=report, metric=Metric.EUCLIDEAN, pair_budget=50_000,
+            task.embeddings, task.votes, task.gold, 0.5, config, metric=Metric.EUCLIDEAN, pair_budget=50_000,
         ).to_dict()
         assert diag["coverage_before"] == diag["coverage_after"]
         for entry in diag["sources"]:
@@ -418,14 +414,14 @@ class TestDiagnose:
             assert not entry["recommend_extension"]
 
     def test_requires_labels_or_smoothness(self):
-        task, config, ext, report, params = self._setup(0.1)
+        task, config = self._setup(0.1)
         with pytest.raises(ValueError, match="dev set"):
-            diagnose(task.embeddings, task.votes, ext, None, params, config)
+            diagnose(task.embeddings, task.votes, None, 0.5, config)
 
     def test_model_smoothness_substitute(self):
-        task, config, ext, report, params = self._setup(0.1)
+        task, config = self._setup(0.1)
         diag = diagnose(
-            task.embeddings, task.votes, ext, None, params, config,
+            task.embeddings, task.votes, None, 0.5, config,
             metric=Metric.EUCLIDEAN, pair_budget=50_000, model_smoothness=(0.1, 0.05),
         ).to_dict()
         # every defined label-disagreement entry equals the supplied bound
@@ -435,11 +431,11 @@ class TestDiagnose:
     def test_recommended_radius_matches_theory_guided(self):
         from weakext.experiments import theory_guided_radius
 
-        task, config, ext, report, params = self._setup(0.1)
+        task, config = self._setup(0.1)
         grid = default_radius_grid()
         diag = diagnose(
-            task.embeddings, task.votes, ext, task.gold, params, config,
-            report=report, metric=Metric.EUCLIDEAN, radii=grid, pair_budget=50_000, seed=2,
+            task.embeddings, task.votes, task.gold, 0.5, config,
+            metric=Metric.EUCLIDEAN, radii=grid, pair_budget=50_000, seed=2,
         ).to_dict()
         profile = estimate_profile(
             task.embeddings, grid, votes=task.votes, labels=task.gold,
@@ -447,6 +443,7 @@ class TestDiagnose:
         )
         from weakext.label_model import predict
 
+        params = estimate_accuracies(task.votes, 0.5)
         q, _ = predict(task.votes, params)
         c_const = other_sources_constant(q, task.gold)
         table = neighbor_tables(task.embeddings, task.votes, {0: covering(task.embeddings)}, metric=Metric.EUCLIDEAN)[0]
@@ -458,31 +455,70 @@ class TestDiagnose:
         )
         assert diag["sources"][0]["recommended_radius"] == res.radius
 
-    def test_shared_tables_give_the_same_report(self):
+    @pytest.mark.parametrize("weighting", list(Weighting), ids=lambda w: w.value)
+    @pytest.mark.parametrize("labeled", [True, False], ids=["dev", "no-dev"])
+    def test_one_scan_plan_serves_extension_and_curves(self, weighting, labeled):
+        # 1nn: one scan of every source, capped at its radius or the grid's
+        # top, whichever is larger; wsum: the extension's scan, then one 1nn
+        # scan of every source with support at the grid's top.  Without dev
+        # labels there are no curves: only the extension scans.
         from unittest import mock
 
-        from weakext import diagnostics
+        from weakext import extension
 
-        task, config, ext, report, params = self._setup(0.1)
-        kwargs = dict(report=report, metric=Metric.EUCLIDEAN, pair_budget=50_000)
-        spy = mock.patch.object(diagnostics, "neighbor_tables", wraps=diagnostics.neighbor_tables)
-        with spy as own_scan:
-            own = diagnose(task.embeddings, task.votes, ext, task.gold, params, config, threads=1, **kwargs)
-        # one scan of every source, capped at the grid's largest radius, on the caller's thread count
-        assert own_scan.call_count == 1 and own_scan.call_args.args[2] == dict.fromkeys(range(3), [1.0])
-        assert own_scan.call_args.args[5] == 1
-        tables = neighbor_tables(task.embeddings, task.votes, dict.fromkeys(range(3), covering(task.embeddings)),
-                                 metric=Metric.EUCLIDEAN)
-        with spy as shared_scan:
-            shared = diagnose(task.embeddings, task.votes, ext, task.gold, params, config, tables=tables, **kwargs)
-        assert shared.to_dict() == own.to_dict()
-        assert shared_scan.call_args.args[2] == {}  # every source's curves came from the given tables
+        task, _ = self._setup(0.0)
+        config = RadiusConfig(np.array([0.1, 0.0, 1.5]), weighting)  # below, at 0 and beyond the top of the grid
+        grid = np.array([0.05, 0.2, 1.0])
+        dev, smooth = (task.gold, None) if labeled else (None, (0.1, 0.05))
+        scan = mock.Mock(wraps=extension.neighbor_tables)  # extend_votes scans through extension's own name
+        with mock.patch.object(diagnostics, "neighbor_tables", scan), \
+                mock.patch.object(extension, "neighbor_tables", scan):
+            diagnose(task.embeddings, task.votes, dev, 0.5, config, metric=Metric.EUCLIDEAN, radii=grid,
+                     pair_budget=5_000, model_smoothness=smooth, threads=2)
+        plan = [({j: [float(r) for r in g] for j, g in c.args[2].items()}, c.args[3]) for c in scan.call_args_list]
+        nn = Weighting.ONE_NEAREST_NEIGHBOR
+        extension_only = [({0: [0.1], 2: [1.5]}, weighting)]
+        if not labeled:
+            assert plan == extension_only
+        elif weighting is nn:
+            assert plan == [({0: [max(0.1, diagnostics.curves_cap(grid))], 1: [1.0], 2: [1.5]}, nn)]
+        else:
+            assert plan == extension_only + [(dict.fromkeys(range(3), [diagnostics.curves_cap(grid)]), nn)]
+        assert all(c.args[5] == 2 for c in scan.call_args_list)
+
+    @pytest.mark.parametrize("weighting", list(Weighting), ids=lambda w: w.value)
+    def test_library_and_cli_write_the_same_report(self, weighting, tmp_path):
+        # newly_labeled_fraction is the extension report's figure on both paths
+        import json
+
+        from weakext.cli import main
+        from weakext.core import load_embeddings, save_embeddings, save_labels, save_votes
+
+        task, config = self._setup(0.08, weighting)
+        paths = [tmp_path / name for name in ("emb.emb", "votes.csv", "labels.csv")]
+        for save, value, path in zip((save_embeddings, save_votes, save_labels),
+                                     (task.embeddings, task.votes, task.gold), paths):
+            save(value, path)
+        emb = load_embeddings(paths[0])  # the float32 rows the command reads
+        lib = diagnose(emb, task.votes, task.gold, 0.5, config, metric=Metric.EUCLIDEAN, pair_budget=50_000)
+        assert main([
+            "diagnose", "--embeddings", str(paths[0]), "--votes", str(paths[1]), "--dev-labels", str(paths[2]),
+            "--prior", "0.5", "--radii", "0.08", "--weighting", weighting.value, "--distance", "euclidean",
+            "--pair-budget", "50000", "--out", str(tmp_path / "out"),
+        ]) == 0
+        cli = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        _, report = extend_votes(emb, task.votes, config, Metric.EUCLIDEAN)
+        newly = [np.array([e["newly_labeled_fraction"] for e in d["sources"]]).tobytes()
+                 for d in (lib.to_dict(), cli)]
+        assert newly == [report.newly_labeled_fraction.tobytes()] * 2
+        assert report.newly_labeled_fraction.any()
+        assert cli == json.loads(json.dumps(lib.to_dict()))
 
     def test_measured_accuracies_reported(self):
-        task, config, ext, report, params = self._setup(0.1)
+        task, config = self._setup(0.1)
+        ext, _ = extend_votes(task.embeddings, task.votes, config, metric=Metric.EUCLIDEAN)
         diag = diagnose(
-            task.embeddings, task.votes, ext, task.gold, params, config,
-            report=report, metric=Metric.EUCLIDEAN, pair_budget=50_000,
+            task.embeddings, task.votes, task.gold, 0.5, config, metric=Metric.EUCLIDEAN, pair_budget=50_000,
         ).to_dict()
         entry = diag["sources"][0]
         new_mask = (task.votes.votes[:, 0] == 0) & (ext.votes[:, 0] != 0)
@@ -496,11 +532,8 @@ class TestDiagnose:
         task = generate_checkerboard(1500, 10, 3, (0.9, 0.8, 0.8), (0.2, 0.8, 0.8), seed=11)
         # source 1's radius reaches no point beyond its support: its new region is empty
         config = RadiusConfig(np.array([0.08, 1e-9, 0.08]), weighting)
-        ext, report = extend_votes(task.embeddings, task.votes, config, metric=Metric.EUCLIDEAN)
-        params = estimate_accuracies(task.votes, 0.5)
         diag = diagnose(
-            task.embeddings, task.votes, ext, task.gold, params, config,
-            report=report, metric=Metric.EUCLIDEAN, pair_budget=50_000,
+            task.embeddings, task.votes, task.gold, 0.5, config, metric=Metric.EUCLIDEAN, pair_budget=50_000,
         ).to_dict()
         for j, r in enumerate(config.radii):
             sweep = sweep_radius(task, j, [r], prior=0.5, weighting=weighting, compute_bound=False)

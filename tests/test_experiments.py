@@ -236,6 +236,18 @@ class TestTuneSharedRadius:
         if curve[0] >= curve[2]:
             assert res.radius == 1e-9
 
+    def test_unsorted_grid_is_refused(self):
+        # radii 5 and 10 both reach every point of the unit square, so they
+        # tie; ties go to the smaller radius only on an ascending grid
+        task = small_task(seed=34, n=400)
+        res = tune_shared_radius(
+            task.embeddings, task.votes, task.gold, 0.5, np.array([5.0, 10.0]), metric=Metric.EUCLIDEAN
+        )
+        assert res.metric_curve[0] == res.metric_curve[1] and res.radius == 5.0
+        for grid in ([10.0, 5.0], [5.0, 5.0]):
+            with pytest.raises(ValueError, match="strictly ascending"):
+                tune_shared_radius(task.embeddings, task.votes, task.gold, 0.5, np.array(grid), metric=Metric.EUCLIDEAN)
+
     def test_metric_name_auto(self):
         task = small_task(seed=29)
         res = tune_shared_radius(
@@ -289,11 +301,17 @@ class TestRefineRadii:
 @pytest.mark.parametrize("weighting", list(Weighting))
 @pytest.mark.parametrize("grid", [[-0.1, 0.2], [0.2, np.nan]], ids=["negative", "nan"])
 class TestRadiusGridValidation:
-    """A negative or non-finite grid radius is a data error under either weighting."""
+    """A negative or non-finite grid radius is a data error under either weighting.
+
+    ``tune_shared_radius`` refuses a grid holding NaN as not strictly
+    ascending before it scans.
+    """
 
     def test_tune_grid(self, grid, weighting):
         task = small_task(seed=33)
-        with pytest.raises(DataError, match="finite and nonnegative"):
+        nan = np.isnan(grid).any()
+        error, message = (ValueError, "strictly ascending") if nan else (DataError, "finite and nonnegative")
+        with pytest.raises(error, match=message):
             tune_shared_radius(
                 task.embeddings, task.votes, task.gold, 0.5, np.array(grid),
                 metric=Metric.EUCLIDEAN, weighting=weighting,
@@ -343,9 +361,3 @@ class TestTheoryGuidedRadius:
         res = theory_guided_radius(profile, 0, 0.89, 0.5, 0.5)
         assert res.informative and res.radius == 0.4
         assert (np.diff(res.bounds) > 0).all()
-
-    def test_grid_mismatch_rejected(self):
-        radii = np.array([0.1, 0.2, 0.4])
-        profile = self._profile(np.zeros(3), np.zeros(3), np.ones(3), radii)
-        with pytest.raises(ValueError, match="grid"):
-            theory_guided_radius(profile, 0, 0.9, 0.5, 0.5, radii=np.array([0.1, 0.2]))

@@ -968,14 +968,19 @@ class TestScoredCells:
                         assert (a is None and b is None) or np.array_equal(a, b), (j, name, threads)
 
 
-@pytest.mark.parametrize("weighting", list(Weighting), ids=lambda w: w.value)
-def test_high_dimensional_cosine_agrees_with_brute_force(weighting):
+@pytest.mark.parametrize(
+    "weighting, power",
+    [(w, p) for p in (0, -600, 600) for w in Weighting],
+    ids=[w.value + (f"-2^{p}" if p else "") for p in (0, -600, 600) for w in Weighting],
+)
+def test_high_dimensional_cosine_agrees_with_brute_force(weighting, power):
     # d=4096 is past the dimension where the float32 error bound, not the
-    # 1e-4 floor, sets the re-check band
+    # 1e-4 floor, sets the re-check band; at 2^-600 and 2^600 every plain
+    # squared norm underflows or overflows, and cosine distances do not move
     rng = np.random.default_rng(10)
     n, d, m = 300, 4096, 3
     centers = rng.standard_normal((6, d))
-    x = centers[rng.integers(0, 6, n)] + 0.6 * rng.standard_normal((n, d))
+    x = np.ldexp(centers[rng.integers(0, 6, n)] + 0.6 * rng.standard_normal((n, d)), power)
     votes = rng.choice([-1, 0, 1], size=(n, m), p=[0.2, 0.5, 0.3])
     values = np.unique(brute_force_distances(x))
     # radii halfway between neighbouring distances near chosen quantiles:

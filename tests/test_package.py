@@ -102,20 +102,26 @@ class TestImportSet:
         assert "weakext.diagnostics" in steps[3]["loaded"]
 
     def test_pipeline_and_eval_never_load_experiments(self, task_dir, tmp_path):
-        # evaluate and the metric resolver live in label_model
+        # evaluate and the metric resolver live in label_model; diagnose
+        # plans its scans in diagnostics
         io_args = ["--embeddings", str(task_dir / "embeddings.emb"), "--votes", str(task_dir / "votes.csv"),
                    "--prior", "0.5"]
         labels = str(task_dir / "labels.csv")
+        diagnose = ["diagnose", *io_args, "--dev-labels", labels, "--radii", "0.05", "--grid-size", "4",
+                    "--pair-budget", "1000"]
         steps = probe([
             ["pipeline", *io_args, "--radii", "0.05", "--gold", labels, "--out", str(tmp_path / "p")],
             ["eval", "--predictions", str(tmp_path / "p" / "hard_labels.csv"), "--gold", labels],
+            [*diagnose, "--weighting", "1nn", "--out", str(tmp_path / "d1")],
+            [*diagnose, "--weighting", "wsum", "--out", str(tmp_path / "dw")],
             # the control: a command that uses experiments loads it
             ["synth", "--out", str(tmp_path / "s"), "--n", "50"],
         ])
-        assert [s["code"] for s in steps] == [None, 0, 0, 0]
-        for step in steps[1:3]:
+        assert [s["code"] for s in steps] == [None, 0, 0, 0, 0, 0]
+        for step in steps[1:5]:
             assert "weakext.label_model" in step["loaded"] and "weakext.experiments" not in step["loaded"], step
-        assert "weakext.experiments" in steps[3]["loaded"]
+        assert "weakext.diagnostics" in steps[3]["loaded"]
+        assert "weakext.experiments" in steps[5]["loaded"]
 
     def test_scan_commands_never_load_numpy_ma_nor_a_thread_pool(self, task_dir, tmp_path):
         # np.unique without return_* flags imports numpy.ma, some 9 ms of a
